@@ -57,6 +57,25 @@ def generate(order: int, seed: int = 0, kind: str = "well-conditioned") -> np.nd
     return m
 
 
+def _inplace(m: np.ndarray, counters: OpCounters) -> np.ndarray:
+    inv = m.copy()
+    invertor_inplace_by_a(inv, counters=counters)
+    return inv
+
+
+# Method name -> fn(m, counters, **engine_options) returning the inverse;
+# only the step engine takes options (workers, sizes, checkpointing).
+METHODS = {
+    "a": lambda m, counters, **_: invertor_by_a(m, counters)[0],
+    "inplace": lambda m, counters, **_: _inplace(m, counters),
+    "ad": lambda m, counters, **_: invertor_by_ad(m, counters)[0],
+    "parallel": lambda m, counters, **engine: run_inversion(
+        m, counters=counters, **engine
+    ).to_dense(),
+    "oracle": lambda m, counters, **_: gauss_jordan_oracle(m, counters),
+}
+
+
 @dataclass
 class TimingRecord:
     method: str
@@ -78,21 +97,12 @@ class SlopeFit:
 
 
 def _run_method(method: str, m: np.ndarray, workers: int):
-    counters = OpCounters()
-    if method == "a":
-        inv, _ = invertor_by_a(m, counters)
-    elif method == "inplace":
-        inv = m.copy()
-        invertor_inplace_by_a(inv, counters=counters)
-    elif method == "ad":
-        inv, _ = invertor_by_ad(m, counters)
-    elif method == "parallel":
-        inv = run_inversion(m, workers=workers, counters=counters).to_dense()
-    elif method == "oracle":
-        inv = gauss_jordan_oracle(m)
-        counters = OpCounters()  # the oracle has no block counters
-    else:
+    if method not in METHODS:
         raise InvalidOrder(f"unknown method {method!r}")
+    counters = OpCounters()
+    inv = METHODS[method](m, counters, workers=workers)
+    if method == "oracle":
+        counters = OpCounters()  # the oracle has no block counters
     return inv, counters
 
 

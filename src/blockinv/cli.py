@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 singular pivot, 3 I/O or format error,
+Exit codes: 0 success, 2 singular pivot, 3 I/O, format or argument error,
 4 checkpoint mismatch.
 """
 
@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .bench import KINDS, bench as run_bench, fit_slope, generate, records_to_csv, write_csv
+from .bench import KINDS, METHODS, bench as run_bench, fit_slope, generate, records_to_csv, write_csv
 from .core import (
     OpCounters,
     gauss_jordan_oracle,
@@ -31,12 +31,7 @@ from .errors import (
     SingularMatrix,
 )
 from .partition import make_partition, partition_from_sizes
-from .recursive import (
-    invertor_by_a,
-    invertor_by_ad,
-    invertor_inplace_by_a,
-    invertor_with_fallback,
-)
+from .recursive import invertor_with_fallback
 
 EXIT_OK = 0
 EXIT_SINGULAR = 2
@@ -63,25 +58,10 @@ def _scheme_for(order, sizes):
 def _invert_with_method(m, method, workers, sizes, checkpoint_dir, file_backed, retry):
     counters = OpCounters()
     try:
-        if method == "a":
-            inv, _ = invertor_by_a(m, counters)
-        elif method == "inplace":
-            inv = m.copy()
-            invertor_inplace_by_a(inv, counters=counters)
-        elif method == "ad":
-            inv, _ = invertor_by_ad(m, counters)
-        elif method == "oracle":
-            inv = gauss_jordan_oracle(m, counters)
-        else:
-            block = run_inversion(
-                m,
-                workers=workers,
-                sizes=sizes,
-                checkpoint_dir=checkpoint_dir,
-                file_backed=file_backed,
-                counters=counters,
-            )
-            inv = block.to_dense()
+        inv = METHODS[method](
+            m, counters, workers=workers, sizes=sizes,
+            checkpoint_dir=checkpoint_dir, file_backed=file_backed,
+        )
     except SingularBlock:
         if not retry or method not in ("a", "inplace", "ad"):
             raise
@@ -204,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="invert a matrix file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--method", choices=("a", "inplace", "ad", "parallel", "oracle"),
-                   default="parallel")
+    p.add_argument("--method", choices=tuple(METHODS), default="parallel")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--sizes", type=_parse_sizes, default=None)
     p.add_argument("--checkpoint-dir", default=None)
@@ -218,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an inversion against the oracle")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--inverse", default=None, help="verify this inverse file instead")
-    p.add_argument("--method", choices=("a", "inplace", "ad", "parallel", "oracle"),
-                   default="parallel")
+    p.add_argument("--method", choices=tuple(METHODS), default="parallel")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--sizes", type=_parse_sizes, default=None)
     p.add_argument("--binary", action="store_true")

@@ -96,6 +96,13 @@ class OpCounters:
         self.peak_scratch = max(self.peak_scratch, other.peak_scratch)
 
 
+def check_finite(m: np.ndarray) -> None:
+    """Reject NaN and Inf entries, which would otherwise come out of every
+    inversion path as an all-NaN "inverse"."""
+    if not np.isfinite(m).all():
+        raise FormatError("matrix contains NaN or Inf entries")
+
+
 def as_matrix(data) -> np.ndarray:
     """Coerce to a 2-D float64 array without copying when already one."""
     m = np.asarray(data, dtype=np.float64)
@@ -208,6 +215,29 @@ def multiply_inplace_left(
     n = target.shape[0]
     if a_inv.shape != (n, n):
         raise DimensionMismatch(f"inplace left {a_inv.shape} on {target.shape}")
+    _inplace_left(a_inv, target, row_scratch, negate, counters)
+
+
+def multiply_inplace_right(
+    target: np.ndarray,
+    a_inv: np.ndarray,
+    row_scratch: np.ndarray,
+    negate: bool = False,
+    counters: OpCounters | None = None,
+) -> None:
+    """target <- (+-1) * target @ a_inv, row by row, row-sized buffer only.
+
+    This is the left product on transposed views: (T A)^T = A^T T^T, and a
+    column of T^T is a row of T.
+    """
+    n = target.shape[1]
+    if a_inv.shape != (n, n):
+        raise DimensionMismatch(f"inplace right {target.shape} on {a_inv.shape}")
+    _inplace_left(a_inv.T, target.T, row_scratch, negate, counters)
+
+
+def _inplace_left(a_inv, target, row_scratch, negate, counters) -> None:
+    n = target.shape[0]
     if row_scratch.shape[0] < n:
         raise ScratchTooSmall(f"need {n} scalars, have {row_scratch.shape[0]}")
     if debug_checks:
@@ -225,52 +255,35 @@ def multiply_inplace_left(
         counters.multiplies += 1
 
 
-def multiply_inplace_right(
-    target: np.ndarray,
-    a_inv: np.ndarray,
-    row_scratch: np.ndarray,
-    negate: bool = False,
-    counters: OpCounters | None = None,
-) -> None:
-    """target <- (+-1) * target @ a_inv, row by row, row-sized buffer only."""
-    n = target.shape[1]
-    if a_inv.shape != (n, n):
-        raise DimensionMismatch(f"inplace right {target.shape} on {a_inv.shape}")
-    if row_scratch.shape[0] < n:
-        raise ScratchTooSmall(f"need {n} scalars, have {row_scratch.shape[0]}")
-    if debug_checks:
-        assert _disjoint(row_scratch, target)
-        assert _disjoint(row_scratch, a_inv)
-    s = row_scratch[:n]
-    for i in range(target.shape[0]):
-        row = target[i, :]
-        s[:] = 0.0
-        for k in range(n):
-            ak = -a_inv[k, :] if negate else a_inv[k, :]
-            s += row[k] * ak
-        row[:] = s
-    if counters is not None:
-        counters.multiplies += 1
-
-
-def singularity_tolerance(m) -> float:
+def singularity_tolerance(rows) -> float:
     """Scale-aware determinant threshold for the analytic inverses."""
-    if isinstance(m, np.ndarray):
-        n = m.shape[0]
-        amax = float(np.max(np.abs(m))) if m.size else 0.0
-    else:
-        n = len(m)
-        amax = max(abs(v) for row in m for v in row) if n else 0.0
+    n = len(rows)
+    amax = max(abs(v) for row in rows for v in row) if n else 0.0
     return 1e-12 * n * n * amax**n
 
 
-def _inv2(m: np.ndarray, out: np.ndarray) -> None:
-    (a, b), (c, d) = m.tolist()
+def _inv_rows(rows: list, path=None) -> list:
+    """Inverse of a 1x1 or 2x2 matrix given as a list of rows.
+
+    The 2x2 threshold is singularity_tolerance written out inline.
+    """
+    if len(rows) == 1:
+        v = rows[0][0]
+        if v == 0.0:  # the scale-aware threshold reduces to exact zero here
+            raise SingularBlock("A", path=path)
+        return [[1.0 / v]]
+    (a, b), (c, d) = rows
     det = a * d - b * c
-    if abs(det) <= singularity_tolerance([[a, b], [c, d]]):
-        raise SingularBlock("A", path=[])
+    amax = max(abs(a), abs(b), abs(c), abs(d))
+    if abs(det) <= 1e-12 * 4 * amax * amax:
+        raise SingularBlock("A", path=path)
     r = 1.0 / det
-    out[...] = [[d * r, -b * r], [-c * r, a * r]]
+    return [[d * r, -b * r], [-c * r, a * r]]
+
+
+def _inv_leaf(m: np.ndarray, out: np.ndarray) -> None:
+    # reads all of m before writing out, so out may be m itself
+    out[...] = _inv_rows(m.tolist())
 
 
 def _inv3(m: np.ndarray, out: np.ndarray) -> None:
@@ -297,81 +310,30 @@ def _inv3(m: np.ndarray, out: np.ndarray) -> None:
     ]
 
 
-def _inv4_with_pivot(m: np.ndarray, out: np.ndarray, use_d: bool) -> None:
-    """4x4 inverse as a 2x2-blocked pivot application with analytic 2x2s."""
-    a, b = m[:2, :2], m[:2, 2:]
-    c, d = m[2:, :2], m[2:, 2:]
-    piv = np.empty((2, 2))
-    schur = np.empty((2, 2))
-    schur_inv = np.empty((2, 2))
-    if not use_d:
-        _inv2(a, piv)  # raises SingularBlock("A") when unusable
-        n_pb = np.empty((2, 2))
-        multiply(piv, b, n_pb, negate=True)  # -A^-1 B
-        cp = np.empty((2, 2))
-        multiply(c, piv, cp)  # C A^-1
-        schur[:] = d
-        schur_accumulate(schur, c, n_pb)  # S_A = D - C A^-1 B
-        try:
-            _inv2(schur, schur_inv)
-        except SingularBlock:
-            raise SingularBlock("SchurA", path=[]) from None
-        t = np.empty((2, 2))
-        multiply(n_pb, schur_inv, t)  # -A^-1 B S_A^-1
-        out[:2, :2] = piv
-        multiply(t, cp, out[:2, :2], accumulate=True, negate=True)
-        out[:2, 2:] = t
-        multiply(schur_inv, cp, out[2:, :2], negate=True)
-        out[2:, 2:] = schur_inv
-    else:
-        try:
-            _inv2(d, piv)
-        except SingularBlock:
-            raise SingularBlock("D", path=[]) from None
-        n_pc = np.empty((2, 2))
-        multiply(piv, c, n_pc, negate=True)  # -D^-1 C
-        bp = np.empty((2, 2))
-        multiply(b, piv, bp)  # B D^-1
-        schur[:] = a
-        schur_accumulate(schur, b, n_pc)  # S_D = A - B D^-1 C
-        try:
-            _inv2(schur, schur_inv)
-        except SingularBlock:
-            raise SingularBlock("SchurD", path=[]) from None
-        t = np.empty((2, 2))
-        multiply(n_pc, schur_inv, t)  # -D^-1 C S_D^-1
-        out[2:, 2:] = piv
-        multiply(t, bp, out[2:, 2:], accumulate=True, negate=True)
-        out[2:, :2] = t
-        multiply(schur_inv, bp, out[:2, 2:], negate=True)
-        out[:2, :2] = schur_inv
-
-
 def invert_small(m: np.ndarray, out: np.ndarray, counters: OpCounters | None = None) -> None:
     """Closed-form inverse for orders 1-4 into ``out``.
 
-    Orders 1-3 use adjugate/determinant formulas; order 4 is a 2x2-blocked
-    pivot application with analytic 2x2 sub-inverses, retried with the
-    trailing diagonal block as pivot when the leading one is singular.
-    Raises SingularBlock when no usable pivot exists.
+    Orders 1-3 use adjugate/determinant formulas; order 4 is the pivot-A
+    formula of :mod:`blockinv.schur` with analytic 2x2 sub-inverses, retried
+    with pivot D when the leading block or its complement is singular.
+    Raises SingularBlock when no usable pivot exists.  For orders 1 and 2
+    ``out`` may be ``m`` itself.
     """
     n = m.shape[0]
     if m.shape != (n, n) or out.shape != (n, n) or not 1 <= n <= 4:
         raise DimensionMismatch(f"invert_small on {m.shape} -> {out.shape}")
-    if n == 1:
-        x = m[0, 0]
-        if x == 0.0:  # the scale-aware threshold reduces to exact zero here
-            raise SingularBlock("A", path=[])
-        out[0, 0] = 1.0 / x
-    elif n == 2:
-        _inv2(m, out)
+    if n <= 2:
+        _inv_leaf(m, out)
     elif n == 3:
         _inv3(m, out)
     else:
+        from .schur import diagonal_quad, invert_via_a, invert_via_d
+
+        q = diagonal_quad(m, 2)
         try:
-            _inv4_with_pivot(m, out, use_d=False)
+            invert_via_a(q, _inv_leaf, out)
         except SingularBlock:
-            _inv4_with_pivot(m, out, use_d=True)
+            invert_via_d(q, _inv_leaf, out)
     if counters is not None:
         counters.inversions += 1
 
@@ -425,8 +387,7 @@ def residual_norm(x: np.ndarray, x_inv: np.ndarray) -> float:
 def _validate_loaded(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise FormatError(f"bad matrix shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise FormatError("matrix contains NaN or Inf entries")
+    check_finite(m)
     return np.ascontiguousarray(m, dtype=np.float64)
 
 

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OpCounters, _mm_acc, invert_small
+from .core import OpCounters, _mm_acc, check_finite, invert_small
 from .errors import (
     BlockShapeMismatch,
+    InvalidWorkers,
     MalformedLoopid,
     OutOfRange,
     SchemeMismatch,
@@ -59,10 +60,15 @@ def resolve_workers(explicit: int | None = None) -> int:
     """Explicit argument beats the INVERTOR_WORKERS environment variable."""
     if explicit is not None:
         if explicit < 1:
-            raise ValueError(f"workers must be >= 1, got {explicit}")
+            raise InvalidWorkers(f"workers must be >= 1, got {explicit}")
         return explicit
     env = os.environ.get("INVERTOR_WORKERS", "").strip()
-    return max(int(env), 1) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(int(env), 1)
+    except ValueError:
+        raise InvalidWorkers(f"INVERTOR_WORKERS must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +520,7 @@ def run_inversion(
     counters = counters if counters is not None else OpCounters()
 
     dense_input = source.to_dense()
+    check_finite(dense_input)
     input_hash = input_fingerprint(dense_input, scheme)
     n_steps = total_steps(scheme.n_blocks)
 

@@ -46,6 +46,10 @@ class InvalidOrder(BlockInvError):
     """Matrix order outside the supported range."""
 
 
+class InvalidWorkers(BlockInvError, ValueError):
+    """Worker count is not a positive integer."""
+
+
 class IndexOutOfRange(BlockInvError):
     """Quad or block index does not exist in the partition scheme."""
 
@@ -79,4 +83,4 @@ class InsufficientData(BlockInvError):
 
 
 class FormatError(BlockInvError):
-    """Matrix file is malformed or contains non-finite entries."""
+    """Matrix input is malformed or contains non-finite entries."""

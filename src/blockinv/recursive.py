@@ -9,25 +9,31 @@ Three procedures share the same algebra but differ in how they treat memory:
   inside the input matrix; the only auxiliary storage is one row-sized
   buffer shared by every level.
 * ``invertor_by_ad`` - inverts both diagonal pivots per node (four products,
-  two Schur reductions) so the two inversions of each stage are independent
-  tasks; Schur workspaces are pooled per (position, size) and reused across
-  recursion generations, the way a preallocated scratch plan would.
+  two Schur reductions).  The (A, D) and (S_D, S_A) inversions of a node
+  are independent of each other but run one after the other; Schur
+  workspaces are pooled per (position, size) and reused across recursion
+  generations, the way a preallocated scratch plan would.
+
+``invertor_with_fallback`` is the retry path: at every node it tries the
+pivot formulas of :mod:`blockinv.schur` in the order A, D, B, C.
 
 Odd orders split floor/ceil; recursion bottoms out at order <= 2, which is
-inverted analytically.  Failures raise SingularBlock carrying the recursion
-path, e.g. "A.SchurA.A".
+inverted by the one analytic 1x1/2x2 leaf in :mod:`blockinv.core`.
+Failures raise SingularBlock carrying the recursion path, e.g.
+"A.SchurA.A".  Nothing here starts a thread.
 """
 
 from __future__ import annotations
 
-import threading
 from operator import mul
 
 import numpy as np
 
 from .core import (
     OpCounters,
+    _inv_rows,
     as_matrix,
+    check_finite,
     invert_small,
     multiply,
     multiply_inplace_left,
@@ -48,6 +54,7 @@ def _check_square(x: np.ndarray) -> np.ndarray:
     x = as_matrix(x)
     if x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"need a square matrix, got {x.shape}")
+    check_finite(x)
     return x
 
 
@@ -207,24 +214,6 @@ def _mm_rows(a, b, negate=False, into=None):
     ]
 
 
-def _leaf_rows(rows, counters, path):
-    n = len(rows)
-    if n == 1:
-        v = rows[0][0]
-        if v == 0.0:
-            raise SingularBlock("A", path=path)
-        counters.inversions += 1
-        return [[1.0 / v]]
-    (a, b), (c, d) = rows
-    det = a * d - b * c
-    amax = max(abs(a), abs(b), abs(c), abs(d))
-    if abs(det) <= 1e-12 * 4 * amax * amax:
-        raise SingularBlock("A", path=path)
-    r = 1.0 / det
-    counters.inversions += 1
-    return [[d * r, -b * r], [-c * r, a * r]]
-
-
 def _by_a_small(x: list, counters: OpCounters, path: list[str]) -> list:
     """The pivot-A recursion on Python lists (operation-for-operation the
     same as the array path, including the counter and audit sequence).
@@ -235,7 +224,9 @@ def _by_a_small(x: list, counters: OpCounters, path: list[str]) -> list:
     n = len(x)
     counters.alloc(n * n)
     if n <= LEAF_ORDER:
-        return _leaf_rows(x, counters, path)
+        rows = _inv_rows(x, path)
+        counters.inversions += 1
+        return rows
     counters.nodes += 1
     p = n // 2
     q = n - p
@@ -292,32 +283,10 @@ def invertor_inplace_by_a(
     return counters
 
 
-def _leaf_inplace(x: np.ndarray, scratch: np.ndarray, counters: OpCounters, path) -> None:
-    from .core import singularity_tolerance
-
-    n = x.shape[0]
-    if n == 1:
-        v = x[0, 0]
-        if abs(v) <= singularity_tolerance(x):
-            raise SingularBlock("A", path=path)
-        x[0, 0] = 1.0 / v
-    else:
-        det = x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
-        if abs(det) <= singularity_tolerance(x):
-            raise SingularBlock("A", path=path)
-        r = 1.0 / det
-        scratch[0] = x[0, 0]
-        x[0, 0] = x[1, 1] * r
-        x[1, 1] = scratch[0] * r
-        x[0, 1] = -x[0, 1] * r
-        x[1, 0] = -x[1, 0] * r
-    counters.inversions += 1
-
-
 def _inplace_rec(x: np.ndarray, scratch: np.ndarray, counters: OpCounters, path) -> None:
     n = x.shape[0]
     if n <= LEAF_ORDER:
-        _leaf_inplace(x, scratch, counters, path)
+        _leaf(x, x, counters, path)
         return
     counters.nodes += 1
     p = n // 2
@@ -349,78 +318,31 @@ class _SchurPool:
     def __init__(self, counters: OpCounters):
         self._slots: dict[tuple[int, int, str], np.ndarray] = {}
         self._counters = counters
-        self._lock = threading.Lock()
 
     def get(self, start: int, order: int, side: str) -> np.ndarray:
         key = (start, order, side)
-        with self._lock:
-            slot = self._slots.get(key)
-            if slot is None:
-                slot = np.empty((order, order))
-                self._slots[key] = slot
-                self._counters.schur_scratch += order * order
-                self._counters.alloc(order * order)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = np.empty((order, order))
+            self._slots[key] = slot
+            self._counters.schur_scratch += order * order
+            self._counters.alloc(order * order)
         return slot
 
 
-def invertor_by_ad(
-    x: np.ndarray,
-    counters: OpCounters | None = None,
-    parallel_pairs: bool = False,
-):
+def invertor_by_ad(x: np.ndarray, counters: OpCounters | None = None):
     """Invert with both diagonal pivots per node.
 
-    Returns ``(inverse, counters)``.  With ``parallel_pairs`` the (A, D) and
-    (S_D, S_A) inversions of every node run as two-task pairs with a join
-    between stages; results are identical either way.
+    Returns ``(inverse, counters)``.
     """
     x = _check_square(x)
     counters = counters if counters is not None else OpCounters()
     out = np.empty_like(x)
-    pool = _SchurPool(counters)
-    pairs = _ThreadPairRunner() if parallel_pairs else _SerialPairRunner()
-    try:
-        _by_ad_rec(x, out, 0, pool, pairs, counters, [])
-    finally:
-        pairs.close()
+    _by_ad_rec(x, out, 0, _SchurPool(counters), counters, [])
     return out, counters
 
 
-class _SerialPairRunner:
-    def run(self, task_a, task_b):
-        task_a()
-        task_b()
-
-    def close(self):
-        pass
-
-
-class _ThreadPairRunner:
-    """Runs one task of each pair on a spawned thread, the other inline;
-    nesting then costs at most one thread per recursion level and cannot
-    deadlock the way a shared fixed-size pool would."""
-
-    def run(self, task_a, task_b):
-        failure = []
-
-        def second():
-            try:
-                task_b()
-            except BaseException as exc:  # re-raised on the joining thread
-                failure.append(exc)
-
-        t = threading.Thread(target=second)
-        t.start()
-        task_a()
-        t.join()
-        if failure:
-            raise failure[0]
-
-    def close(self):
-        pass
-
-
-def _by_ad_rec(x, out, start, pool, pairs, counters, path) -> None:
+def _by_ad_rec(x, out, start, pool, counters, path) -> None:
     n = x.shape[0]
     if n <= LEAF_ORDER:
         _leaf(x, out, counters, path)
@@ -433,10 +355,8 @@ def _by_ad_rec(x, out, start, pool, pairs, counters, path) -> None:
     a_inv = np.empty((p, p))
     d_inv = np.empty((q, q))
     counters.alloc(a_inv.size + d_inv.size)
-    pairs.run(
-        lambda: _by_ad_rec(a, a_inv, start, pool, pairs, counters, path + ["A"]),
-        lambda: _by_ad_rec(d, d_inv, start + p, pool, pairs, counters, path + ["D"]),
-    )
+    _by_ad_rec(a, a_inv, start, pool, counters, path + ["A"])
+    _by_ad_rec(d, d_inv, start + p, pool, counters, path + ["D"])
 
     n_ab = np.empty((p, q))
     n_dc = np.empty((q, p))
@@ -452,10 +372,8 @@ def _by_ad_rec(x, out, start, pool, pairs, counters, path) -> None:
     s_a[...] = d
     schur_accumulate(s_a, c, n_ab, counters)  # S_A = D - C A^-1 B
 
-    pairs.run(
-        lambda: _by_ad_rec(s_d, out[:p, :p], start, pool, pairs, counters, path + ["SchurD"]),
-        lambda: _by_ad_rec(s_a, out[p:, p:], start + p, pool, pairs, counters, path + ["SchurA"]),
-    )
+    _by_ad_rec(s_d, out[:p, :p], start, pool, counters, path + ["SchurD"])
+    _by_ad_rec(s_a, out[p:, p:], start + p, pool, counters, path + ["SchurA"])
 
     multiply(n_ab, out[p:, p:], out[:p, p:], counters=counters)  # -A^-1 B S_A^-1
     multiply(n_dc, out[:p, :p], out[p:, :p], counters=counters)  # -D^-1 C S_D^-1

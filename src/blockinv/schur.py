@@ -8,8 +8,11 @@ A square matrix split into blocks
 can be inverted around any invertible pivot block whose Schur complement is
 also invertible: pivot A uses S_A = D - C A^-1 B, pivot D uses
 S_D = A - B D^-1 C, and when B and C are square (counter-diagonal layout)
-the analogous S_B = C - D B^-1 A and S_C = B - A C^-1 D apply.  The two
-combined forms invert both diagonal (or both counter-diagonal) pivots and
+the analogous S_B = C - D B^-1 A and S_C = B - A C^-1 D apply.  All four
+are one kernel applied to a permutation of (pivot, row neighbour, column
+neighbour, opposite block): A -> (A, B, C, D), D -> (D, C, B, A),
+B -> (B, A, D, C), C -> (C, D, A, B).  The two combined forms, which share
+a second kernel, invert both diagonal (or both counter-diagonal) pivots and
 place the Schur inverses directly on the output diagonal, which is what the
 recursive and step-scheduled engines build on.
 
@@ -101,14 +104,42 @@ def counterdiagonal_quad(m: np.ndarray, split: int) -> BlockQuad:
     )
 
 
-def _sub_inverse(invert_sub, block, label):
+def _invert_into(invert_sub, block, out, label):
     # Leaf/base inversions are tallied by the callback itself, not here.
-    out = np.empty_like(block)
     try:
         invert_sub(block, out)
     except SingularBlock as exc:
         raise SingularBlock(label, path=exc.path) from None
+
+
+def _sub_inverse(invert_sub, block, label):
+    out = np.empty_like(block)
+    _invert_into(invert_sub, block, out, label)
     return out
+
+
+def _single_pivot(piv, row, col, opp, o_piv, o_row, o_col, o_opp, piv_label, schur_label,
+                  invert_sub, counters):
+    """Invert around ``piv``: six block products, two reductions.
+
+    ``row`` and ``col`` are the pivot's neighbours in its block row and block
+    column, ``opp`` the block opposite it; ``o_*`` are the output quadrants
+    they map to.  With P the pivot, S = O - K P^-1 R is its Schur complement;
+    -P^-1 R and K P^-1 are formed first and reused for every remaining term.
+    """
+    piv_inv = _sub_inverse(invert_sub, piv, piv_label)
+    n_pr = np.empty_like(row)
+    multiply(piv_inv, row, n_pr, negate=True, counters=counters)  # -P^-1 R
+    kp = np.empty_like(col)
+    multiply(col, piv_inv, kp, counters=counters)  # K P^-1
+    s = opp.copy()
+    multiply(col, n_pr, s, accumulate=True, counters=counters)  # S = O - K P^-1 R
+    s_inv = _sub_inverse(invert_sub, s, schur_label)
+    multiply(n_pr, s_inv, o_col, counters=counters)  # -P^-1 R S^-1
+    o_piv[...] = piv_inv
+    multiply(o_col, kp, o_piv, accumulate=True, negate=True, counters=counters)
+    multiply(s_inv, kp, o_row, negate=True, counters=counters)  # -S^-1 K P^-1
+    o_opp[...] = s_inv
 
 
 def invert_via_a(
@@ -117,26 +148,10 @@ def invert_via_a(
     out: np.ndarray,
     counters: OpCounters | None = None,
 ) -> None:
-    """Invert around pivot A: six block products, two reductions.
-
-    -A^-1 B and C A^-1 are formed first and reused for every remaining term.
-    """
-    _require(q, DIAGONAL, out)
-    p = q.a.shape[0]
-    a_inv = _sub_inverse(invert_sub, q.a, "A")
-    n_ab = np.empty_like(q.b)
-    multiply(a_inv, q.b, n_ab, negate=True, counters=counters)  # -A^-1 B
-    ca = np.empty_like(q.c)
-    multiply(q.c, a_inv, ca, counters=counters)  # C A^-1
-    s_a = q.d.copy()
-    multiply(q.c, n_ab, s_a, accumulate=True, counters=counters)  # S_A = D - C A^-1 B
-    s_a_inv = _sub_inverse(invert_sub, s_a, "SchurA")
-    out01 = out[:p, p:]
-    multiply(n_ab, s_a_inv, out01, counters=counters)  # -A^-1 B S_A^-1
-    out[:p, :p] = a_inv
-    multiply(out01, ca, out[:p, :p], accumulate=True, negate=True, counters=counters)
-    multiply(s_a_inv, ca, out[p:, :p], negate=True, counters=counters)
-    out[p:, p:] = s_a_inv
+    """Invert around pivot A with S_A = D - C A^-1 B: six block products,
+    two reductions."""
+    oa, ob, oc, od = _out_quads(q, DIAGONAL, out)
+    _single_pivot(q.a, q.b, q.c, q.d, oa, ob, oc, od, "A", "SchurA", invert_sub, counters)
 
 
 def invert_via_d(
@@ -146,22 +161,8 @@ def invert_via_d(
     counters: OpCounters | None = None,
 ) -> None:
     """Invert around pivot D with S_D = A - B D^-1 C."""
-    _require(q, DIAGONAL, out)
-    p = q.a.shape[0]
-    d_inv = _sub_inverse(invert_sub, q.d, "D")
-    n_dc = np.empty_like(q.c)
-    multiply(d_inv, q.c, n_dc, negate=True, counters=counters)  # -D^-1 C
-    bd = np.empty_like(q.b)
-    multiply(q.b, d_inv, bd, counters=counters)  # B D^-1
-    s_d = q.a.copy()
-    multiply(q.b, n_dc, s_d, accumulate=True, counters=counters)  # S_D = A - B D^-1 C
-    s_d_inv = _sub_inverse(invert_sub, s_d, "SchurD")
-    out10 = out[p:, :p]
-    multiply(n_dc, s_d_inv, out10, counters=counters)  # -D^-1 C S_D^-1
-    out[p:, p:] = d_inv
-    multiply(out10, bd, out[p:, p:], accumulate=True, negate=True, counters=counters)
-    multiply(s_d_inv, bd, out[:p, p:], negate=True, counters=counters)
-    out[:p, :p] = s_d_inv
+    oa, ob, oc, od = _out_quads(q, DIAGONAL, out)
+    _single_pivot(q.d, q.c, q.b, q.a, od, oc, ob, oa, "D", "SchurD", invert_sub, counters)
 
 
 def invert_via_b(
@@ -171,23 +172,8 @@ def invert_via_b(
     counters: OpCounters | None = None,
 ) -> None:
     """Invert around square off-diagonal pivot B with S_B = C - D B^-1 A."""
-    _require(q, COUNTERDIAGONAL, out)
-    p = q.b.shape[0]  # rows of the top block row
-    w = q.c.shape[0]  # rows of the bottom block row
-    b_inv = _sub_inverse(invert_sub, q.b, "B")
-    n_ba = np.empty_like(q.a)
-    multiply(b_inv, q.a, n_ba, negate=True, counters=counters)  # -B^-1 A
-    db = np.empty_like(q.d)
-    multiply(q.d, b_inv, db, counters=counters)  # D B^-1
-    s_b = q.c.copy()
-    multiply(q.d, n_ba, s_b, accumulate=True, counters=counters)  # S_B = C - D B^-1 A
-    s_b_inv = _sub_inverse(invert_sub, s_b, "SchurB")
-    out11 = out[w:, p:]
-    multiply(n_ba, s_b_inv, out11, counters=counters)  # -B^-1 A S_B^-1
-    out[w:, :p] = b_inv
-    multiply(out11, db, out[w:, :p], accumulate=True, negate=True, counters=counters)
-    multiply(s_b_inv, db, out[:w, :p], negate=True, counters=counters)
-    out[:w, p:] = s_b_inv
+    oa, ob, oc, od = _out_quads(q, COUNTERDIAGONAL, out)
+    _single_pivot(q.b, q.a, q.d, q.c, ob, oa, od, oc, "B", "SchurB", invert_sub, counters)
 
 
 def invert_via_c(
@@ -197,23 +183,33 @@ def invert_via_c(
     counters: OpCounters | None = None,
 ) -> None:
     """Invert around square off-diagonal pivot C with S_C = B - A C^-1 D."""
-    _require(q, COUNTERDIAGONAL, out)
-    p = q.b.shape[0]
-    w = q.c.shape[0]
-    c_inv = _sub_inverse(invert_sub, q.c, "C")
-    n_cd = np.empty_like(q.d)
-    multiply(c_inv, q.d, n_cd, negate=True, counters=counters)  # -C^-1 D
-    ac = np.empty_like(q.a)
-    multiply(q.a, c_inv, ac, counters=counters)  # A C^-1
-    s_c = q.b.copy()
-    multiply(q.a, n_cd, s_c, accumulate=True, counters=counters)  # S_C = B - A C^-1 D
-    s_c_inv = _sub_inverse(invert_sub, s_c, "SchurC")
-    out00 = out[:w, :p]
-    multiply(n_cd, s_c_inv, out00, counters=counters)  # -C^-1 D S_C^-1
-    out[:w, p:] = c_inv
-    multiply(out00, ac, out[:w, p:], accumulate=True, negate=True, counters=counters)
-    multiply(s_c_inv, ac, out[w:, p:], negate=True, counters=counters)
-    out[w:, :p] = s_c_inv
+    oa, ob, oc, od = _out_quads(q, COUNTERDIAGONAL, out)
+    _single_pivot(q.c, q.d, q.a, q.b, oc, od, oa, ob, "C", "SchurC", invert_sub, counters)
+
+
+def _combined_pivot(first, second, invert_sub, counters):
+    """Both pivots of a pair, with inverses already in hand.
+
+    Each side is (pivot, pivot inverse, row neighbour, pivot output, row
+    neighbour output, Schur workspace, Schur label).  A side's complement
+    S = (other pivot) - (other row neighbour) P^-1 R is a fused reduction
+    whose inverse lands on the other pivot's output quadrant; the sides'
+    complements are inverted in argument order.  Four products in all.
+    """
+    p1, i1, r1, op1, or1, s1, label1 = first
+    p2, i2, r2, op2, or2, s2, label2 = second
+    n1 = np.empty_like(r1)
+    multiply(i1, r1, n1, negate=True, counters=counters)  # -P1^-1 R1
+    n2 = np.empty_like(r2)
+    multiply(i2, r2, n2, negate=True, counters=counters)  # -P2^-1 R2
+    s1[...] = p2
+    schur_accumulate(s1, r2, n1, counters)  # S1 = P2 - R2 P1^-1 R1
+    s2[...] = p1
+    schur_accumulate(s2, r1, n2, counters)  # S2 = P1 - R1 P2^-1 R2
+    _invert_into(invert_sub, s1, op2, label1)
+    _invert_into(invert_sub, s2, op1, label2)
+    multiply(n1, op2, or2, counters=counters)  # -P1^-1 R1 S1^-1
+    multiply(n2, op1, or1, counters=counters)  # -P2^-1 R2 S2^-1
 
 
 def invert_via_ad(
@@ -231,32 +227,13 @@ def invert_via_ad(
     (A, D) and (S_A, S_D) inversion pairs are mutually independent, as are
     the two final products.
     """
-    _require(q, DIAGONAL, out)
-    p = q.a.shape[0]
+    oa, ob, oc, od = _out_quads(q, DIAGONAL, out)
     if scratch is None:
         scratch = SchurScratch.for_quad(q)
     a_inv = _sub_inverse(invert_sub, q.a, "A")
     d_inv = _sub_inverse(invert_sub, q.d, "D")
-    n_ab = np.empty_like(q.b)
-    multiply(a_inv, q.b, n_ab, negate=True, counters=counters)  # -A^-1 B
-    n_dc = np.empty_like(q.c)
-    multiply(d_inv, q.c, n_dc, negate=True, counters=counters)  # -D^-1 C
-    s_a = scratch.schur_a
-    s_a[...] = q.d
-    schur_accumulate(s_a, q.c, n_ab, counters)  # S_A = D - C A^-1 B
-    s_d = scratch.schur_d
-    s_d[...] = q.a
-    schur_accumulate(s_d, q.b, n_dc, counters)  # S_D = A - B D^-1 C
-    try:
-        invert_sub(s_d, out[:p, :p])
-    except SingularBlock as exc:
-        raise SingularBlock("SchurD", path=exc.path) from None
-    try:
-        invert_sub(s_a, out[p:, p:])
-    except SingularBlock as exc:
-        raise SingularBlock("SchurA", path=exc.path) from None
-    multiply(n_ab, out[p:, p:], out[:p, p:], counters=counters)  # -A^-1 B S_A^-1
-    multiply(n_dc, out[:p, :p], out[p:, :p], counters=counters)  # -D^-1 C S_D^-1
+    _combined_pivot((q.d, d_inv, q.c, od, oc, scratch.schur_d, "SchurD"),
+                    (q.a, a_inv, q.b, oa, ob, scratch.schur_a, "SchurA"), invert_sub, counters)
 
 
 def invert_via_bc(
@@ -268,40 +245,19 @@ def invert_via_bc(
 ) -> None:
     """Counter-diagonal twin of invert_via_ad: S_B^-1 and S_C^-1 land on the
     output counter-diagonal; four products beyond the four sub-inversions."""
-    _require(q, COUNTERDIAGONAL, out)
-    p = q.b.shape[0]
-    w = q.c.shape[0]
+    oa, ob, oc, od = _out_quads(q, COUNTERDIAGONAL, out)
     if scratch is None:
         scratch = SchurScratch.for_quad(q)
     b_inv = _sub_inverse(invert_sub, q.b, "B")
     c_inv = _sub_inverse(invert_sub, q.c, "C")
-    n_ba = np.empty_like(q.a)
-    multiply(b_inv, q.a, n_ba, negate=True, counters=counters)  # -B^-1 A
-    n_cd = np.empty_like(q.d)
-    multiply(c_inv, q.d, n_cd, negate=True, counters=counters)  # -C^-1 D
-    s_b = scratch.schur_a
-    s_b[...] = q.c
-    schur_accumulate(s_b, q.d, n_ba, counters)  # S_B = C - D B^-1 A
-    s_c = scratch.schur_d
-    s_c[...] = q.b
-    schur_accumulate(s_c, q.a, n_cd, counters)  # S_C = B - A C^-1 D
-    try:
-        invert_sub(s_b, out[:w, p:])
-    except SingularBlock as exc:
-        raise SingularBlock("SchurB", path=exc.path) from None
-    try:
-        invert_sub(s_c, out[w:, :p])
-    except SingularBlock as exc:
-        raise SingularBlock("SchurC", path=exc.path) from None
-    multiply(n_cd, out[w:, :p], out[:w, :p], counters=counters)  # -C^-1 D S_C^-1
-    multiply(n_ba, out[:w, p:], out[w:, p:], counters=counters)  # -B^-1 A S_B^-1
+    _combined_pivot((q.b, b_inv, q.a, ob, oa, scratch.schur_a, "SchurB"),
+                    (q.c, c_inv, q.d, oc, od, scratch.schur_d, "SchurC"), invert_sub, counters)
 
 
+# Formulas grouped by the quad layout they need, so each quad is built once.
 _FALLBACK_ORDER = (
-    ("via_a", invert_via_a, diagonal_quad),
-    ("via_d", invert_via_d, diagonal_quad),
-    ("via_b", invert_via_b, counterdiagonal_quad),
-    ("via_c", invert_via_c, counterdiagonal_quad),
+    (diagonal_quad, (("via_a", invert_via_a), ("via_d", invert_via_d))),
+    (counterdiagonal_quad, (("via_b", invert_via_b), ("via_c", invert_via_c))),
 )
 
 
@@ -323,19 +279,25 @@ def invert_with_fallback(
 
         invert_sub = invert_small
     failures = []
-    for name, formula, make_quad in _FALLBACK_ORDER:
+    for make_quad, formulas in _FALLBACK_ORDER:
         q = make_quad(m, split)
-        try:
-            formula(q, invert_sub, out, counters=counters)
-            return name
-        except SingularBlock as exc:
-            failures.append(f"{name}: {exc}")
+        for name, formula in formulas:
+            try:
+                formula(q, invert_sub, out, counters=counters)
+                return name
+            except SingularBlock as exc:
+                failures.append(f"{name}: {exc}")
     raise AllPivotsSingular("; ".join(failures))
 
 
-def _require(q: BlockQuad, layout: str, out: np.ndarray) -> None:
+def _out_quads(q: BlockQuad, layout: str, out: np.ndarray):
+    """Check the layout and ``out``; return the quadrants of ``out`` that
+    A, B, C, D map to.  The inverse's row split is the quad's column split
+    and vice versa, so block (i, j) maps to block (j, i)."""
     if q.layout != layout:
         raise DimensionMismatch(f"formula needs {layout} layout, quad is {q.layout}")
     n = q.order
     if out.shape != (n, n):
         raise DimensionMismatch(f"out {out.shape} for quad order {n}")
+    r, c = q.a.shape
+    return out[:c, :r], out[c:, :r], out[:c, r:], out[c:, r:]

@@ -76,6 +76,13 @@ class TestInvert:
         assert run("invert", "--in", src, "--method", "parallel", "--workers", "4") == 0
         assert "workers 4" in capsys.readouterr().out
 
+    def test_bad_worker_counts_exit_code(self, tmp_path, monkeypatch):
+        src = tmp_path / "m.txt"
+        save_matrix(well_conditioned(8, 68), src)
+        assert run("invert", "--in", src, "--workers", 0) == 3
+        monkeypatch.setenv("INVERTOR_WORKERS", "abc")
+        assert run("invert", "--in", src) == 3
+
     def test_explicit_sizes(self, tmp_path):
         src = tmp_path / "m.txt"
         save_matrix(well_conditioned(12, 62), src)

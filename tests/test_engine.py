@@ -24,6 +24,8 @@ from blockinv.engine import (
 )
 from blockinv.errors import (
     BlockShapeMismatch,
+    FormatError,
+    InvalidWorkers,
     MalformedLoopid,
     MissingProvisionalData,
     OutOfRange,
@@ -316,12 +318,24 @@ class TestRunInversion:
         assert c.inversions > 4
         assert c.multiplies > 0 and c.reductions > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        m = well_conditioned(8, 47)
+        m[3, 0] = bad
+        with pytest.raises(FormatError):
+            run_inversion(m)
+
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.setenv("INVERTOR_WORKERS", "3")
         assert resolve_workers() == 3
         assert resolve_workers(2) == 2
         monkeypatch.delenv("INVERTOR_WORKERS")
         assert resolve_workers() == 1
+        monkeypatch.setenv("INVERTOR_WORKERS", "abc")
+        with pytest.raises(InvalidWorkers):
+            resolve_workers()
+        with pytest.raises(InvalidWorkers):
+            resolve_workers(0)
 
 
 class TestAssembleUpdown:

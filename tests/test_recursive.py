@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockinv.core import gauss_jordan_oracle, residual_norm
-from blockinv.errors import ScratchTooSmall, SingularBlock
+from blockinv.errors import FormatError, ScratchTooSmall, SingularBlock
 from blockinv.recursive import (
     invertor_by_a,
     invertor_by_ad,
@@ -127,12 +127,6 @@ class TestInvertorByAD:
         assert c.multiplies == 4 * c.nodes
         assert c.reductions == 2 * c.nodes
 
-    def test_parallel_pairs_identical(self):
-        m = well_conditioned(16, 37)
-        serial, _ = invertor_by_ad(m)
-        threaded, _ = invertor_by_ad(m, parallel_pairs=True)
-        assert serial.tobytes() == threaded.tobytes()
-
     def test_singular_schur_path(self):
         m = np.eye(4)
         m[2:, 2:] = 0.0  # D singular at the top split
@@ -167,3 +161,14 @@ class TestFallbackInvertor:
         m = well_conditioned(13, 38)
         inv, _ = invertor_with_fallback(m)
         assert np.max(np.abs(inv - gauss_jordan_oracle(m))) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "invertor", [invertor_by_a, invertor_inplace_by_a, invertor_by_ad, invertor_with_fallback]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(invertor, bad):
+    m = well_conditioned(12, 39)
+    m[5, 7] = bad
+    with pytest.raises(FormatError):
+        invertor(m)
