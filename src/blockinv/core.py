@@ -5,10 +5,12 @@ Matrices are plain float64 C-order ``numpy.ndarray`` objects; block views are
 ordinary numpy slices of a parent array, so partitioned algorithms never copy
 element data unless they say so.
 
-Every multiplication kernel accumulates over the inner dimension in fixed
-ascending index order, with any -1 sign folded into the left factor.  That
-single convention is what makes in-place and out-of-place products bitwise
-identical and keeps the step engine's output independent of worker count.
+Every multiplication kernel accumulates over the inner dimension in a fixed
+order, with any -1 sign folded into the left factor: ascending index, except
+in ``_mm_acc_ordered``, which takes each output row's order as an argument
+(the step engine's Fox product rotates it per block row).  Fixed orders make
+in-place and out-of-place products bitwise identical and keep the step
+engine's output independent of worker count.
 """
 
 from __future__ import annotations
@@ -143,6 +145,30 @@ def _mm_acc(a: np.ndarray, b: np.ndarray, out: np.ndarray, negate: bool = False)
     tmp = np.empty_like(out)
     for k in range(inner):
         np.multiply(a[:, k, None], b[k], out=tmp)
+        np.add(out, tmp, out=out)
+
+
+def _mm_acc_ordered(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray, order: np.ndarray, negate: bool = False
+) -> None:
+    """out += (+-1) * a @ b where output row r takes its inner terms in the
+    order ``order[0, r], order[1, r], ...``; sign folded into a.
+
+    ``order`` is an (inner, rows) integer array whose every column is a
+    permutation of the inner indices.  ``a`` is gathered into that order
+    once; stage j then multiplies each row's j-th term and adds it, over
+    all rows at once.  Every output element receives the same IEEE-754
+    operations in the same order as :func:`_mm_acc` calls over consecutive
+    runs of its order, so the two are bitwise interchangeable.
+    """
+    a_ord = a[np.arange(a.shape[0]), order]  # a_ord[j, r] = a[r, order[j, r]]
+    if negate:
+        np.negative(a_ord, out=a_ord)
+    a_ord = a_ord[:, :, None]
+    tmp = np.empty_like(out)
+    for j in range(order.shape[0]):
+        np.take(b, order[j], axis=0, out=tmp, mode="clip")  # "raise" would buffer out
+        np.multiply(a_ord[j], tmp, out=tmp)
         np.add(out, tmp, out=out)
 
 

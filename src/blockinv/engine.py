@@ -11,9 +11,10 @@ of three actions:
   complements S_D, S_A for every quad at one level, storing them in that
   level's provisional set;
 * invert Schur diagonal blocks and then run a chain of assembly passes,
-  where pass i right-multiplies the freshly completed diagonal-region
-  inverses with the L / R blocks of provisional set i, completing the next
-  power-of-two quad inverses in place.
+  where pass i completes the next power-of-two quad inverses in place with
+  one panel product per quad half: the L block of provisional set i times
+  the completed top-left inverse fills the lower-left half, and the R block
+  times the completed bottom-right inverse fills the upper-right half.
 
 Within a step every task writes a pre-assigned disjoint set of blocks, so
 the result is bitwise identical for any worker count; ``stepid`` is the
@@ -29,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OpCounters, _mm_acc, check_finite, invert_small
+from .core import OpCounters, _mm_acc, _mm_acc_ordered, check_finite, invert_small
 from .errors import (
     BlockShapeMismatch,
     InvalidWorkers,
     MalformedLoopid,
     OutOfRange,
+    OverlappingWriteTargets,
     SchemeMismatch,
     SingularBlock,
 )
@@ -66,9 +68,12 @@ def resolve_workers(explicit: int | None = None) -> int:
     if not env:
         return 1
     try:
-        return max(int(env), 1)
+        workers = int(env)
     except ValueError:
         raise InvalidWorkers(f"INVERTOR_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise InvalidWorkers(f"INVERTOR_WORKERS must be >= 1, got {workers}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +226,11 @@ def fox_block_multiply(
     panels, so each out block receives its inner terms in a fixed stage
     order and the partition structure is preserved.  Block sizes may vary;
     only blockwise compatibility is required.
+
+    Every row of block row i therefore sums the inner indices from a's
+    block column ``i % nb`` onwards, wrapping at the end; all rows run
+    through one ordered kernel call.  ``workers`` does not change the
+    result; the product runs on the calling thread.
     """
     if a.col_sizes != b.row_sizes:
         raise BlockShapeMismatch(f"a cols {a.col_sizes} vs b rows {b.row_sizes}")
@@ -232,23 +242,13 @@ def fox_block_multiply(
     if not accumulate:
         out.data[...] = 0.0
     nb = len(a.col_sizes)
-
-    def run_row(i: int) -> None:
-        r0, r1 = a.row_offsets[i], a.row_offsets[i + 1]
-        out_panel = out.data[r0:r1, :]
-        for t in range(nb):
-            k = (i + t) % nb
-            a_tile = a.data[r0:r1, a.col_offsets[k] : a.col_offsets[k + 1]]
-            b_panel = b.data[b.row_offsets[k] : b.row_offsets[k + 1], :]
-            _mm_acc(a_tile, b_panel, out_panel, negate)
-
-    rows = range(len(a.row_sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_row, rows))
+    if nb == 1:
+        _mm_acc(a.data, b.data, out.data, negate)
     else:
-        for i in rows:
-            run_row(i)
+        inner = a.col_offsets[-1]
+        starts = np.repeat([a.col_offsets[i % nb] for i in range(len(a.row_sizes))], a.row_sizes)
+        order = (np.arange(inner)[:, None] + starts) % inner
+        _mm_acc_ordered(a.data, b.data, out.data, order, negate)
     if counters is not None:
         counters.multiplies += 1
         if accumulate:
@@ -281,7 +281,8 @@ class _Engine:
         seen = set()
         for targets, _ in tasks:
             for t in targets:
-                assert t not in seen, f"overlapping write target {t}"
+                if t in seen:
+                    raise OverlappingWriteTargets(f"write target {t} claimed by two tasks")
                 seen.add(t)
         if self.pool is None:
             for _, fn in tasks:
@@ -401,44 +402,34 @@ class _Engine:
 
     def updown_pass(self, level: int, stepid: int | None = None) -> None:
         """One assembly pass: extend the completed diagonal inverses of
-        half-width 2**(level-1) blocks to full level-``level`` quads."""
-        scheme = self.scheme
+        half-width 2**(level-1) blocks to full level-``level`` quads.
+
+        Each quad takes two panel products, one per half:
+        down ``minv[mid:last, first:mid] = L @ minv[first:mid, first:mid]``
+        and up ``minv[first:mid, mid:last] = R @ minv[mid:last, mid:last]``.
+        """
         tset = self.tsets[level]
-        h = 2 ** (level - 1)
         tasks = []
         for g in range(tset.n_quads):
             first, mid, last = tset.spans(g)
-            for col in range(first, mid):  # down: lower-left from top-left
-                targets = tuple(("minv", r, col) for r in range(mid, last))
-                tasks.append((targets, self._updown_task(tset, g, col, down=True)))
-            for col in range(mid, last):  # up: upper-right from bottom-right
-                targets = tuple(("minv", r, col) for r in range(first, mid))
-                tasks.append((targets, self._updown_task(tset, g, col, down=False)))
+            down = tuple(("minv", r, c) for r in range(mid, last) for c in range(first, mid))
+            up = tuple(("minv", r, c) for r in range(first, mid) for c in range(mid, last))
+            tasks.append((down, self._panel_task(tset.l_block, g, (first, mid), (mid, last))))
+            tasks.append((up, self._panel_task(tset.r_block, g, (mid, last), (first, mid))))
             self.counters.multiplies += 2
         self._run_batch(tasks)
 
-    def _updown_task(self, tset: ProvisionalSet, g: int, col: int, down: bool):
-        scheme = self.scheme
-        first, mid, last = tset.spans(g)
-        off = scheme.offsets
+    def _panel_task(self, panel_of, g: int, src: tuple[int, int], dst: tuple[int, int]):
+        """minv[dst, src] = panel @ minv[src, src], summed over the inner
+        index ascending, where panel is ``panel_of(g)`` (L = -D^-1 C for the
+        down half, R = -A^-1 B for the up half)."""
 
         def fn():
-            if down:
-                panel = tset.l_block(g)  # -D^-1 C, block cols sized like the A half
-                src_r0, src_r1 = first, mid
-                dst_r0, dst_r1 = mid, last
-            else:
-                panel = tset.r_block(g)  # -A^-1 B, block cols sized like the D half
-                src_r0, src_r1 = mid, last
-                dst_r0, dst_r1 = first, mid
-            src = self.minv.region(src_r0, src_r1, col, col + 1)
-            out = np.zeros((off[dst_r1] - off[dst_r0], off[col + 1] - off[col]))
-            base = off[src_r0]
-            for kk in range(src_r1 - src_r0):  # ascending block index
-                j0 = off[src_r0 + kk] - base
-                j1 = off[src_r0 + kk + 1] - base
-                _mm_acc(panel[:, j0:j1], src[j0:j1, :], out)
-            self.minv.set_region(dst_r0, dst_r1, col, col + 1, out)
+            panel = panel_of(g)
+            done = self.minv.region(src[0], src[1], src[0], src[1])
+            out = np.zeros((panel.shape[0], done.shape[1]))
+            _mm_acc(panel, done, out)
+            self.minv.set_region(dst[0], dst[1], src[0], src[1], out)
 
         return fn
 

@@ -66,6 +66,10 @@ class MalformedLoopid(BlockInvError):
     """loopid array violates the decreasing-prefix/zero-suffix structure."""
 
 
+class OverlappingWriteTargets(BlockInvError):
+    """Two tasks of one engine step would write the same block."""
+
+
 class MissingProvisionalData(BlockInvError):
     """An assembly pass needs provisional blocks that were never stored."""
 

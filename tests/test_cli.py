@@ -80,8 +80,10 @@ class TestInvert:
         src = tmp_path / "m.txt"
         save_matrix(well_conditioned(8, 68), src)
         assert run("invert", "--in", src, "--workers", 0) == 3
-        monkeypatch.setenv("INVERTOR_WORKERS", "abc")
-        assert run("invert", "--in", src) == 3
+        assert run("invert", "--in", src, "--workers", -3) == 3
+        for bad in ("abc", "0", "-3"):
+            monkeypatch.setenv("INVERTOR_WORKERS", bad)
+            assert run("invert", "--in", src) == 3
 
     def test_explicit_sizes(self, tmp_path):
         src = tmp_path / "m.txt"

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import blockinv
 from blockinv.core import (
     gauss_jordan_oracle,
     invert_small,
@@ -336,6 +341,46 @@ class TestRunInversion:
             resolve_workers()
         with pytest.raises(InvalidWorkers):
             resolve_workers(0)
+        for bad in ("0", "-3"):
+            monkeypatch.setenv("INVERTOR_WORKERS", bad)
+            with pytest.raises(InvalidWorkers):
+                resolve_workers()
+            assert resolve_workers(2) == 2  # an explicit count still wins
+
+
+# Two tasks both claim block (1, 0): the batch must refuse before running either.
+_OVERLAP = """
+from blockinv.core import OpCounters
+from blockinv.engine import _Engine
+from blockinv.errors import OverlappingWriteTargets
+from blockinv.partition import make_partition
+
+ran = []
+eng = _Engine(make_partition(8), None, None, {}, 1, OpCounters())
+tasks = [
+    ((("minv", 0, 0), ("minv", 1, 0)), lambda: ran.append(0)),
+    ((("minv", 1, 0),), lambda: ran.append(1)),
+]
+try:
+    eng._run_batch(tasks)
+except OverlappingWriteTargets:
+    eng._run_batch(tasks[1:])
+    print("raised, then ran", ran)
+"""
+
+
+class TestRunBatch:
+    def test_overlapping_targets_raise_before_any_task_runs(self, capsys):
+        exec(_OVERLAP, {})
+        assert capsys.readouterr().out == "raised, then ran [1]\n"
+
+    def test_overlap_check_survives_optimized_mode(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(blockinv.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _OVERLAP],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.stdout == "raised, then ran [1]\n", proc.stderr
 
 
 class TestAssembleUpdown:

@@ -3,8 +3,10 @@
 Each group hashes the raw bytes of its outputs and its OpCounters.  The
 digests were recorded when every pivot formula, the order-4 leaf and each
 2x2 leaf still had its own body; the shared kernels must reproduce them
-bit for bit.  The failure cases pin the SingularBlock label and path each
-entry raises.
+bit for bit.  The engine groups at orders 33 to 128 and the blocked-product
+group were recorded while the Fox product still ran one kernel call per
+tile and each assembly task covered one block column.  The failure cases
+pin the SingularBlock label and path each entry raises.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from blockinv.core import OpCounters, invert_small, multiply_inplace_right
-from blockinv.engine import run_inversion
+from blockinv.engine import BlockedView, fox_block_multiply, run_inversion
 from blockinv.errors import SingularBlock
 from blockinv.recursive import (
     invertor_by_a,
@@ -135,6 +137,75 @@ def _engine():
     return h.hexdigest()
 
 
+def _engine_group(cases, workers):
+    def run():
+        h = hashlib.sha256()
+        for n, sizes in cases:
+            c = OpCounters()
+            m = well_conditioned(n, 9800 + n)
+            inv = run_inversion(m, sizes=sizes, workers=workers, counters=c)
+            h.update(inv.to_dense().tobytes() + _counts(c))
+        return h.hexdigest()
+
+    return run
+
+
+# default partitions mixing block sizes 2/3 (order 33) and 3/4 (order 100)
+_MIXED = ((33, None), (100, None))
+# explicit sizes: non-uniform blocks, and uniform blocks of 16 at order 128
+_SIZED = ((96, [8, 16, 8, 16, 12, 12, 4, 20]), (128, [16] * 8))
+
+# non-uniform blocked products: (a rows, inner, b cols) block sizes
+_FOX_SHAPES = (
+    ((2, 3), (3, 2, 4), (2, 3, 1)),
+    ((4, 1, 3, 2), (2, 5), (3, 3)),
+    ((5,), (1, 2, 3), (2, 2)),
+    ((3, 3, 2), (3, 3, 2), (3, 3, 2)),
+    ((1, 4, 2, 6, 3), (2, 7, 1), (6, 1, 2)),
+)
+
+
+def _fox_cases():
+    g = np.random.default_rng(9900)
+    for rows, inner, cols in _FOX_SHAPES:
+        for negate in (False, True):
+            for accumulate in (False, True):
+                a = g.uniform(-1.0, 1.0, (sum(rows), sum(inner)))
+                b = g.uniform(-1.0, 1.0, (sum(inner), sum(cols)))
+                base = g.uniform(-1.0, 1.0, (sum(rows), sum(cols)))
+                yield rows, inner, cols, a, b, base, negate, accumulate
+
+
+def _fox_reference(rows, inner, a, b, base, negate, accumulate):
+    """Per-tile stage loop: block row i sums a's block columns starting at
+    i mod nb and wrapping, each tile over its inner index ascending."""
+    out = base.copy() if accumulate else np.zeros_like(base)
+    r_off = np.cumsum((0,) + rows)
+    k_off = np.cumsum((0,) + inner)
+    nb = len(inner)
+    for i in range(len(rows)):
+        panel = out[r_off[i] : r_off[i + 1]]
+        for t in range(nb):
+            k = (i + t) % nb
+            for j in range(k_off[k], k_off[k + 1]):
+                col = a[r_off[i] : r_off[i + 1], j, None]
+                panel += (-col if negate else col) * b[j]
+    return out
+
+
+def _fox():
+    h = hashlib.sha256()
+    for rows, inner, cols, a, b, base, negate, accumulate in _fox_cases():
+        out = base.copy()
+        c = OpCounters()
+        fox_block_multiply(
+            BlockedView(a, rows, inner), BlockedView(b, inner, cols),
+            BlockedView(out, rows, cols), negate=negate, accumulate=accumulate, counters=c,
+        )
+        h.update(out.tobytes() + _counts(c))
+    return h.hexdigest()
+
+
 GROUPS = {
     "via_a": _formula_group(invert_via_a, diagonal_quad),
     "via_d": _formula_group(invert_via_d, diagonal_quad),
@@ -149,13 +220,23 @@ GROUPS = {
     "by_ad": _invertor_group(invertor_by_ad),
     "fallback": _fallback,
     "engine": _engine,
+    "engine_mixed_w1": _engine_group(_MIXED, 1),
+    "engine_mixed_w2": _engine_group(_MIXED, 2),
+    "engine_sized_w1": _engine_group(_SIZED, 1),
+    "engine_sized_w2": _engine_group(_SIZED, 2),
+    "fox": _fox,
 }
 
 EXPECTED = {
     "by_a": "cd798e0ac3ac662b61b7b8b4a92eae99e61fe0756a3df311ac703e6357908c1c",
     "by_ad": "7e9d6b4bb831e11addf4c3b80fdd2c32d0d77abcc63f5d7ac98f7730a9f56be1",
     "engine": "61ed9463f82052799f28d4032e07b13ebb7d4c41cf6eafedc1cf295dd23e0951",
+    "engine_mixed_w1": "47e2fc9948c199e6c78d2262ba4feba3de5ce53ef5b913cd5146c5129dbea3e8",
+    "engine_mixed_w2": "47e2fc9948c199e6c78d2262ba4feba3de5ce53ef5b913cd5146c5129dbea3e8",
+    "engine_sized_w1": "b4c8eb10c0407f4a778b5097cec2381a7cf5d4c6c01c7403e95faa13b9ecf4e2",
+    "engine_sized_w2": "b4c8eb10c0407f4a778b5097cec2381a7cf5d4c6c01c7403e95faa13b9ecf4e2",
     "fallback": "b5d0b9a57f585e1d788b3795bd5961feb0cb18b3e9376a3e79c81a0ad02da01a",
+    "fox": "71f6aca553feee89561455f18d4b06630383d791c121b6ee72a2fbd7c8c47ccb",
     "inplace_1_to_9": "8c236f72898026a5f147c3a726b45327f1cb89dfe77bcd375990154dbf84921c",
     "inplace_right": "bc601c186e1982134536f4d64f11963589b561e01cf238c746a9c010cf53c5dd",
     "invert_small_4": "a298b223bc03fa3f2ecb96bbb7f54b284fbfb31899cc7f6d06152c47ecf6f963",
@@ -171,6 +252,19 @@ EXPECTED = {
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_outputs_bitwise_pinned(name):
     assert GROUPS[name]() == EXPECTED[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fox_matches_per_tile_loop_bitwise(workers):
+    for rows, inner, cols, a, b, base, negate, accumulate in _fox_cases():
+        out = base.copy()
+        fox_block_multiply(
+            BlockedView(a, rows, inner), BlockedView(b, inner, cols),
+            BlockedView(out, rows, cols), workers=workers,
+            negate=negate, accumulate=accumulate,
+        )
+        ref = _fox_reference(rows, inner, a, b, base, negate, accumulate)
+        assert out.tobytes() == ref.tobytes()
 
 
 def _twins():
