@@ -46,7 +46,6 @@ from .recursive import (
 )
 from .schur import (
     BlockQuad,
-    SchurScratch,
     counterdiagonal_quad,
     diagonal_quad,
     invert_via_a,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OpCounters, gauss_jordan_oracle, release_mode, residual_norm
+from .core import OpCounters, gauss_jordan_oracle, residual_norm
 from .engine import run_inversion
 from .errors import InsufficientData, InvalidOrder
 from .partition import make_partition
@@ -107,7 +107,7 @@ def _run_method(method: str, m: np.ndarray, workers: int):
 
 
 def time_inversion(method: str, m: np.ndarray, workers: int = 1) -> TimingRecord:
-    """One timed inversion: alias checks off, garbage collector paused.
+    """One timed inversion with the garbage collector paused.
 
     No collection is forced beforehand: releasing allocator arenas right
     before the run would charge their repopulation to the measurement.
@@ -115,10 +115,9 @@ def time_inversion(method: str, m: np.ndarray, workers: int = 1) -> TimingRecord
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
-        with release_mode():
-            start = time.perf_counter()
-            inv, counters = _run_method(method, m, workers)
-            seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        inv, counters = _run_method(method, m, workers)
+        seconds = time.perf_counter() - start
     finally:
         if gc_was_on:
             gc.enable()
@@ -132,7 +131,6 @@ def bench(
     workers_list=(1,),
     repeats: int = 1,
     seed: int = 0,
-    check_residuals: bool = True,
 ) -> list[TimingRecord]:
     """One record per (method, order, workers, repeat); the per-configuration
     median (by seconds) is appended as an extra flagged record when
@@ -151,7 +149,7 @@ def bench(
                 samples = []
                 for _ in range(repeats):
                     rec = time_inversion(method, m, workers)
-                    if check_residuals and rec.residual > RESIDUAL_BUDGET * order:
+                    if rec.residual > RESIDUAL_BUDGET * order:
                         raise ArithmeticError(
                             f"{method} on order {order}: residual {rec.residual:.3e} "
                             f"exceeds {RESIDUAL_BUDGET * order:.3e}"

@@ -39,16 +39,41 @@ EXIT_IO = 3
 EXIT_CHECKPOINT = 4
 
 
-def _parse_sizes(text):
-    return [int(s) for s in text.split(",") if s]
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the documented argument-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
+def _parse_ints(text):
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers 'a,b,c', got {text!r}") from None
 
 
 def _parse_orders(text):
-    """Either 'a,b,c' or 'lo:hi:step'."""
-    if ":" in text:
+    """Either 'a,b,c' or 'lo:hi:step' with step >= 1."""
+    if ":" not in text:
+        return _parse_ints(text)
+    try:
         lo, hi, step = (int(v) for v in text.split(":"))
-        return list(range(lo, hi + 1, step))
-    return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'lo:hi:step', got {text!r}") from None
+    if step < 1:
+        raise argparse.ArgumentTypeError(f"step must be >= 1, got {step}")
+    return list(range(lo, hi + 1, step))
+
+
+def _parse_fit(text):
+    """'lo:hi' slope-fit range."""
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'lo:hi', got {text!r}") from None
+    return lo, hi
 
 
 def _scheme_for(order, sizes):
@@ -126,8 +151,8 @@ def cmd_verify(args):
 def cmd_bench(args):
     records = run_bench(
         args.methods.split(","),
-        _parse_orders(args.orders),
-        workers_list=[int(w) for w in args.workers.split(",")],
+        args.orders,
+        workers_list=args.workers,
         repeats=args.repeats,
         seed=args.seed,
     )
@@ -137,7 +162,7 @@ def cmd_bench(args):
     else:
         sys.stdout.write(records_to_csv(records))
     if args.fit:
-        lo, hi = (float(v) for v in args.fit.split(":"))
+        lo, hi = args.fit
         for method in args.methods.split(","):
             rows = [r for r in records if r.method == method and r.kind == "sample"]
             fit = fit_slope(rows, lo, hi)
@@ -163,7 +188,7 @@ def cmd_resume(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockinv", description="Blockwise dense-matrix inversion toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="show the diagonal blocking of an order")
     p.add_argument("order", type=int)
-    p.add_argument("--sizes", type=_parse_sizes, default=None)
+    p.add_argument("--sizes", type=_parse_ints, default=None)
     p.set_defaults(fn=cmd_partition)
 
     p = sub.add_parser("invert", help="invert a matrix file")
@@ -186,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--method", choices=tuple(METHODS), default="parallel")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--sizes", type=_parse_sizes, default=None)
+    p.add_argument("--sizes", type=_parse_ints, default=None)
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--file-backed", action="store_true")
     p.add_argument("--retry", action="store_true",
@@ -199,18 +224,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inverse", default=None, help="verify this inverse file instead")
     p.add_argument("--method", choices=tuple(METHODS), default="parallel")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--sizes", type=_parse_sizes, default=None)
+    p.add_argument("--sizes", type=_parse_ints, default=None)
     p.add_argument("--binary", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="timing sweep with CSV output")
     p.add_argument("--methods", default="a,inplace,ad")
-    p.add_argument("--orders", required=True, help="'a,b,c' or 'lo:hi:step'")
-    p.add_argument("--workers", default="1")
+    p.add_argument("--orders", type=_parse_orders, required=True,
+                   help="'a,b,c' or 'lo:hi:step'")
+    p.add_argument("--workers", type=_parse_ints, default=[1],
+                   help="comma-separated worker counts")
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None)
-    p.add_argument("--fit", default=None, help="'lo:hi' slope-fit range")
+    p.add_argument("--fit", type=_parse_fit, default=None, help="'lo:hi' slope-fit range")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("resume", help="continue a checkpointed run to completion")
@@ -218,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--sizes", type=_parse_sizes, default=None)
+    p.add_argument("--sizes", type=_parse_ints, default=None)
     p.add_argument("--file-backed", action="store_true")
     p.add_argument("--binary", action="store_true")
     p.set_defaults(fn=cmd_resume)

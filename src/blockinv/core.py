@@ -15,14 +15,13 @@ engine's output independent of worker count.
 
 from __future__ import annotations
 
-import operator
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    AliasedOperands,
     DimensionMismatch,
     FormatError,
     ScratchTooSmall,
@@ -30,34 +29,18 @@ from .errors import (
     SingularMatrix,
 )
 
-# Alias checks on every kernel call; benchmarks switch them off the way a
-# release build drops asserts.
-debug_checks = True
-
 _BMAT_MAGIC = b"BMAT"
 
 
-@contextmanager
-def release_mode():
-    """Temporarily disable debug alias checks (used around timed runs)."""
-    global debug_checks
-    saved = debug_checks
-    debug_checks = False
-    try:
-        yield
-    finally:
-        debug_checks = saved
-
-
-def _disjoint(x: np.ndarray, y: np.ndarray) -> bool:
-    """True when the views cannot write over each other.
+def _check_disjoint(dest: np.ndarray, *inputs: np.ndarray) -> None:
+    """Raise AliasedOperands when ``dest`` overlaps any of ``inputs``.
 
     Bounds check first; the exact (potentially slow) overlap solve runs
     only for views whose address ranges interleave.
     """
-    if not np.may_share_memory(x, y):
-        return True
-    return not np.shares_memory(x, y)
+    for x in inputs:
+        if np.may_share_memory(dest, x) and np.shares_memory(dest, x):
+            raise AliasedOperands(f"destination {dest.shape} overlaps an input {x.shape}")
 
 
 @dataclass
@@ -89,14 +72,6 @@ class OpCounters:
     def release(self, scalars: int) -> None:
         self._current_scratch -= scalars
 
-    def merge(self, other: "OpCounters") -> None:
-        self.multiplies += other.multiplies
-        self.inversions += other.inversions
-        self.reductions += other.reductions
-        self.schur_scratch += other.schur_scratch
-        self.nodes += other.nodes
-        self.peak_scratch = max(self.peak_scratch, other.peak_scratch)
-
 
 def check_finite(m: np.ndarray) -> None:
     """Reject NaN and Inf entries, which would otherwise come out of every
@@ -106,44 +81,33 @@ def check_finite(m: np.ndarray) -> None:
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce to a 2-D float64 array without copying when already one."""
-    m = np.asarray(data, dtype=np.float64)
+    """Coerce to a 2-D float64 array without copying when already one.
+
+    Complex, string and other non-numeric input raises FormatError instead
+    of losing its imaginary part or failing inside numpy.
+    """
+    try:
+        m = np.asarray(data)
+    except ValueError as exc:  # ragged nested sequences
+        raise FormatError(f"not a matrix: {exc}") from None
+    if m.dtype.kind not in "biuf":
+        raise FormatError(f"expected real numeric entries, got dtype {m.dtype}")
+    m = m.astype(np.float64, copy=False)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array, got ndim={m.ndim}")
     return m
 
 
-# Plain Python loops beat numpy dispatch only for genuinely small blocks
-# (crossover tuned empirically); wide row panels vectorize well even when
-# the element count is low.  Both paths apply the same IEEE-754 operations
-# in the same ascending-k order, so they are bitwise interchangeable.
-_SMALL_PRODUCT = 512
-_SMALL_EDGE = 8
-
-
 def _mm_acc(a: np.ndarray, b: np.ndarray, out: np.ndarray, negate: bool = False) -> None:
     """out += (+-1) * a @ b, inner index ascending, sign folded into a.
 
-    Small products run as Python loops, large ones as vectorized column
-    updates; both apply the same IEEE-754 operations in the same order per
-    output element, so the paths are bitwise interchangeable.
+    One rank-1 update per inner index over the whole output, so every
+    element receives ``o + a[i, k] * b[k, j]`` for k = 0, 1, ... in turn.
     """
-    rows, inner = a.shape
-    cols = out.shape[1]
-    if rows <= _SMALL_EDGE and cols <= _SMALL_EDGE and rows * cols * inner <= _SMALL_PRODUCT:
-        al = a.tolist()
-        if negate:
-            al = [[-v for v in row] for row in al]
-        bt = list(zip(*b.tolist()))
-        out[...] = [
-            [sum(map(operator.mul, ai, bj), o) for o, bj in zip(oi, bt)]
-            for ai, oi in zip(al, out.tolist())
-        ]
-        return
     if negate:
         a = -a  # negating the factor up front folds the sign into every term
     tmp = np.empty_like(out)
-    for k in range(inner):
+    for k in range(a.shape[1]):
         np.multiply(a[:, k, None], b[k], out=tmp)
         np.add(out, tmp, out=out)
 
@@ -182,8 +146,8 @@ def multiply(
 ) -> None:
     """out = (+-1) * a @ b, or out += ... when ``accumulate``.
 
-    ``out`` must not alias ``a`` or ``b``.  Accumulation over the inner
-    dimension runs in fixed ascending index order.
+    ``out`` overlapping ``a`` or ``b`` raises AliasedOperands.  Accumulation
+    over the inner dimension runs in fixed ascending index order.
     """
     if (
         a.shape[1] != b.shape[0]
@@ -191,9 +155,7 @@ def multiply(
         or out.shape[1] != b.shape[1]
     ):
         raise DimensionMismatch(f"multiply {a.shape} x {b.shape} -> {out.shape}")
-    if debug_checks:
-        assert _disjoint(out, a), "out aliases a"
-        assert _disjoint(out, b), "out aliases b"
+    _check_disjoint(out, a, b)
     if not accumulate:
         out[...] = 0.0
     _mm_acc(a, b, out, negate)
@@ -217,9 +179,7 @@ def schur_accumulate(
     """
     if x.shape[1] != y.shape[0] or dest.shape != (x.shape[0], y.shape[1]):
         raise DimensionMismatch(f"schur_accumulate {x.shape} x {y.shape} -> {dest.shape}")
-    if debug_checks:
-        assert _disjoint(dest, x), "dest aliases x"
-        assert _disjoint(dest, y), "dest aliases y"
+    _check_disjoint(dest, x, y)
     _mm_acc(x, y, dest)
     if counters is not None:
         counters.reductions += 1
@@ -237,6 +197,8 @@ def multiply_inplace_left(
     Processed column by column; each new column is accumulated in
     ``row_scratch`` in the same ascending inner order as :func:`multiply`,
     so the result is bitwise identical to the out-of-place product.
+    ``row_scratch`` overlapping either matrix, or ``target`` overlapping
+    ``a_inv``, raises AliasedOperands.
     """
     n = target.shape[0]
     if a_inv.shape != (n, n):
@@ -266,9 +228,8 @@ def _inplace_left(a_inv, target, row_scratch, negate, counters) -> None:
     n = target.shape[0]
     if row_scratch.shape[0] < n:
         raise ScratchTooSmall(f"need {n} scalars, have {row_scratch.shape[0]}")
-    if debug_checks:
-        assert _disjoint(row_scratch, target)
-        assert _disjoint(row_scratch, a_inv)
+    _check_disjoint(row_scratch, target, a_inv)
+    _check_disjoint(target, a_inv)
     s = row_scratch[:n]
     for j in range(target.shape[1]):
         col = target[:, j]

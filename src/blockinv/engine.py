@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OpCounters, _mm_acc, _mm_acc_ordered, check_finite, invert_small
+from .core import OpCounters, _mm_acc, _mm_acc_ordered, as_matrix, check_finite, invert_small
 from .errors import (
     BlockShapeMismatch,
     InvalidWorkers,
@@ -214,7 +214,6 @@ def fox_block_multiply(
     a: BlockedView,
     b: BlockedView,
     out: BlockedView,
-    workers: int = 1,
     negate: bool = False,
     accumulate: bool = False,
     counters: OpCounters | None = None,
@@ -229,8 +228,7 @@ def fox_block_multiply(
 
     Every row of block row i therefore sums the inner indices from a's
     block column ``i % nb`` onwards, wrapping at the end; all rows run
-    through one ordered kernel call.  ``workers`` does not change the
-    result; the product runs on the calling thread.
+    through one ordered kernel call on the calling thread.
     """
     if a.col_sizes != b.row_sizes:
         raise BlockShapeMismatch(f"a cols {a.col_sizes} vs b rows {b.row_sizes}")
@@ -266,7 +264,6 @@ class _Engine:
         self.source = source_store
         self.minv = minv
         self.tsets = tsets
-        self.workers = workers
         self.counters = counters
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
@@ -504,10 +501,9 @@ def run_inversion(
         if sizes is not None and tuple(int(s) for s in sizes) != scheme.sizes:
             raise SchemeMismatch("explicit sizes differ from the BlockMatrix scheme")
     else:
-        scheme = partition_from_sizes(sizes) if sizes is not None else make_partition(
-            np.asarray(m).shape[0]
-        )
-        source = BlockMatrix.from_dense(np.asarray(m, dtype=np.float64), scheme)
+        m = as_matrix(m)
+        scheme = partition_from_sizes(sizes) if sizes is not None else make_partition(m.shape[0])
+        source = BlockMatrix.from_dense(m, scheme)
     counters = counters if counters is not None else OpCounters()
 
     dense_input = source.to_dense()
@@ -537,4 +533,4 @@ def run_inversion(
                 break
     finally:
         eng.close()
-    return BlockMatrix(scheme, minv, role="inverse")
+    return BlockMatrix(scheme, minv)

@@ -9,6 +9,10 @@ class DimensionMismatch(BlockInvError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+class AliasedOperands(BlockInvError):
+    """A kernel's destination overlaps one of its inputs."""
+
+
 class ScratchTooSmall(BlockInvError):
     """A caller-provided scratch buffer is shorter than required."""
 
@@ -72,6 +76,10 @@ class OverlappingWriteTargets(BlockInvError):
 
 class MissingProvisionalData(BlockInvError):
     """An assembly pass needs provisional blocks that were never stored."""
+
+
+class MissingCheckpointDir(BlockInvError, ValueError):
+    """File-backed mode was asked for without a checkpoint directory."""
 
 
 class CheckpointCorrupt(BlockInvError):

@@ -43,6 +43,7 @@ from .core import (
 from .errors import (
     AllPivotsSingular,
     DimensionMismatch,
+    FormatError,
     ScratchTooSmall,
     SingularBlock,
 )
@@ -52,8 +53,8 @@ LEAF_ORDER = 2
 
 def _check_square(x: np.ndarray) -> np.ndarray:
     x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise DimensionMismatch(f"need a square matrix, got {x.shape}")
+    if x.shape[0] != x.shape[1] or x.shape[0] == 0:
+        raise DimensionMismatch(f"need a non-empty square matrix, got {x.shape}")
     check_finite(x)
     return x
 
@@ -268,8 +269,12 @@ def invertor_inplace_by_a(
 ) -> OpCounters:
     """Overwrite ``x`` with its inverse using one row-sized buffer.
 
-    On SingularBlock the contents of ``x`` are unspecified.
+    ``x`` must be a float64 ndarray: anything else would be inverted in a
+    converted copy the caller never sees, so it raises FormatError.  On
+    SingularBlock the contents of ``x`` are unspecified.
     """
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64):
+        raise FormatError("in-place inversion needs a float64 ndarray")
     x = _check_square(x)
     n = x.shape[0]
     if row_scratch is None:

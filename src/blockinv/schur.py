@@ -69,20 +69,6 @@ class BlockQuad:
         return self.a.shape[0] + self.c.shape[0]
 
 
-@dataclass
-class SchurScratch:
-    """Workspaces for the combined forms: schur_a sized like D, schur_d like A."""
-
-    schur_a: np.ndarray
-    schur_d: np.ndarray
-
-    @classmethod
-    def for_quad(cls, q: BlockQuad) -> "SchurScratch":
-        if q.layout == DIAGONAL:
-            return cls(np.empty_like(q.d), np.empty_like(q.a))
-        return cls(np.empty_like(q.c), np.empty_like(q.b))
-
-
 def diagonal_quad(m: np.ndarray, split: int) -> BlockQuad:
     """Split rows and columns of ``m`` at ``split`` (A and D square)."""
     if not 1 <= split < m.shape[0] or m.shape[0] != m.shape[1]:
@@ -191,20 +177,21 @@ def _combined_pivot(first, second, invert_sub, counters):
     """Both pivots of a pair, with inverses already in hand.
 
     Each side is (pivot, pivot inverse, row neighbour, pivot output, row
-    neighbour output, Schur workspace, Schur label).  A side's complement
+    neighbour output, Schur label).  A side's complement
     S = (other pivot) - (other row neighbour) P^-1 R is a fused reduction
-    whose inverse lands on the other pivot's output quadrant; the sides'
-    complements are inverted in argument order.  Four products in all.
+    into a copy of the other pivot, whose inverse lands on the other
+    pivot's output quadrant; the sides' complements are inverted in
+    argument order.  Four products in all.
     """
-    p1, i1, r1, op1, or1, s1, label1 = first
-    p2, i2, r2, op2, or2, s2, label2 = second
+    p1, i1, r1, op1, or1, label1 = first
+    p2, i2, r2, op2, or2, label2 = second
     n1 = np.empty_like(r1)
     multiply(i1, r1, n1, negate=True, counters=counters)  # -P1^-1 R1
     n2 = np.empty_like(r2)
     multiply(i2, r2, n2, negate=True, counters=counters)  # -P2^-1 R2
-    s1[...] = p2
+    s1 = p2.copy()
     schur_accumulate(s1, r2, n1, counters)  # S1 = P2 - R2 P1^-1 R1
-    s2[...] = p1
+    s2 = p1.copy()
     schur_accumulate(s2, r1, n2, counters)  # S2 = P1 - R1 P2^-1 R2
     _invert_into(invert_sub, s1, op2, label1)
     _invert_into(invert_sub, s2, op1, label2)
@@ -216,7 +203,6 @@ def invert_via_ad(
     q: BlockQuad,
     invert_sub,
     out: np.ndarray,
-    scratch: SchurScratch | None = None,
     counters: OpCounters | None = None,
 ) -> None:
     """Invert both diagonal pivots at once.
@@ -228,30 +214,25 @@ def invert_via_ad(
     the two final products.
     """
     oa, ob, oc, od = _out_quads(q, DIAGONAL, out)
-    if scratch is None:
-        scratch = SchurScratch.for_quad(q)
     a_inv = _sub_inverse(invert_sub, q.a, "A")
     d_inv = _sub_inverse(invert_sub, q.d, "D")
-    _combined_pivot((q.d, d_inv, q.c, od, oc, scratch.schur_d, "SchurD"),
-                    (q.a, a_inv, q.b, oa, ob, scratch.schur_a, "SchurA"), invert_sub, counters)
+    _combined_pivot((q.d, d_inv, q.c, od, oc, "SchurD"),
+                    (q.a, a_inv, q.b, oa, ob, "SchurA"), invert_sub, counters)
 
 
 def invert_via_bc(
     q: BlockQuad,
     invert_sub,
     out: np.ndarray,
-    scratch: SchurScratch | None = None,
     counters: OpCounters | None = None,
 ) -> None:
     """Counter-diagonal twin of invert_via_ad: S_B^-1 and S_C^-1 land on the
     output counter-diagonal; four products beyond the four sub-inversions."""
     oa, ob, oc, od = _out_quads(q, COUNTERDIAGONAL, out)
-    if scratch is None:
-        scratch = SchurScratch.for_quad(q)
     b_inv = _sub_inverse(invert_sub, q.b, "B")
     c_inv = _sub_inverse(invert_sub, q.c, "C")
-    _combined_pivot((q.b, b_inv, q.a, ob, oa, scratch.schur_a, "SchurB"),
-                    (q.c, c_inv, q.d, oc, od, scratch.schur_d, "SchurC"), invert_sub, counters)
+    _combined_pivot((q.b, b_inv, q.a, ob, oa, "SchurB"),
+                    (q.c, c_inv, q.d, oc, od, "SchurC"), invert_sub, counters)
 
 
 # Formulas grouped by the quad layout they need, so each quad is built once.

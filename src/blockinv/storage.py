@@ -28,6 +28,7 @@ from .errors import (
     BlockShapeMismatch,
     CheckpointCorrupt,
     DimensionMismatch,
+    MissingCheckpointDir,
     MissingProvisionalData,
     SchemeMismatch,
 )
@@ -128,10 +129,9 @@ class FileBlockStore:
 class BlockMatrix:
     """A matrix in diagonal-block partitioned form (source or destination)."""
 
-    def __init__(self, scheme: PartitionScheme, store, role: str = "source"):
+    def __init__(self, scheme: PartitionScheme, store):
         self.scheme = scheme
         self.store = store
-        self.role = role
 
     @classmethod
     def from_dense(
@@ -139,7 +139,6 @@ class BlockMatrix:
         m: np.ndarray,
         scheme: PartitionScheme | None = None,
         directory=None,
-        role: str = "source",
     ) -> "BlockMatrix":
         m = np.ascontiguousarray(m, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -152,7 +151,7 @@ class BlockMatrix:
             store = MemoryBlockStore(scheme, m)
         else:
             store = FileBlockStore(scheme, directory, m)
-        return cls(scheme, store, role)
+        return cls(scheme, store)
 
     def to_dense(self) -> np.ndarray:
         return self.store.to_dense()
@@ -392,7 +391,7 @@ def fresh_state(directory, scheme: PartitionScheme, file_backed: bool):
     """(minv_store, tsets) for a run starting at step 1; M_inv starts zeroed."""
     if file_backed:
         if directory is None:
-            raise ValueError("file-backed mode needs a checkpoint directory")
+            raise MissingCheckpointDir("file-backed mode needs a checkpoint directory")
         root = Path(directory)
         if root.exists():
             for stale in _blk_files(root):

@@ -11,7 +11,6 @@ from blockinv.bench import fit_slope, generate, time_inversion, write_csv
 from blockinv.core import (
     gauss_jordan_oracle,
     invert_small,
-    release_mode,
     residual_norm,
 )
 from blockinv.engine import loopid_for_step, run_inversion, total_steps, updown_iteration_map
@@ -59,22 +58,21 @@ def test_oracle_equivalence_200_matrices():
     with criterion("oracle equivalence, 200 seeded matrices, 4 methods"):
         start = time.perf_counter()
         worst = 0.0
-        with release_mode():
-            for order, seed in _oracle_equivalence_cases():
-                m = generate(order, seed=10_000 * seed + order)
-                oracle = gauss_jordan_oracle(m)
-                tol = 1e-8 * order
-                inv_a, _ = invertor_by_a(m)
-                inv_ip = m.copy()
-                invertor_inplace_by_a(inv_ip)
-                inv_ad, _ = invertor_by_ad(m)
-                inv_par = run_inversion(m).to_dense()
-                for inv in (inv_a, inv_ip, inv_ad, inv_par):
-                    diff = float(np.max(np.abs(inv - oracle)))
-                    res = residual_norm(m, inv)
-                    worst = max(worst, diff, res)
-                    assert diff <= tol, (order, seed, diff)
-                    assert res <= tol, (order, seed, res)
+        for order, seed in _oracle_equivalence_cases():
+            m = generate(order, seed=10_000 * seed + order)
+            oracle = gauss_jordan_oracle(m)
+            tol = 1e-8 * order
+            inv_a, _ = invertor_by_a(m)
+            inv_ip = m.copy()
+            invertor_inplace_by_a(inv_ip)
+            inv_ad, _ = invertor_by_ad(m)
+            inv_par = run_inversion(m).to_dense()
+            for inv in (inv_a, inv_ip, inv_ad, inv_par):
+                diff = float(np.max(np.abs(inv - oracle)))
+                res = residual_norm(m, inv)
+                worst = max(worst, diff, res)
+                assert diff <= tol, (order, seed, diff)
+                assert res <= tol, (order, seed, res)
         elapsed = time.perf_counter() - start
         print(f"  200 matrices, worst deviation {worst:.3e}, {elapsed:.1f}s", end=" ")
         assert elapsed < 120.0, f"took {elapsed:.1f}s, budget is 120s"
@@ -146,14 +144,13 @@ def test_scratch_discipline():
 def test_parallel_determinism():
     """Engine output bitwise identical for 1, 2, 4, 8 workers, 20 inputs."""
     with criterion("worker-count determinism, 20 seeded inputs"):
-        with release_mode():
-            for seed in range(20):
-                order = 5 + 2 * seed  # 5..43, odd and even block sizes
-                m = generate(order, seed=7_000 + seed)
-                ref = run_inversion(m, workers=1).to_dense().tobytes()
-                for workers in (2, 4, 8):
-                    out = run_inversion(m, workers=workers).to_dense().tobytes()
-                    assert out == ref, (order, seed, workers)
+        for seed in range(20):
+            order = 5 + 2 * seed  # 5..43, odd and even block sizes
+            m = generate(order, seed=7_000 + seed)
+            ref = run_inversion(m, workers=1).to_dense().tobytes()
+            for workers in (2, 4, 8):
+                out = run_inversion(m, workers=workers).to_dense().tobytes()
+                assert out == ref, (order, seed, workers)
 
 
 def test_resume_equivalence():
@@ -163,20 +160,19 @@ def test_resume_equivalence():
         m = generate(21, seed=77)
         assert total_steps(make_partition(21).n_blocks) == 15
         ref = run_inversion(m).to_dense().tobytes()
-        with release_mode():
-            for file_backed in (False, True):
-                for stop in range(1, 16):
-                    import tempfile
+        for file_backed in (False, True):
+            for stop in range(1, 16):
+                import tempfile
 
-                    with tempfile.TemporaryDirectory() as d:
-                        run_inversion(
-                            m, checkpoint_dir=d, file_backed=file_backed,
-                            stop_after_step=stop,
-                        )
-                        out = run_inversion(
-                            m, checkpoint_dir=d, file_backed=file_backed
-                        ).to_dense().tobytes()
-                        assert out == ref, (file_backed, stop)
+                with tempfile.TemporaryDirectory() as d:
+                    run_inversion(
+                        m, checkpoint_dir=d, file_backed=file_backed,
+                        stop_after_step=stop,
+                    )
+                    out = run_inversion(
+                        m, checkpoint_dir=d, file_backed=file_backed
+                    ).to_dense().tobytes()
+                    assert out == ref, (file_backed, stop)
 
 
 def test_singular_pivot_behavior():

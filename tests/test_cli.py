@@ -11,6 +11,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def exit_code(*argv):
+    """Exit code of a command, including argparse's own exits."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestGenAndPartition:
     def test_gen_roundtrip(self, tmp_path):
         out = tmp_path / "m.txt"
@@ -85,6 +93,21 @@ class TestInvert:
             monkeypatch.setenv("INVERTOR_WORKERS", bad)
             assert run("invert", "--in", src) == 3
 
+    def test_missing_required_option_exit_code(self, capsys):
+        assert exit_code("invert") == 3
+        assert "--in" in capsys.readouterr().err
+
+    def test_non_integer_workers_exit_code(self, tmp_path):
+        src = tmp_path / "m.txt"
+        save_matrix(well_conditioned(8, 69), src)
+        assert exit_code("invert", "--in", src, "--workers", "abc") == 3
+
+    def test_file_backed_without_checkpoint_dir_exit_code(self, tmp_path, capsys):
+        src = tmp_path / "m.txt"
+        save_matrix(well_conditioned(8, 70), src)
+        assert exit_code("invert", "--in", src, "--file-backed") == 3
+        assert "checkpoint directory" in capsys.readouterr().err
+
     def test_explicit_sizes(self, tmp_path):
         src = tmp_path / "m.txt"
         save_matrix(well_conditioned(12, 62), src)
@@ -119,6 +142,16 @@ class TestBenchCommand:
         csv = tmp_path / "b.csv"
         assert run("bench", "--methods", "a", "--orders", "4:10:2", "--csv", csv) == 0
         assert len(csv.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("bad", [
+        ("--orders", "abc"),
+        ("--orders", "2:1:0"),
+        ("--orders", "4,6", "--workers", "x"),
+        ("--orders", "4,6,8,10", "--fit", "1:b"),
+    ], ids=["orders-abc", "orders-step-0", "workers-x", "fit-1-b"])
+    def test_bad_options_exit_code(self, bad, capsys):
+        assert exit_code("bench", "--methods", "a", *bad) == 3
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCheckpointCommands:

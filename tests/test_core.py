@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import blockinv
 from blockinv import core
 from blockinv.core import (
     gauss_jordan_oracle,
@@ -18,6 +23,7 @@ from blockinv.core import (
     OpCounters,
 )
 from blockinv.errors import (
+    AliasedOperands,
     DimensionMismatch,
     FormatError,
     ScratchTooSmall,
@@ -82,21 +88,23 @@ class TestMultiply:
         assert np.max(np.abs(out - (base + plain))) <= 1e-14
 
     def test_small_and_vector_paths_agree_bitwise(self, rng):
-        # dispatch is by shape; both sides of the threshold share op order
-        for shape in [(2, 2, 2), (5, 5, 5), (8, 8, 8), (3, 1, 7)]:
+        # a scalar loop adding a[i, k] * b[k, j] for ascending k applies the
+        # same IEEE-754 operations as the vectorized kernel, element by element
+        for shape in [(2, 2, 2), (5, 5, 5), (8, 8, 8), (3, 1, 7), (9, 4, 12)]:
             m, k, n = shape
             a = rng.uniform(-1, 1, (m, k))
             b = rng.uniform(-1, 1, (k, n))
-            o1 = np.zeros((m, n))
-            o2 = np.zeros((m, n))
-            core._mm_acc(a, b, o1)
-            saved = core._SMALL_PRODUCT
-            core._SMALL_PRODUCT = 0
-            try:
-                core._mm_acc(a, b, o2)
-            finally:
-                core._SMALL_PRODUCT = saved
-            assert o1.tobytes() == o2.tobytes()
+            base = rng.uniform(-1, 1, (m, n))
+            for negate in (False, True):
+                out = base.copy()
+                core._mm_acc(a, b, out, negate)
+                ref = base.tolist()
+                for i in range(m):
+                    for j in range(n):
+                        for kk in range(k):
+                            aik = -a[i, kk] if negate else a[i, kk]
+                            ref[i][j] = ref[i][j] + float(aik) * float(b[kk, j])
+                assert out.tobytes() == np.array(ref).tobytes()
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
@@ -162,6 +170,65 @@ class TestInplaceMultiply:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             multiply_inplace_left(np.eye(3), np.ones((4, 2)), np.empty(8))
+
+
+# The destination is the left factor: the product must refuse before it
+# zeroes (and so destroys) its own input.
+_ALIAS = """
+import numpy as np
+from blockinv.core import multiply
+from blockinv.errors import AliasedOperands
+
+a = np.array([[1.0, 2.0], [3.0, 4.0]])
+try:
+    multiply(a, np.eye(2), a)
+except AliasedOperands:
+    print("raised", a.tolist())
+"""
+
+
+class TestAliasChecks:
+    def test_multiply(self, rng):
+        x = rng.uniform(-1, 1, (4, 4))
+        with pytest.raises(AliasedOperands):
+            multiply(x, np.eye(4), x)
+        with pytest.raises(AliasedOperands):
+            multiply(np.eye(3), x[:3, :2], x[1:, 1:3])  # out overlaps b
+        with pytest.raises(AliasedOperands):
+            multiply(x, np.eye(4), x.T, accumulate=True)
+
+    def test_schur_accumulate(self, rng):
+        x = rng.uniform(-1, 1, (4, 4))
+        with pytest.raises(AliasedOperands):
+            schur_accumulate(x[:2, :2], x[:2, 1:3], np.eye(2))  # dest overlaps x
+        with pytest.raises(AliasedOperands):
+            schur_accumulate(x[2:, 2:], np.eye(2), x[2:, 2:])  # dest is y
+
+    def test_multiply_inplace_left(self, rng):
+        x = rng.uniform(-1, 1, (4, 4))
+        with pytest.raises(AliasedOperands):
+            multiply_inplace_left(x[:2, :2], x[:2, 2:], x[0, 2:])  # scratch in target
+        with pytest.raises(AliasedOperands):
+            multiply_inplace_left(x[:2, :2], x[:2, 2:], x[1, :2])  # scratch in a_inv
+        with pytest.raises(AliasedOperands):
+            multiply_inplace_left(x[:2, :2], x[:2, 1:], np.empty(2))  # target over a_inv
+
+    def test_multiply_inplace_right(self, rng):
+        x = rng.uniform(-1, 1, (4, 4))
+        with pytest.raises(AliasedOperands):
+            multiply_inplace_right(x[2:, :2], x[:2, :2], x[2:, 0])  # scratch in target
+        with pytest.raises(AliasedOperands):
+            multiply_inplace_right(x[2:, :2], x[:2, :2], x[0, :2])  # scratch in a_inv
+        with pytest.raises(AliasedOperands):
+            multiply_inplace_right(x[1:3, :2], x[:2, :2], np.empty(2))  # target over a_inv
+
+    def test_check_survives_optimized_mode(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(blockinv.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _ALIAS],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.stdout == "raised [[1.0, 2.0], [3.0, 4.0]]\n", proc.stderr
 
 
 class TestInvertSmall:

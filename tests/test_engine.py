@@ -32,6 +32,7 @@ from blockinv.errors import (
     FormatError,
     InvalidWorkers,
     MalformedLoopid,
+    MissingCheckpointDir,
     MissingProvisionalData,
     OutOfRange,
     SingularBlock,
@@ -227,20 +228,6 @@ class TestFox:
         )
         assert np.max(np.abs(out - (base - a @ b))) <= 1e-12
 
-    def test_worker_determinism(self, rng):
-        sizes = (2, 3, 2)
-        a = rng.uniform(-1, 1, (7, 7))
-        b = rng.uniform(-1, 1, (7, 7))
-        outs = []
-        for w in (1, 2, 4):
-            out = np.empty((7, 7))
-            fox_block_multiply(
-                BlockedView(a, sizes, sizes), BlockedView(b, sizes, sizes),
-                BlockedView(out, sizes, sizes), workers=w,
-            )
-            outs.append(out.tobytes())
-        assert outs[0] == outs[1] == outs[2]
-
     def test_shape_mismatch(self, rng):
         a = rng.uniform(-1, 1, (4, 4))
         with pytest.raises(BlockShapeMismatch):
@@ -330,6 +317,15 @@ class TestRunInversion:
         with pytest.raises(FormatError):
             run_inversion(m)
 
+    def test_complex_input_rejected(self):
+        with pytest.raises(FormatError):
+            run_inversion(well_conditioned(8, 48) + 1j * np.eye(8))
+
+    def test_file_backed_needs_checkpoint_dir(self):
+        with pytest.raises(MissingCheckpointDir) as info:
+            run_inversion(well_conditioned(8, 49), file_backed=True)
+        assert isinstance(info.value, ValueError)
+
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.setenv("INVERTOR_WORKERS", "3")
         assert resolve_workers() == 3
@@ -387,7 +383,7 @@ class TestAssembleUpdown:
     def test_missing_provisional_data(self):
         m = well_conditioned(4, 46)
         scheme = make_partition(4)
-        minv = BlockMatrix.from_dense(np.zeros((4, 4)), scheme, role="inverse")
+        minv = BlockMatrix.from_dense(np.zeros((4, 4)), scheme)
         tsets = {1: ProvisionalSet(scheme, 1)}
         with pytest.raises(MissingProvisionalData):
             assemble_updown(1, minv, tsets)

@@ -254,14 +254,12 @@ def test_outputs_bitwise_pinned(name):
     assert GROUPS[name]() == EXPECTED[name]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_fox_matches_per_tile_loop_bitwise(workers):
+def test_fox_matches_per_tile_loop_bitwise():
     for rows, inner, cols, a, b, base, negate, accumulate in _fox_cases():
         out = base.copy()
         fox_block_multiply(
             BlockedView(a, rows, inner), BlockedView(b, inner, cols),
-            BlockedView(out, rows, cols), workers=workers,
-            negate=negate, accumulate=accumulate,
+            BlockedView(out, rows, cols), negate=negate, accumulate=accumulate,
         )
         ref = _fox_reference(rows, inner, a, b, base, negate, accumulate)
         assert out.tobytes() == ref.tobytes()

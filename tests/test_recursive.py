@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockinv.core import gauss_jordan_oracle, residual_norm
-from blockinv.errors import FormatError, ScratchTooSmall, SingularBlock
+from blockinv.errors import DimensionMismatch, FormatError, ScratchTooSmall, SingularBlock
 from blockinv.recursive import (
     invertor_by_a,
     invertor_by_ad,
@@ -163,12 +163,43 @@ class TestFallbackInvertor:
         assert np.max(np.abs(inv - gauss_jordan_oracle(m))) <= 1e-9
 
 
-@pytest.mark.parametrize(
-    "invertor", [invertor_by_a, invertor_inplace_by_a, invertor_by_ad, invertor_with_fallback]
-)
+ALL_INVERTORS = [invertor_by_a, invertor_inplace_by_a, invertor_by_ad, invertor_with_fallback]
+
+
+@pytest.mark.parametrize("invertor", ALL_INVERTORS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_rejected(invertor, bad):
     m = well_conditioned(12, 39)
     m[5, 7] = bad
     with pytest.raises(FormatError):
         invertor(m)
+
+
+@pytest.mark.parametrize("data", [
+    np.array([[2, 1], [1, 3]], dtype=np.int64),
+    np.array([[2, 1], [1, 3]], dtype=np.float32),
+    [[2.0, 1.0], [1.0, 3.0]],
+], ids=["int64", "float32", "list"])
+def test_inplace_rejects_what_it_cannot_overwrite(data):
+    # a converted copy would be inverted and the caller's matrix left as is
+    before = np.array(data).copy()
+    with pytest.raises(FormatError):
+        invertor_inplace_by_a(data)
+    assert np.array_equal(np.array(data), before)
+
+
+@pytest.mark.parametrize("invertor", ALL_INVERTORS)
+@pytest.mark.parametrize("data", [
+    np.eye(3) + 1j * np.eye(3),
+    [["a", "b"], ["c", "d"]],
+    [[1.0, 2.0], [3.0]],
+], ids=["complex", "strings", "ragged"])
+def test_non_numeric_input_rejected(invertor, data):
+    with pytest.raises(FormatError):
+        invertor(data)
+
+
+@pytest.mark.parametrize("invertor", ALL_INVERTORS)
+def test_order_zero_rejected(invertor):
+    with pytest.raises(DimensionMismatch):
+        invertor(np.zeros((0, 0)))

@@ -5,7 +5,6 @@ from blockinv.core import OpCounters, gauss_jordan_oracle, invert_small, residua
 from blockinv.errors import AllPivotsSingular, DimensionMismatch, SingularBlock
 from blockinv.schur import (
     BlockQuad,
-    SchurScratch,
     counterdiagonal_quad,
     diagonal_quad,
     invert_via_a,
@@ -202,14 +201,6 @@ class TestViaAD:
         # and the independent oracle route agrees to tolerance
         assert np.max(np.abs(s_a - s_a2)) <= 1e-12
         assert np.max(np.abs(s_d - s_d2)) <= 1e-12
-
-    def test_scratch_reuse(self):
-        m = well_conditioned(4, 18)
-        q = diagonal_quad(m, 2)
-        scratch = SchurScratch.for_quad(q)
-        out = np.empty((4, 4))
-        invert_via_ad(q, invert_small, out, scratch=scratch)
-        assert residual_norm(m, out) <= 1e-12
 
 
 class TestFallback:
