@@ -253,8 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options only the step engine reads; other methods would silently drop them.
+_ENGINE_OPTIONS = (("--sizes", "sizes"), ("--checkpoint-dir", "checkpoint_dir"),
+                   ("--file-backed", "file_backed"))
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    method = getattr(args, "method", "parallel")
+    for flag, dest in _ENGINE_OPTIONS:
+        if method != "parallel" and getattr(args, dest, None) not in (None, False):
+            parser.error(f"{flag} applies to --method parallel only, not {method}")
     try:
         return args.fn(args)
     except (SingularBlock, SingularMatrix, AllPivotsSingular) as exc:

@@ -502,6 +502,8 @@ def run_inversion(
             raise SchemeMismatch("explicit sizes differ from the BlockMatrix scheme")
     else:
         m = as_matrix(m)
+        if sizes is None and m.shape[0] == 1:
+            sizes = [1]  # the default partition starts at order 2
         scheme = partition_from_sizes(sizes) if sizes is not None else make_partition(m.shape[0])
         source = BlockMatrix.from_dense(m, scheme)
     counters = counters if counters is not None else OpCounters()

@@ -18,14 +18,14 @@ Three procedures share the same algebra but differ in how they treat memory:
 pivot formulas of :mod:`blockinv.schur` in the order A, D, B, C.
 
 Odd orders split floor/ceil; recursion bottoms out at order <= 2, which is
-inverted by the one analytic 1x1/2x2 leaf in :mod:`blockinv.core`.
+inverted by the one analytic 1x1/2x2 leaf in :mod:`blockinv.core`.  Below
+order 10 the pivot-A and the A/D recursions run on Python lists, with the
+same operations in the same order as on arrays.
 Failures raise SingularBlock carrying the recursion path, e.g.
 "A.SchurA.A".  Nothing here starts a thread.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 import numpy as np
 
@@ -71,9 +71,10 @@ def _leaf(x: np.ndarray, out: np.ndarray, counters: OpCounters, path: list[str])
 # ---------------------------------------------------------------------------
 
 
-# Below this order the whole pivot-A recursion runs on Python lists; the
-# numpy round trips per product dominate there.  Same operations in the
-# same order, so results are bitwise identical to the array path.
+# Nodes up to this order of the pivot-A and the A/D recursions run on
+# Python lists; the numpy round trips per product dominate there.  Same
+# operations in the same order, so results are bitwise identical to the
+# array path.
 _PY_RECURSION_MAX = 10
 
 
@@ -97,9 +98,6 @@ def _by_a_rec(x: np.ndarray, counters: OpCounters, path: list[str]) -> np.ndarra
         return out
     out = np.empty((n, n))
     counters.alloc(n * n)
-    if n <= LEAF_ORDER:
-        _leaf(x, out, counters, path)
-        return out
     counters.nodes += 1
     p = n // 2
     q = n - p
@@ -136,8 +134,10 @@ def _mm_rows(a, b, negate=False, into=None):
 
     ``into`` supplies per-element start values (the accumulate case); the
     result is always a new list of rows.  Inner sums start from 0.0 so the
-    signed-zero behavior matches the zero-initialized array kernel, and the
-    two- and three-term sums are unrolled.
+    signed-zero behavior matches the zero-initialized array kernel.  Every
+    sum is written out left to right for inner sizes 1 to 5, the only ones
+    the list recursions reach; ``sum()`` is not used, since from Python 3.12
+    on it rounds float sums differently.  Other sizes raise DimensionMismatch.
     """
     inner = len(b)
     if negate:
@@ -176,8 +176,10 @@ def _mm_rows(a, b, negate=False, into=None):
                 ]
                 for x0, x1, x2, x3, x4 in a
             ]
-        bt = list(zip(*b))
-        return [[sum(map(mul, ai, bj)) for bj in bt] for ai in a]
+        raise DimensionMismatch(f"list product over inner size {inner}, not 1 to 5")
+    if inner == 1:
+        b0 = b[0]
+        return [[o + ai[0] * bv for o, bv in zip(oi, b0)] for ai, oi in zip(a, into)]
     if inner == 2:
         b0, b1 = b
         return [
@@ -208,11 +210,7 @@ def _mm_rows(a, b, negate=False, into=None):
             ]
             for (x0, x1, x2, x3, x4), oi in zip(a, into)
         ]
-    bt = list(zip(*b))
-    return [
-        [sum(map(mul, ai, bj), o) for o, bj in zip(oi, bt)]
-        for ai, oi in zip(a, into)
-    ]
+    raise DimensionMismatch(f"list product over inner size {inner}, not 1 to 5")
 
 
 def _by_a_small(x: list, counters: OpCounters, path: list[str]) -> list:
@@ -239,7 +237,7 @@ def _by_a_small(x: list, counters: OpCounters, path: list[str]) -> list:
     a_inv = _by_a_small(a, counters, path + ["A"])
     n_ab = _mm_rows(a_inv, b, negate=True)  # -A^-1 B
     ca = _mm_rows(c, a_inv)  # C A^-1
-    s_a = _mm_rows(c, n_ab, into=[row[:] for row in d])  # S_A = D - C A^-1 B
+    s_a = _mm_rows(c, n_ab, into=d)  # S_A = D - C A^-1 B
     counters.alloc(2 * p * q + q * q)
     counters.multiplies += 3
     counters.reductions += 1
@@ -247,7 +245,7 @@ def _by_a_small(x: list, counters: OpCounters, path: list[str]) -> list:
     counters.release(q * q)
 
     out01 = _mm_rows(n_ab, s_a_inv)  # -A^-1 B S_A^-1
-    out00 = _mm_rows(out01, ca, negate=True, into=[row[:] for row in a_inv])
+    out00 = _mm_rows(out01, ca, negate=True, into=a_inv)
     out10 = _mm_rows(s_a_inv, ca, negate=True)  # -S_A^-1 C A^-1
     counters.multiplies += 3
     counters.reductions += 1
@@ -269,12 +267,15 @@ def invertor_inplace_by_a(
 ) -> OpCounters:
     """Overwrite ``x`` with its inverse using one row-sized buffer.
 
-    ``x`` must be a float64 ndarray: anything else would be inverted in a
-    converted copy the caller never sees, so it raises FormatError.  On
-    SingularBlock the contents of ``x`` are unspecified.
+    ``x`` must be a writeable float64 ndarray: anything else would be
+    inverted in a converted copy the caller never sees, or not at all, so it
+    raises FormatError before anything is written.  On SingularBlock the
+    contents of ``x`` are unspecified.
     """
     if not (isinstance(x, np.ndarray) and x.dtype == np.float64):
         raise FormatError("in-place inversion needs a float64 ndarray")
+    if not x.flags.writeable:
+        raise FormatError("in-place inversion needs a writeable array")
     x = _check_square(x)
     n = x.shape[0]
     if row_scratch is None:
@@ -349,8 +350,8 @@ def invertor_by_ad(x: np.ndarray, counters: OpCounters | None = None):
 
 def _by_ad_rec(x, out, start, pool, counters, path) -> None:
     n = x.shape[0]
-    if n <= LEAF_ORDER:
-        _leaf(x, out, counters, path)
+    if n <= _PY_RECURSION_MAX:
+        out[...] = _by_ad_small(x.tolist(), start, pool, counters, path)
         return
     counters.nodes += 1
     p = n // 2
@@ -383,6 +384,54 @@ def _by_ad_rec(x, out, start, pool, counters, path) -> None:
     multiply(n_ab, out[p:, p:], out[:p, p:], counters=counters)  # -A^-1 B S_A^-1
     multiply(n_dc, out[:p, :p], out[p:, :p], counters=counters)  # -D^-1 C S_D^-1
     counters.release(n_ab.size + n_dc.size)
+
+
+def _by_ad_small(x: list, start: int, pool: _SchurPool, counters: OpCounters, path) -> list:
+    """The A/D recursion on Python lists (operation-for-operation the same
+    as the array path, including the counter sequence).
+
+    The Schur pool slots are still claimed, for their bookkeeping only: the
+    complements themselves are new lists.
+    """
+    n = len(x)
+    if n <= LEAF_ORDER:
+        rows = _inv_rows(x, path)
+        counters.inversions += 1
+        return rows
+    counters.nodes += 1
+    p = n // 2
+    q = n - p
+    a = [row[:p] for row in x[:p]]
+    b = [row[p:] for row in x[:p]]
+    c = [row[:p] for row in x[p:]]
+    d = [row[p:] for row in x[p:]]
+
+    counters.alloc(p * p + q * q)
+    a_inv = _by_ad_small(a, start, pool, counters, path + ["A"])
+    d_inv = _by_ad_small(d, start + p, pool, counters, path + ["D"])
+
+    counters.alloc(2 * p * q)
+    n_ab = _mm_rows(a_inv, b, negate=True)  # -A^-1 B
+    n_dc = _mm_rows(d_inv, c, negate=True)  # -D^-1 C
+    counters.multiplies += 2
+    counters.release(p * p + q * q)
+
+    pool.get(start, p, "sd")
+    s_d = _mm_rows(b, n_dc, into=a)  # S_D = A - B D^-1 C
+    pool.get(start + p, q, "sa")
+    s_a = _mm_rows(c, n_ab, into=d)  # S_A = D - C A^-1 B
+    counters.reductions += 2
+
+    s_d_inv = _by_ad_small(s_d, start, pool, counters, path + ["SchurD"])
+    s_a_inv = _by_ad_small(s_a, start + p, pool, counters, path + ["SchurA"])
+
+    out01 = _mm_rows(n_ab, s_a_inv)  # -A^-1 B S_A^-1
+    out10 = _mm_rows(n_dc, s_d_inv)  # -D^-1 C S_D^-1
+    counters.multiplies += 2
+    counters.release(2 * p * q)
+    return [s_d_inv[i] + out01[i] for i in range(p)] + [
+        out10[i] + s_a_inv[i] for i in range(q)
+    ]
 
 
 # ---------------------------------------------------------------------------

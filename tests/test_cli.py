@@ -113,6 +113,33 @@ class TestInvert:
         save_matrix(well_conditioned(12, 62), src)
         assert run("invert", "--in", src, "--sizes", "5,7") == 0
 
+    @pytest.mark.parametrize("option", [
+        ("--sizes", "4,4"),
+        ("--checkpoint-dir", "ck"),
+        ("--checkpoint-dir", "ck", "--file-backed"),
+    ], ids=["sizes", "checkpoint-dir", "file-backed"])
+    @pytest.mark.parametrize("method", ["a", "inplace", "ad", "oracle"])
+    def test_engine_option_with_other_method_exit_code(self, tmp_path, capsys, option, method):
+        src = tmp_path / "m.txt"
+        save_matrix(well_conditioned(8, 71), src)
+        option = [tmp_path / v if v == "ck" else v for v in option]
+        assert exit_code("invert", "--in", src, "--method", method, *option) == 3
+        assert "parallel" in capsys.readouterr().err
+        assert not (tmp_path / "ck").exists()
+
+    def test_verify_sizes_with_other_method_exit_code(self, tmp_path):
+        src = tmp_path / "m.txt"
+        save_matrix(well_conditioned(8, 72), src)
+        assert exit_code("verify", "--in", src, "--method", "a", "--sizes", "4,4") == 3
+
+    @pytest.mark.parametrize("method", ["a", "inplace", "ad", "parallel", "oracle"])
+    def test_order_1(self, tmp_path, method):
+        src = tmp_path / "m.txt"
+        dst = tmp_path / "inv.txt"
+        save_text(np.array([[4.0]]), src)
+        assert run("invert", "--in", src, "--out", dst, "--method", method) == 0
+        assert load_matrix(dst).tolist() == [[0.25]]
+
 
 class TestVerify:
     def test_verify_method(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 import blockinv
 from blockinv.core import (
+    OpCounters,
     gauss_jordan_oracle,
     invert_small,
     multiply,
@@ -287,6 +288,15 @@ class TestRunInversion:
         m = well_conditioned(12, 43)
         inv = run_inversion(m, sizes=[5, 7]).to_dense()
         assert np.max(np.abs(inv - gauss_jordan_oracle(m))) <= 1e-9
+
+    def test_order_1(self):
+        # the default partition starts at order 2; one 1x1 block is the schedule
+        c = OpCounters()
+        inv = run_inversion(np.array([[4.0]]), counters=c).to_dense()
+        assert inv.tolist() == [[0.25]]
+        assert (c.inversions, c.multiplies) == (1, 0)
+        with pytest.raises(SingularBlock):
+            run_inversion(np.zeros((1, 1)))
 
     def test_singular_diagonal_block_reports_step_and_quad(self):
         p = np.eye(4)[::-1].copy()  # reversal permutation: zero diagonal blocks

@@ -5,7 +5,9 @@ digests were recorded when every pivot formula, the order-4 leaf and each
 2x2 leaf still had its own body; the shared kernels must reproduce them
 bit for bit.  The engine groups at orders 33 to 128 and the blocked-product
 group were recorded while the Fox product still ran one kernel call per
-tile and each assembly task covered one block column.  The failure cases
+tile and each assembly task covered one block column.  The ``by_ad_boundary``
+group and the ``by_ad_kron_*`` failures were recorded while every node of
+``invertor_by_ad`` still ran on numpy arrays.  The failure cases
 pin the SingularBlock label and path each entry raises.
 """
 
@@ -118,6 +120,20 @@ def _invertor_group(invertor):
     return run
 
 
+def _counts_all(c: OpCounters) -> bytes:
+    return _counts(c) + repr(c._current_scratch).encode()
+
+
+def _by_ad_boundary():
+    # orders whose nodes cross order 10 at non-zero diagonal offsets
+    h = hashlib.sha256()
+    for n in (9, 10, 11, 12, 13, 20, 21, 40, 64, 100):
+        for seed in range(3):
+            inv, c = invertor_by_ad(well_conditioned(n, 9650 + 10 * n + seed))
+            h.update(inv.tobytes() + _counts_all(c))
+    return h.hexdigest()
+
+
 def _fallback():
     h = hashlib.sha256()
     for m in (_reversal(12), well_conditioned(13, 9600)):
@@ -218,6 +234,7 @@ GROUPS = {
     "inplace_right": _inplace_right,
     "by_a": _invertor_group(invertor_by_a),
     "by_ad": _invertor_group(invertor_by_ad),
+    "by_ad_boundary": _by_ad_boundary,
     "fallback": _fallback,
     "engine": _engine,
     "engine_mixed_w1": _engine_group(_MIXED, 1),
@@ -230,6 +247,7 @@ GROUPS = {
 EXPECTED = {
     "by_a": "cd798e0ac3ac662b61b7b8b4a92eae99e61fe0756a3df311ac703e6357908c1c",
     "by_ad": "7e9d6b4bb831e11addf4c3b80fdd2c32d0d77abcc63f5d7ac98f7730a9f56be1",
+    "by_ad_boundary": "05f7ba4d2f7b5e3cc925a1a8ab537c89f372e83b5cced1168057ebaac7e526e9",
     "engine": "61ed9463f82052799f28d4032e07b13ebb7d4c41cf6eafedc1cf295dd23e0951",
     "engine_mixed_w1": "47e2fc9948c199e6c78d2262ba4feba3de5ce53ef5b913cd5146c5129dbea3e8",
     "engine_mixed_w2": "47e2fc9948c199e6c78d2262ba4feba3de5ce53ef5b913cd5146c5129dbea3e8",
@@ -282,6 +300,13 @@ def _c_zero():
     return m
 
 
+def _kron_schur_a():
+    # A = B = C = I, D = [[1, 2], [2, 1]]: S_A = [[0, 2], [2, 0]] has a zero
+    # leading block, while S_D is fine
+    m = np.array([[1.0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 2], [0, 1, 2, 1]])
+    return np.kron(m, np.eye(6))
+
+
 def _at_split_2(formula, make_quad, m):
     return lambda: formula(make_quad(m, 2), invert_small, np.empty((4, 4)))
 
@@ -306,6 +331,10 @@ FAILURES = [
     ("inplace_schur", lambda: invertor_inplace_by_a(np.kron(_schur_singular_d(), np.eye(3)))),
     ("by_ad_ones", lambda: invertor_by_ad(np.ones((8, 8)))),
     ("by_ad_schur", lambda: invertor_by_ad(_schur_singular_d())),
+    # singular leaves inside order <= 10 subtrees under order-12 and -14 nodes
+    ("by_ad_kron_schur_a", lambda: invertor_by_ad(_kron_schur_a())),
+    ("by_ad_kron_d", lambda: invertor_by_ad(np.kron(_schur_singular_d(), np.eye(6)))),
+    ("by_ad_kron_twins", lambda: invertor_by_ad(np.kron(_twins(), np.eye(7)))),
 ]
 
 EXPECTED_FAILURES = {
@@ -328,6 +357,9 @@ EXPECTED_FAILURES = {
     "inplace_schur": ("A", ["SchurA", "A", "A"]),
     "by_ad_ones": ("A", ["A", "A"]),
     "by_ad_schur": ("A", ["D"]),
+    "by_ad_kron_schur_a": ("A", ["SchurA", "A", "A", "A"]),
+    "by_ad_kron_d": ("A", ["D", "A", "A", "A"]),
+    "by_ad_kron_twins": ("A", ["SchurD", "A", "A", "A"]),
 }
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from blockinv.core import gauss_jordan_oracle, residual_norm
+from blockinv.core import _mm_acc, gauss_jordan_oracle, residual_norm
 from blockinv.errors import DimensionMismatch, FormatError, ScratchTooSmall, SingularBlock
 from blockinv.recursive import (
+    _mm_rows,
     invertor_by_a,
     invertor_by_ad,
     invertor_inplace_by_a,
@@ -203,3 +204,35 @@ def test_non_numeric_input_rejected(invertor, data):
 def test_order_zero_rejected(invertor):
     with pytest.raises(DimensionMismatch):
         invertor(np.zeros((0, 0)))
+
+
+def test_inplace_rejects_read_only_array():
+    m = well_conditioned(6, 40)
+    m.flags.writeable = False
+    before = m.copy()
+    with pytest.raises(FormatError):
+        invertor_inplace_by_a(m)
+    assert m.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("inner", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("negate", [False, True], ids=["plus", "minus"])
+@pytest.mark.parametrize("into", [False, True], ids=["fresh", "into"])
+def test_list_product_bitwise_equals_array_kernel(inner, negate, into):
+    g = np.random.default_rng(4100 + inner)
+    a = g.uniform(-1.0, 1.0, (4, inner))
+    b = g.uniform(-1.0, 1.0, (inner, 3))
+    base = g.uniform(-1.0, 1.0, (4, 3))
+    a[0] = 0.0  # signed zeros: 0.0 start value against -0.0 terms
+    base[1, 0] = -0.0
+    out = base.copy() if into else np.zeros((4, 3))
+    _mm_acc(a, b, out, negate)
+    rows = _mm_rows(a.tolist(), b.tolist(), negate=negate,
+                    into=base.tolist() if into else None)
+    assert np.array(rows).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("into", [False, True], ids=["fresh", "into"])
+def test_list_product_rejects_inner_size_6(into):
+    with pytest.raises(DimensionMismatch):
+        _mm_rows([[1.0] * 6], [[1.0]] * 6, into=[[0.0]] if into else None)
