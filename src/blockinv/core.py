@@ -11,6 +11,11 @@ in ``_mm_acc_ordered``, which takes each output row's order as an argument
 (the step engine's Fox product rotates it per block row).  Fixed orders make
 in-place and out-of-place products bitwise identical and keep the step
 engine's output independent of worker count.
+
+The in-place products take a counted buffer of one row, as the in-place
+recursion's contract says, and work through a bounded kernel-internal
+temporary of n x 16 (one panel of columns), like the ``tmp`` every product
+kernel uses; neither grows with the width of the target.
 """
 
 from __future__ import annotations
@@ -192,13 +197,16 @@ def multiply_inplace_left(
     negate: bool = False,
     counters: OpCounters | None = None,
 ) -> None:
-    """target <- (+-1) * a_inv @ target using only a row-sized buffer.
+    """target <- (+-1) * a_inv @ target in place.
 
-    Processed column by column; each new column is accumulated in
-    ``row_scratch`` in the same ascending inner order as :func:`multiply`,
-    so the result is bitwise identical to the out-of-place product.
-    ``row_scratch`` overlapping either matrix, or ``target`` overlapping
-    ``a_inv``, raises AliasedOperands.
+    ``row_scratch`` is the caller's counted buffer of at least one column
+    (``n`` scalars); it is checked, not written.  The product runs over
+    panels of 16 columns, each summed into a kernel-internal n x 16
+    temporary in the same ascending inner order as :func:`multiply` and
+    then copied back, so the result is bitwise identical to the
+    out-of-place product and the extra memory stays bounded however wide
+    ``target`` is.  ``row_scratch`` overlapping either matrix, or
+    ``target`` overlapping ``a_inv``, raises AliasedOperands.
     """
     n = target.shape[0]
     if a_inv.shape != (n, n):
@@ -213,15 +221,21 @@ def multiply_inplace_right(
     negate: bool = False,
     counters: OpCounters | None = None,
 ) -> None:
-    """target <- (+-1) * target @ a_inv, row by row, row-sized buffer only.
+    """target <- (+-1) * target @ a_inv in place, 16 rows at a time.
 
     This is the left product on transposed views: (T A)^T = A^T T^T, and a
-    column of T^T is a row of T.
+    column of T^T is a row of T.  The same counted ``row_scratch`` contract
+    and bounded panel temporary as :func:`multiply_inplace_left` apply.
     """
     n = target.shape[1]
     if a_inv.shape != (n, n):
         raise DimensionMismatch(f"inplace right {target.shape} on {a_inv.shape}")
     _inplace_left(a_inv.T, target.T, row_scratch, negate, counters)
+
+
+# Columns per panel of the in-place product: its temporaries stay n x 16
+# however wide the target is.
+_PANEL = 16
 
 
 def _inplace_left(a_inv, target, row_scratch, negate, counters) -> None:
@@ -230,14 +244,13 @@ def _inplace_left(a_inv, target, row_scratch, negate, counters) -> None:
         raise ScratchTooSmall(f"need {n} scalars, have {row_scratch.shape[0]}")
     _check_disjoint(row_scratch, target, a_inv)
     _check_disjoint(target, a_inv)
-    s = row_scratch[:n]
-    for j in range(target.shape[1]):
-        col = target[:, j]
-        s[:] = 0.0
-        for k in range(n):
-            ak = -a_inv[:, k] if negate else a_inv[:, k]
-            s += ak * col[k]
-        col[:] = s
+    if negate:
+        a_inv = -a_inv  # fold the sign once, not once per panel
+    for j in range(0, target.shape[1], _PANEL):
+        panel = target[:, j : j + _PANEL]
+        out = np.zeros(panel.shape)
+        _mm_acc(a_inv, panel, out)  # reads all of the panel before it is written
+        panel[...] = out
     if counters is not None:
         counters.multiplies += 1
 

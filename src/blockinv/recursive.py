@@ -6,8 +6,10 @@ Three procedures share the same algebra but differ in how they treat memory:
   releasing intermediates as soon as they are dead.  Six block products and
   two reductions per recursion node.
 * ``invertor_inplace_by_a`` - the same pivot recursion performed entirely
-  inside the input matrix; the only auxiliary storage is one row-sized
-  buffer shared by every level.
+  inside the input matrix; the only counted auxiliary storage is one
+  row-sized buffer shared by every level.  Its products also use a bounded
+  n x 16 panel temporary inside the kernel (see
+  :func:`blockinv.core.multiply_inplace_left`).
 * ``invertor_by_ad`` - inverts both diagonal pivots per node (four products,
   two Schur reductions).  The (A, D) and (S_D, S_A) inversions of a node
   are independent of each other but run one after the other; Schur
@@ -18,9 +20,9 @@ Three procedures share the same algebra but differ in how they treat memory:
 pivot formulas of :mod:`blockinv.schur` in the order A, D, B, C.
 
 Odd orders split floor/ceil; recursion bottoms out at order <= 2, which is
-inverted by the one analytic 1x1/2x2 leaf in :mod:`blockinv.core`.  Below
-order 10 the pivot-A and the A/D recursions run on Python lists, with the
-same operations in the same order as on arrays.
+inverted by the one analytic 1x1/2x2 leaf in :mod:`blockinv.core`.  Nodes
+of order 10 and below, in all three recursions, run on Python lists, with
+the same operations in the same order as on arrays.
 Failures raise SingularBlock carrying the recursion path, e.g.
 "A.SchurA.A".  Nothing here starts a thread.
 """
@@ -59,22 +61,15 @@ def _check_square(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _leaf(x: np.ndarray, out: np.ndarray, counters: OpCounters, path: list[str]) -> None:
-    try:
-        invert_small(x, out, counters)
-    except SingularBlock as exc:
-        raise SingularBlock(exc.block, path=path) from None
-
-
 # ---------------------------------------------------------------------------
 # invertor_by_a
 # ---------------------------------------------------------------------------
 
 
-# Nodes up to this order of the pivot-A and the A/D recursions run on
-# Python lists; the numpy round trips per product dominate there.  Same
-# operations in the same order, so results are bitwise identical to the
-# array path.
+# Nodes up to this order of the pivot-A, the in-place and the A/D
+# recursions run on Python lists; the numpy round trips per product
+# dominate there.  Same operations in the same order, so results are
+# bitwise identical to the array path.
 _PY_RECURSION_MAX = 10
 
 
@@ -291,8 +286,8 @@ def invertor_inplace_by_a(
 
 def _inplace_rec(x: np.ndarray, scratch: np.ndarray, counters: OpCounters, path) -> None:
     n = x.shape[0]
-    if n <= LEAF_ORDER:
-        _leaf(x, x, counters, path)
+    if n <= _PY_RECURSION_MAX:
+        x[...] = _inplace_small(x.tolist(), counters, path)
         return
     counters.nodes += 1
     p = n // 2
@@ -308,6 +303,42 @@ def _inplace_rec(x: np.ndarray, scratch: np.ndarray, counters: OpCounters, path)
     multiply_inplace_right(b, d, scratch, counters=counters)  # b <- -A^-1 B S_A^-1
 
 
+def _inplace_small(x: list, counters: OpCounters, path) -> list:
+    """The in-place recursion on Python lists, step for step the same as
+    ``_inplace_rec``, counters included (it allocates nothing the row
+    buffer's count does not already cover).
+
+    A right product ``t <- t @ m`` becomes ``_mm_rows(t, m)``: each element
+    sums the same products in the same order, since IEEE products commute
+    and ``(-x) * y == x * (-y)``.
+    """
+    n = len(x)
+    if n <= LEAF_ORDER:
+        rows = _inv_rows(x, path)
+        counters.inversions += 1
+        return rows
+    counters.nodes += 1
+    p = n // 2
+    a = [row[:p] for row in x[:p]]
+    b = [row[p:] for row in x[:p]]
+    c = [row[:p] for row in x[p:]]
+    d = [row[p:] for row in x[p:]]
+
+    a = _inplace_small(a, counters, path + ["A"])  # a <- A^-1
+    b = _mm_rows(a, b, negate=True)  # b <- -A^-1 B
+    d = _mm_rows(c, b, into=d)  # d <- S_A = D - C A^-1 B
+    c = _mm_rows(c, a, negate=True)  # c <- -C A^-1
+    counters.multiplies += 3
+    counters.reductions += 1
+    d = _inplace_small(d, counters, path + ["SchurA"])  # d <- S_A^-1
+    c = _mm_rows(d, c)  # c <- -S_A^-1 C A^-1
+    a = _mm_rows(b, c, into=a)  # a <- A^-1 + A^-1 B S_A^-1 C A^-1
+    b = _mm_rows(b, d)  # b <- -A^-1 B S_A^-1
+    counters.multiplies += 3
+    counters.reductions += 1
+    return [a[i] + b[i] for i in range(p)] + [c[i] + d[i] for i in range(n - p)]
+
+
 # ---------------------------------------------------------------------------
 # invertor_by_ad
 # ---------------------------------------------------------------------------
@@ -316,23 +347,30 @@ def _inplace_rec(x: np.ndarray, scratch: np.ndarray, counters: OpCounters, path)
 class _SchurPool:
     """Schur workspaces keyed by (diagonal position, order, side).
 
-    A slot is created once and reused by every later recursion generation
-    that lands on the same diagonal span, so the total allocation equals the
-    preallocated-plan footprint.
+    A slot is counted once, when first claimed, and reused by every later
+    recursion generation that lands on the same diagonal span, so the total
+    counted equals the preallocated-plan footprint.  The list path only
+    books its slots (its complements are new lists); an array is allocated
+    when an array node first asks for one.
     """
 
     def __init__(self, counters: OpCounters):
-        self._slots: dict[tuple[int, int, str], np.ndarray] = {}
+        self._slots: dict[tuple[int, int, str], np.ndarray | None] = {}
         self._counters = counters
 
-    def get(self, start: int, order: int, side: str) -> np.ndarray:
+    def book(self, start: int, order: int, side: str) -> None:
         key = (start, order, side)
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = np.empty((order, order))
-            self._slots[key] = slot
+        if key not in self._slots:
+            self._slots[key] = None
             self._counters.schur_scratch += order * order
             self._counters.alloc(order * order)
+
+    def get(self, start: int, order: int, side: str) -> np.ndarray:
+        self.book(start, order, side)
+        key = (start, order, side)
+        slot = self._slots[key]
+        if slot is None:
+            slot = self._slots[key] = np.empty((order, order))
         return slot
 
 
@@ -390,7 +428,7 @@ def _by_ad_small(x: list, start: int, pool: _SchurPool, counters: OpCounters, pa
     """The A/D recursion on Python lists (operation-for-operation the same
     as the array path, including the counter sequence).
 
-    The Schur pool slots are still claimed, for their bookkeeping only: the
+    The Schur pool slots are booked, for their bookkeeping only: the
     complements themselves are new lists.
     """
     n = len(x)
@@ -416,9 +454,9 @@ def _by_ad_small(x: list, start: int, pool: _SchurPool, counters: OpCounters, pa
     counters.multiplies += 2
     counters.release(p * p + q * q)
 
-    pool.get(start, p, "sd")
+    pool.book(start, p, "sd")
     s_d = _mm_rows(b, n_dc, into=a)  # S_D = A - B D^-1 C
-    pool.get(start + p, q, "sa")
+    pool.book(start + p, q, "sa")
     s_a = _mm_rows(c, n_ab, into=d)  # S_A = D - C A^-1 B
     counters.reductions += 2
 

@@ -231,8 +231,11 @@ def test_timing_slopes(tmp_path):
             best[key] = min(samples, key=lambda r: r.seconds)
         write_csv(records, tmp_path / "timing_sweep.csv")
         print(f"  CSV: {tmp_path / 'timing_sweep.csv'}", end=" ")
-        for method in methods:
-            rows = [best[(method, order)] for order in orders]
-            fit = fit_slope(rows, 10, 100)
-            print(f"{method}: n={fit.exponent:.2f}", end=" ")
-            assert 1.5 <= fit.exponent <= 4.5, (method, fit.exponent)
+        exponents = {
+            method: fit_slope([best[(method, order)] for order in orders], 10, 100).exponent
+            for method in methods
+        }
+        report = " ".join(f"{method}: n={e:.2f}" for method, e in exponents.items())
+        print(report, end=" ")
+        for method, exponent in exponents.items():
+            assert 1.5 <= exponent <= 4.5, (method, report)

@@ -7,7 +7,10 @@ bit for bit.  The engine groups at orders 33 to 128 and the blocked-product
 group were recorded while the Fox product still ran one kernel call per
 tile and each assembly task covered one block column.  The ``by_ad_boundary``
 group and the ``by_ad_kron_*`` failures were recorded while every node of
-``invertor_by_ad`` still ran on numpy arrays.  The failure cases
+``invertor_by_ad`` still ran on numpy arrays; the ``inplace_boundary`` group
+and the ``inplace_kron_*`` failures while every node of
+``invertor_inplace_by_a`` did, and the in-place products still ran one
+column at a time.  The failure cases
 pin the SingularBlock label and path each entry raises.
 """
 
@@ -16,7 +19,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from blockinv.core import OpCounters, invert_small, multiply_inplace_right
+from blockinv.core import (
+    OpCounters,
+    invert_small,
+    multiply_inplace_left,
+    multiply_inplace_right,
+)
 from blockinv.engine import BlockedView, fox_block_multiply, run_inversion
 from blockinv.errors import SingularBlock
 from blockinv.recursive import (
@@ -134,6 +142,18 @@ def _by_ad_boundary():
     return h.hexdigest()
 
 
+def _inplace_boundary():
+    # orders whose in-place nodes cross order 10, including the column-panel
+    # edges of width 16 and 17 at the top node
+    h = hashlib.sha256()
+    for n in (9, 10, 11, 12, 13, 16, 17, 20, 21, 33, 40, 64, 100):
+        for seed in range(3):
+            work = well_conditioned(n, 9750 + 10 * n + seed)
+            c = invertor_inplace_by_a(work)
+            h.update(work.tobytes() + _counts_all(c))
+    return h.hexdigest()
+
+
 def _fallback():
     h = hashlib.sha256()
     for m in (_reversal(12), well_conditioned(13, 9600)):
@@ -231,6 +251,7 @@ GROUPS = {
     "via_bc": _formula_group(invert_via_bc, counterdiagonal_quad),
     "invert_small_4": _invert_small_4,
     "inplace_1_to_9": _inplace_1_to_9,
+    "inplace_boundary": _inplace_boundary,
     "inplace_right": _inplace_right,
     "by_a": _invertor_group(invertor_by_a),
     "by_ad": _invertor_group(invertor_by_ad),
@@ -256,6 +277,7 @@ EXPECTED = {
     "fallback": "b5d0b9a57f585e1d788b3795bd5961feb0cb18b3e9376a3e79c81a0ad02da01a",
     "fox": "71f6aca553feee89561455f18d4b06630383d791c121b6ee72a2fbd7c8c47ccb",
     "inplace_1_to_9": "8c236f72898026a5f147c3a726b45327f1cb89dfe77bcd375990154dbf84921c",
+    "inplace_boundary": "c9d014a5aaf0bcddf826ad8243bcc76b25cb9f3598a9533efde7d70c20591555",
     "inplace_right": "bc601c186e1982134536f4d64f11963589b561e01cf238c746a9c010cf53c5dd",
     "invert_small_4": "a298b223bc03fa3f2ecb96bbb7f54b284fbfb31899cc7f6d06152c47ecf6f963",
     "via_a": "39f73da40be450bd912fa57f9103ba6f5fe1d5fd193b28749f9aa448b52fbd61",
@@ -283,6 +305,77 @@ def test_fox_matches_per_tile_loop_bitwise():
         assert out.tobytes() == ref.tobytes()
 
 
+# widths around the in-place kernel's column panels of 16
+_PANEL_WIDTHS = (1, 15, 16, 17, 33, 40)
+
+# target layouts: (parent shape for (n, width), view of the parent)
+_LAYOUTS = {
+    "contiguous": (lambda n, w: (n, w), lambda p: p),
+    "strided": (lambda n, w: (2 * n, 2 * w + 1), lambda p: p[::2, 1::2]),
+    "transposed": (lambda n, w: (w, n), lambda p: p.T),
+}
+
+
+def _inplace_cases():
+    g = np.random.default_rng(9950)
+    for width in _PANEL_WIDTHS:
+        for n in (3, 12):
+            for negate in (False, True):
+                for layout in sorted(_LAYOUTS):
+                    shape, view = _LAYOUTS[layout]
+                    a_inv = g.uniform(-1.0, 1.0, (n, n))
+                    parent = g.uniform(-1.0, 1.0, shape(n, width))
+                    yield a_inv, parent, view, negate
+
+
+def _column_loop_left(a_inv, target, negate):
+    """target <- (+-1) a_inv @ target one column at a time, each column
+    summed over the inner index ascending in a row-sized buffer."""
+    n = target.shape[0]
+    s = np.empty(n)
+    for j in range(target.shape[1]):
+        col = target[:, j]
+        s[:] = 0.0
+        for k in range(n):
+            ak = -a_inv[:, k] if negate else a_inv[:, k]
+            s += ak * col[k]
+        col[:] = s
+
+
+def _row_loop_right(target, a_inv, negate):
+    """target <- (+-1) target @ a_inv one row at a time."""
+    n = target.shape[1]
+    s = np.empty(n)
+    for i in range(target.shape[0]):
+        row = target[i]
+        s[:] = 0.0
+        for k in range(n):
+            ak = -a_inv[k] if negate else a_inv[k]
+            s += ak * row[k]
+        row[:] = s
+
+
+def test_inplace_left_matches_column_loop_bitwise():
+    for a_inv, parent, view, negate in _inplace_cases():
+        got, ref = parent.copy(), parent.copy()
+        c = OpCounters()
+        multiply_inplace_left(a_inv, view(got), np.empty(a_inv.shape[0]), negate, c)
+        _column_loop_left(a_inv, view(ref), negate)
+        assert got.tobytes() == ref.tobytes()
+        assert c.multiplies == 1
+
+
+def test_inplace_right_matches_row_loop_bitwise():
+    for a_inv, parent, view, negate in _inplace_cases():
+        # the same parents, read as (width, n) targets of the right product
+        got, ref = parent.copy(), parent.copy()
+        c = OpCounters()
+        multiply_inplace_right(view(got).T, a_inv, np.empty(a_inv.shape[0]), negate, c)
+        _row_loop_right(view(ref).T, a_inv, negate)
+        assert got.tobytes() == ref.tobytes()
+        assert c.multiplies == 1
+
+
 def _twins():
     # A = D = I and B = C = I: every pivot is fine, every complement is zero
     return np.block([[np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]])
@@ -305,6 +398,11 @@ def _kron_schur_a():
     # leading block, while S_D is fine
     m = np.array([[1.0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 2], [0, 1, 2, 1]])
     return np.kron(m, np.eye(6))
+
+
+def _kron_swap(k):
+    # zero diagonal blocks, identity off-diagonal blocks: A itself is singular
+    return np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(k))
 
 
 def _at_split_2(formula, make_quad, m):
@@ -335,6 +433,10 @@ FAILURES = [
     ("by_ad_kron_schur_a", lambda: invertor_by_ad(_kron_schur_a())),
     ("by_ad_kron_d", lambda: invertor_by_ad(np.kron(_schur_singular_d(), np.eye(6)))),
     ("by_ad_kron_twins", lambda: invertor_by_ad(np.kron(_twins(), np.eye(7)))),
+    # singular leaves inside order <= 10 in-place subtrees under array nodes
+    ("inplace_kron_swap", lambda: invertor_inplace_by_a(_kron_swap(6))),
+    ("inplace_kron_ones", lambda: invertor_inplace_by_a(np.kron(np.ones((2, 2)), np.eye(6)))),
+    ("inplace_kron_twins", lambda: invertor_inplace_by_a(np.kron(_twins(), np.eye(7)))),
 ]
 
 EXPECTED_FAILURES = {
@@ -360,6 +462,9 @@ EXPECTED_FAILURES = {
     "by_ad_kron_schur_a": ("A", ["SchurA", "A", "A", "A"]),
     "by_ad_kron_d": ("A", ["D", "A", "A", "A"]),
     "by_ad_kron_twins": ("A", ["SchurD", "A", "A", "A"]),
+    "inplace_kron_swap": ("A", ["A", "A", "A"]),
+    "inplace_kron_ones": ("A", ["SchurA", "A", "A"]),
+    "inplace_kron_twins": ("A", ["SchurA", "A", "A", "A"]),
 }
 
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from blockinv.core import _mm_acc, gauss_jordan_oracle, residual_norm
+from blockinv.core import OpCounters, _mm_acc, gauss_jordan_oracle, residual_norm
 from blockinv.errors import DimensionMismatch, FormatError, ScratchTooSmall, SingularBlock
 from blockinv.recursive import (
     _mm_rows,
+    _SchurPool,
     invertor_by_a,
     invertor_by_ad,
     invertor_inplace_by_a,
@@ -94,6 +97,18 @@ class TestInvertorInplace:
         assert c.multiplies == 6 * c.nodes
         assert c.reductions == 2 * c.nodes
 
+    def test_peak_memory_stays_below_the_matrix(self):
+        # "in place": temporaries stay bounded (a whole-target temporary in the
+        # in-place products would read about 1.0 here)
+        work = well_conditioned(256, 36)
+        tracemalloc.start()
+        try:
+            invertor_inplace_by_a(work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * work.nbytes, peak / work.nbytes
+
     def test_caller_scratch_and_too_small(self):
         m = well_conditioned(7, 35)
         buf = np.empty(7)
@@ -120,6 +135,17 @@ class TestInvertorByAD:
         order = 2**k
         _, c = invertor_by_ad(well_conditioned(order, 300 + k))
         assert c.schur_scratch == schur_scratch_series(k)
+
+    def test_pool_books_without_allocating_and_counts_once(self):
+        c = OpCounters()
+        pool = _SchurPool(c)
+        pool.book(4, 3, "sd")  # a list node's claim
+        pool.book(4, 3, "sd")
+        assert pool._slots[(4, 3, "sd")] is None
+        slot = pool.get(4, 3, "sd")  # an array node asking for the same key
+        assert slot.shape == (3, 3) and pool.get(4, 3, "sd") is slot
+        pool.get(0, 2, "sa")
+        assert (c.schur_scratch, c.peak_scratch) == (9 + 4, 9 + 4)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_multiplication_law(self, k):
