@@ -88,7 +88,7 @@ def _invert_with_method(m, method, workers, sizes, checkpoint_dir, file_backed, 
             checkpoint_dir=checkpoint_dir, file_backed=file_backed,
         )
     except SingularBlock:
-        if not retry or method not in ("a", "inplace", "ad"):
+        if not retry:
             raise
         counters = OpCounters()
         inv, _ = invertor_with_fallback(m, counters)
@@ -215,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--file-backed", action="store_true")
     p.add_argument("--retry", action="store_true",
-                   help="on a singular pivot, retry with per-node pivot fallback")
+                   help="on a singular pivot of methods a, inplace and ad, retry "
+                        "with per-node pivot fallback")
     p.add_argument("--binary", action="store_true")
     p.set_defaults(fn=cmd_invert)
 
@@ -256,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Options only the step engine reads; other methods would silently drop them.
 _ENGINE_OPTIONS = (("--sizes", "sizes"), ("--checkpoint-dir", "checkpoint_dir"),
                    ("--file-backed", "file_backed"))
+# Methods whose singular pivot --retry hands to invertor_with_fallback.
+_RETRY_METHODS = ("a", "inplace", "ad")
 
 
 def main(argv=None) -> int:
@@ -265,6 +268,9 @@ def main(argv=None) -> int:
     for flag, dest in _ENGINE_OPTIONS:
         if method != "parallel" and getattr(args, dest, None) not in (None, False):
             parser.error(f"{flag} applies to --method parallel only, not {method}")
+    if getattr(args, "retry", False) and method not in _RETRY_METHODS:
+        parser.error(f"--retry applies to --method {', '.join(_RETRY_METHODS)} only, "
+                     f"not {method}")
     try:
         return args.fn(args)
     except (SingularBlock, SingularMatrix, AllPivotsSingular) as exc:

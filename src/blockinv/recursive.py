@@ -17,7 +17,10 @@ Three procedures share the same algebra but differ in how they treat memory:
   generations, the way a preallocated scratch plan would.
 
 ``invertor_with_fallback`` is the retry path: at every node it tries the
-pivot formulas of :mod:`blockinv.schur` in the order A, D, B, C.
+pivot formulas of :mod:`blockinv.schur` in the order A, D, B, C.  An
+all-zero block raises at once, with the label and the ``nodes`` count of
+the search it skips (every pivot of an all-zero block is all-zero, so each
+formula fails before any product).
 
 Odd orders split floor/ceil; recursion bottoms out at order <= 2, which is
 inverted by the one analytic 1x1/2x2 leaf in :mod:`blockinv.core`.  Nodes
@@ -28,6 +31,8 @@ Failures raise SingularBlock carrying the recursion path, e.g.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -477,12 +482,27 @@ def _by_ad_small(x: list, start: int, pool: _SchurPool, counters: OpCounters, pa
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _zero_search_nodes(n: int) -> int:
+    """Nodes the A, D, B, C search visits on an all-zero block of order n:
+    each formula fails at its pivot (A and B of order n//2, D and C of
+    order n - n//2) before any product."""
+    if n <= LEAF_ORDER:
+        return 0
+    h = n // 2
+    return 1 + 2 * _zero_search_nodes(h) + 2 * _zero_search_nodes(n - h)
+
+
 def invertor_with_fallback(x: np.ndarray, counters: OpCounters | None = None):
     """Recursive inversion trying pivots A, D, B, C at every node.
 
     Slower than the fixed-pivot procedures but handles matrices such as
     permutations whose diagonal pivots are singular at some level.
-    Returns ``(inverse, counters)``.
+    An all-zero block is reported singular without being searched: every
+    pivot of an all-zero block is all-zero, so by induction each formula
+    fails at its pivot before any product or leaf inversion.  ``nodes``
+    still counts the nodes that search would visit, and the label is the
+    one it would raise.  Returns ``(inverse, counters)``.
     """
     from .schur import invert_with_fallback
 
@@ -491,6 +511,9 @@ def invertor_with_fallback(x: np.ndarray, counters: OpCounters | None = None):
 
     def sub(block, out):
         n = block.shape[0]
+        if not block.any():
+            counters.nodes += _zero_search_nodes(n)
+            raise SingularBlock("A" if n <= LEAF_ORDER else "AllPivots", path=[])
         if n <= LEAF_ORDER:
             invert_small(block, out, counters)
             return

@@ -218,14 +218,16 @@ def test_timing_slopes(tmp_path):
         best = {}
         mats = {order: generate(order, seed=300 + order) for order in orders}
         runs = {(method, order): [] for order in orders for method in methods}
-        for order in orders:  # warm caches and pools
-            for method in methods:
-                time_inversion(method, mats[order])
-        for _ in range(2):  # two passes decorrelate load bursts
+        # Each pass times every (order, method) once, so every point's six
+        # samples are spread over the whole sweep and its best-of can come
+        # from a fast stretch of the machine.  An untimed call just before
+        # each sample warms the caches the other points' calls evicted;
+        # without it the order-10 end reads cold and lowers every exponent.
+        for _ in range(6):
             for order in orders:
                 for method in methods:
-                    rec3 = [time_inversion(method, mats[order]) for _ in range(3)]
-                    runs[(method, order)].extend(rec3)
+                    time_inversion(method, mats[order])
+                    runs[(method, order)].append(time_inversion(method, mats[order]))
         for key, samples in runs.items():
             records.extend(samples)
             best[key] = min(samples, key=lambda r: r.seconds)

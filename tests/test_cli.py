@@ -66,6 +66,29 @@ class TestInvert:
         assert run("invert", "--in", src, "--out", dst, "--method", "a", "--retry") == 0
         assert residual_norm(p, load_matrix(dst)) <= 1e-12
 
+    @pytest.mark.parametrize("method, code", [
+        ("a", 0), ("inplace", 0), ("ad", 0), ("parallel", 3), ("oracle", 3),
+    ])
+    def test_retry_by_method(self, tmp_path, capsys, method, code):
+        # --retry only applies where a singular pivot can fall back
+        src = tmp_path / "p.txt"
+        dst = tmp_path / "pinv.txt"
+        p = np.eye(8)[::-1].copy()
+        save_text(p, src)
+        argv = ("invert", "--in", src, "--out", dst, "--method", method, "--retry")
+        assert exit_code(*argv) == code
+        if code == 0:
+            assert residual_norm(p, load_matrix(dst)) <= 1e-12
+        else:
+            assert "--retry" in capsys.readouterr().err
+            assert not dst.exists()
+
+    def test_retry_with_default_method_exit_code(self, tmp_path, capsys):
+        src = tmp_path / "p8.txt"
+        assert run("gen", "--order", 8, "--kind", "permutation", "--out", src) == 0
+        assert exit_code("invert", "--in", src, "--retry") == 3
+        assert "parallel" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert run("invert", "--in", tmp_path / "nope.txt") == 3
 

@@ -10,7 +10,9 @@ group and the ``by_ad_kron_*`` failures were recorded while every node of
 ``invertor_by_ad`` still ran on numpy arrays; the ``inplace_boundary`` group
 and the ``inplace_kron_*`` failures while every node of
 ``invertor_inplace_by_a`` did, and the in-place products still ran one
-column at a time.  The failure cases
+column at a time.  The ``fallback_boundary`` group and the ``fallback_*``
+failures were recorded while ``invertor_with_fallback`` still searched
+every all-zero block formula by formula.  The failure cases
 pin the SingularBlock label and path each entry raises.
 """
 
@@ -154,6 +156,42 @@ def _inplace_boundary():
     return h.hexdigest()
 
 
+def _random_permutation(n, seed):
+    return np.eye(n)[np.random.default_rng(seed).permutation(n)]
+
+
+def _zeroed_a(n, seed):
+    m = well_conditioned(n, seed)
+    m[: n // 2, : n // 2] = 0.0
+    return m
+
+
+def _fallback_inputs():
+    for n in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 20, 21, 33, 40, 64, 100):
+        yield _reversal(n)
+    for n in (9, 10, 11, 12, 13, 20):
+        for seed in range(3):
+            yield _random_permutation(n, 9850 + 10 * n + seed)
+    for k in (3, 5, 6, 10):
+        yield _kron_swap(k)
+    for n in (12, 21):
+        yield _zeroed_a(n, 9870 + n)
+
+
+def _fallback_boundary():
+    # inputs whose fallback search meets all-zero blocks at many orders
+    h = hashlib.sha256()
+    for m in _fallback_inputs():
+        c = OpCounters()
+        try:
+            inv, _ = invertor_with_fallback(m, c)
+            h.update(inv.tobytes())
+        except SingularBlock as exc:
+            h.update(f"{exc.block}:{exc.path}".encode())
+        h.update(_counts_all(c))
+    return h.hexdigest()
+
+
 def _fallback():
     h = hashlib.sha256()
     for m in (_reversal(12), well_conditioned(13, 9600)):
@@ -257,6 +295,7 @@ GROUPS = {
     "by_ad": _invertor_group(invertor_by_ad),
     "by_ad_boundary": _by_ad_boundary,
     "fallback": _fallback,
+    "fallback_boundary": _fallback_boundary,
     "engine": _engine,
     "engine_mixed_w1": _engine_group(_MIXED, 1),
     "engine_mixed_w2": _engine_group(_MIXED, 2),
@@ -275,6 +314,7 @@ EXPECTED = {
     "engine_sized_w1": "b4c8eb10c0407f4a778b5097cec2381a7cf5d4c6c01c7403e95faa13b9ecf4e2",
     "engine_sized_w2": "b4c8eb10c0407f4a778b5097cec2381a7cf5d4c6c01c7403e95faa13b9ecf4e2",
     "fallback": "b5d0b9a57f585e1d788b3795bd5961feb0cb18b3e9376a3e79c81a0ad02da01a",
+    "fallback_boundary": "352559c951fd0aeceb9f216bfa00eeeefd720414d7edcff67429af7c6a097c6b",
     "fox": "71f6aca553feee89561455f18d4b06630383d791c121b6ee72a2fbd7c8c47ccb",
     "inplace_1_to_9": "8c236f72898026a5f147c3a726b45327f1cb89dfe77bcd375990154dbf84921c",
     "inplace_boundary": "c9d014a5aaf0bcddf826ad8243bcc76b25cb9f3598a9533efde7d70c20591555",
@@ -473,3 +513,46 @@ def test_singular_labels_and_paths_pinned(name, call):
     with pytest.raises(SingularBlock) as info:
         call()
     assert (info.value.block, info.value.path) == EXPECTED_FAILURES[name]
+
+
+def _raise_with_counters(m):
+    def run():
+        c = OpCounters()
+        try:
+            invertor_with_fallback(m, c)
+        except SingularBlock as exc:
+            fields = (c.multiplies, c.inversions, c.reductions, c.peak_scratch,
+                      c.schur_scratch, c.nodes, c._current_scratch)
+            return exc.block, exc.path, fields
+        raise AssertionError("no SingularBlock raised")
+
+    return run
+
+
+# all-zero inputs at the leaf orders, the smallest searched order and above
+FALLBACK_FAILURES = [
+    ("fallback_zero_1", _raise_with_counters(np.zeros((1, 1)))),
+    ("fallback_zero_2", _raise_with_counters(np.zeros((2, 2)))),
+    ("fallback_zero_3", _raise_with_counters(np.zeros((3, 3)))),
+    ("fallback_zero_12", _raise_with_counters(np.zeros((12, 12)))),
+    ("fallback_zero_33", _raise_with_counters(np.zeros((33, 33)))),
+    ("fallback_negzero_12", _raise_with_counters(np.full((12, 12), -0.0))),
+    ("fallback_ones", _raise_with_counters(np.ones((8, 8)))),
+]
+
+# (label, path, (multiplies, inversions, reductions, peak_scratch,
+#  schur_scratch, nodes, current scratch)) after the raise
+EXPECTED_FALLBACK_FAILURES = {
+    "fallback_zero_1": ("A", [], (0, 0, 0, 0, 0, 0, 0)),
+    "fallback_zero_2": ("A", [], (0, 0, 0, 0, 0, 0, 0)),
+    "fallback_zero_3": ("AllPivots", [], (0, 0, 0, 0, 0, 1, 0)),
+    "fallback_zero_12": ("AllPivots", [], (0, 0, 0, 0, 0, 21, 0)),
+    "fallback_zero_33": ("AllPivots", [], (0, 0, 0, 0, 0, 101, 0)),
+    "fallback_negzero_12": ("AllPivots", [], (0, 0, 0, 0, 0, 21, 0)),
+    "fallback_ones": ("AllPivots", [], (0, 0, 0, 0, 0, 5, 0)),
+}
+
+
+@pytest.mark.parametrize("name, call", FALLBACK_FAILURES, ids=[f[0] for f in FALLBACK_FAILURES])
+def test_fallback_labels_paths_and_counters_pinned(name, call):
+    assert call() == EXPECTED_FALLBACK_FAILURES[name]

@@ -3,9 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockinv.core import OpCounters, _mm_acc, gauss_jordan_oracle, residual_norm
-from blockinv.errors import DimensionMismatch, FormatError, ScratchTooSmall, SingularBlock
+from blockinv.core import OpCounters, _mm_acc, gauss_jordan_oracle, invert_small, residual_norm
+from blockinv.errors import (
+    AllPivotsSingular,
+    DimensionMismatch,
+    FormatError,
+    ScratchTooSmall,
+    SingularBlock,
+)
 from blockinv.recursive import (
+    LEAF_ORDER,
     _mm_rows,
     _SchurPool,
     invertor_by_a,
@@ -13,6 +20,7 @@ from blockinv.recursive import (
     invertor_inplace_by_a,
     invertor_with_fallback,
 )
+from blockinv.schur import invert_with_fallback
 
 from conftest import well_conditioned
 
@@ -188,6 +196,47 @@ class TestFallbackInvertor:
         m = well_conditioned(13, 38)
         inv, _ = invertor_with_fallback(m)
         assert np.max(np.abs(inv - gauss_jordan_oracle(m))) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["zeros", "reversal"])
+    def test_matches_full_search(self, kind):
+        # all-zero blocks skip the search; nodes, every other counter, the
+        # output and the raised label must be what the search gives
+        for n in range(1, 41):
+            m = np.zeros((n, n)) if kind == "zeros" else np.eye(n)[::-1].copy()
+            got = _fallback_outcome(invertor_with_fallback, m)
+            assert got == _fallback_outcome(_searching_fallback, m), n
+
+
+def _searching_fallback(x, counters):
+    """invertor_with_fallback without the all-zero shortcut: every block
+    goes through the full A, D, B, C search."""
+
+    def sub(block, out):
+        n = block.shape[0]
+        if n <= LEAF_ORDER:
+            invert_small(block, out, counters)
+            return
+        counters.nodes += 1
+        try:
+            invert_with_fallback(block, n // 2, out, invert_sub=sub, counters=counters)
+        except AllPivotsSingular:
+            raise SingularBlock("AllPivots", path=[]) from None
+
+    out = np.empty_like(x)
+    sub(x, out)
+    return out, counters
+
+
+def _fallback_outcome(invertor, m):
+    c = OpCounters()
+    try:
+        inv, _ = invertor(m, c)
+        result = inv.tobytes()
+    except SingularBlock as exc:
+        result = (exc.block, exc.path, str(exc))
+    fields = (c.multiplies, c.inversions, c.reductions, c.peak_scratch,
+              c.schur_scratch, c.nodes, c._current_scratch)
+    return result, fields
 
 
 ALL_INVERTORS = [invertor_by_a, invertor_inplace_by_a, invertor_by_ad, invertor_with_fallback]
