@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="on a singular pivot of methods a, inplace and ad, retry "
                         "with per-node pivot fallback")
     p.add_argument("--binary", action="store_true")
-    p.set_defaults(fn=cmd_invert)
+    p.set_defaults(fn=cmd_invert, parser=p)
 
     p = sub.add_parser("verify", help="check an inversion against the oracle")
     p.add_argument("--in", dest="infile", required=True)
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--sizes", type=_parse_ints, default=None)
     p.add_argument("--binary", action="store_true")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, parser=p)
 
     p = sub.add_parser("bench", help="timing sweep with CSV output")
     p.add_argument("--methods", default="a,inplace,ad")
@@ -265,11 +265,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     method = getattr(args, "method", "parallel")
+    command = getattr(args, "parser", parser)  # usage errors show the subcommand's usage
     for flag, dest in _ENGINE_OPTIONS:
         if method != "parallel" and getattr(args, dest, None) not in (None, False):
-            parser.error(f"{flag} applies to --method parallel only, not {method}")
+            command.error(f"{flag} applies to --method parallel only, not {method}")
     if getattr(args, "retry", False) and method not in _RETRY_METHODS:
-        parser.error(f"--retry applies to --method {', '.join(_RETRY_METHODS)} only, "
+        command.error(f"--retry applies to --method {', '.join(_RETRY_METHODS)} only, "
                      f"not {method}")
     try:
         return args.fn(args)

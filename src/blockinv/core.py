@@ -8,7 +8,8 @@ element data unless they say so.
 Every multiplication kernel accumulates over the inner dimension in a fixed
 order, with any -1 sign folded into the left factor: ascending index, except
 in ``_mm_acc_ordered``, which takes each output row's order as an argument
-(the step engine's Fox product rotates it per block row).  Fixed orders make
+(the step engine's Fox product rotates it per block row) and runs a whole
+stack of same-shaped products in one call.  Fixed orders make
 in-place and out-of-place products bitwise identical and keep the step
 engine's output independent of worker count.
 
@@ -118,26 +119,42 @@ def _mm_acc(a: np.ndarray, b: np.ndarray, out: np.ndarray, negate: bool = False)
 
 
 def _mm_acc_ordered(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray, order: np.ndarray, negate: bool = False
+    a: np.ndarray,
+    b: np.ndarray,
+    out: np.ndarray,
+    order: np.ndarray | None = None,
+    negate: bool = False,
 ) -> None:
-    """out += (+-1) * a @ b where output row r takes its inner terms in the
-    order ``order[0, r], order[1, r], ...``; sign folded into a.
+    """out += (+-1) * a @ b for a stack of products, where output row r
+    takes its inner terms in the order ``order[0, r], order[1, r], ...``;
+    sign folded into a.
 
-    ``order`` is an (inner, rows) integer array whose every column is a
-    permutation of the inner indices.  ``a`` is gathered into that order
-    once; stage j then multiplies each row's j-th term and adds it, over
-    all rows at once.  Every output element receives the same IEEE-754
-    operations in the same order as :func:`_mm_acc` calls over consecutive
-    runs of its order, so the two are bitwise interchangeable.
+    ``a``, ``b`` and ``out`` are (..., rows, inner), (..., inner, cols) and
+    (..., rows, cols) with the same leading stack axes; every product of
+    the stack shares ``order``, an (inner, rows) integer array whose every
+    column is a permutation of the inner indices.  ``None`` means
+    ascending for every row, the order of :func:`_mm_acc`.  ``a`` is
+    gathered into that order once; stage j then multiplies each row's
+    j-th term and adds it, over all rows of the stack at once.  Every
+    output element receives the same IEEE-754 operations in the same
+    order as :func:`_mm_acc` calls over consecutive runs of its order,
+    whatever else is in the stack, so a stacked call and one call per
+    product are bitwise interchangeable.
     """
-    a_ord = a[np.arange(a.shape[0]), order]  # a_ord[j, r] = a[r, order[j, r]]
+    if order is None:
+        if negate:
+            a = -a  # negating the factor up front folds the sign into every term
+        for j in range(a.shape[-1]):
+            out += a[..., j, None] * b[..., j, None, :]
+        return
+    a_ord = a[..., np.arange(a.shape[-2]), order]  # a_ord[..., j, r] = a[..., r, order[j, r]]
     if negate:
         np.negative(a_ord, out=a_ord)
-    a_ord = a_ord[:, :, None]
+    a_ord = a_ord[..., None]
     tmp = np.empty_like(out)
-    for j in range(order.shape[0]):
-        np.take(b, order[j], axis=0, out=tmp, mode="clip")  # "raise" would buffer out
-        np.multiply(a_ord[j], tmp, out=tmp)
+    for j, rows_j in enumerate(order):
+        b.take(rows_j, axis=-2, out=tmp, mode="clip")  # "raise" would buffer out
+        np.multiply(a_ord[..., j, :, :], tmp, out=tmp)
         np.add(out, tmp, out=out)
 
 
@@ -279,6 +296,28 @@ def _inv_rows(rows: list, path=None) -> list:
         raise SingularBlock("A", path=path)
     r = 1.0 / det
     return [[d * r, -b * r], [-c * r, a * r]]
+
+
+def _inv2_stack(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`_inv_rows` on a (q, 2, 2) stack, elementwise in numpy.
+
+    Returns the singular mask of the stack.  ``out`` must not overlap ``m``
+    and is written only when no block is singular; each inverse then has
+    the bits ``_inv_rows`` gives, because every step is the same IEEE-754
+    operation in the same order (Python floats are float64).
+    """
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    det = a * d - b * c
+    amax = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    singular = np.abs(det) <= 1e-12 * 4 * amax * amax
+    if not np.count_nonzero(singular):
+        with np.errstate(over="ignore", invalid="ignore"):  # Python floats do not warn
+            r = 1.0 / det
+            np.multiply(d, r, out=out[:, 0, 0])
+            np.multiply(-b, r, out=out[:, 0, 1])
+            np.multiply(-c, r, out=out[:, 1, 0])
+            np.multiply(a, r, out=out[:, 1, 1])
+    return singular
 
 
 def _inv_leaf(m: np.ndarray, out: np.ndarray) -> None:

@@ -16,21 +16,45 @@ of three actions:
   the completed top-left inverse fills the lower-left half, and the R block
   times the completed bottom-right inverse fills the upper-right half.
 
-Within a step every task writes a pre-assigned disjoint set of blocks, so
-the result is bitwise identical for any worker count; ``stepid`` is the
+A step runs its diagonal blocks or quads in groups: items with the same
+block sizes at evenly spaced diagonal offsets, one group per step for
+power-of-two orders under the default partition.  Each group gathers its
+operands as (items, rows, cols) stacks - strided views of the in-memory
+stores, block-by-block copies of file-backed ones - and runs every Fox
+product and every assembly half as one stacked ``core._mm_acc_ordered``
+call; when a quad's two halves have the same block sizes, the A-half and
+D-half products (R and L, S_D and S_A, the up and down halves) share one
+call.  The 2x2 leaf inverses of a group are one stacked
+``core._inv2_stack`` call; larger leaves are inverted one by one inside
+the group's task.  The groups and their Fox orders are built once per
+partition.  Each element still receives the same IEEE-754 operations in
+the same order as with one product per quad, so the stacking changes no
+bit of the result.
+
+Within a step every task - a group, or a contiguous chunk of one when
+there are several workers - writes a pre-assigned disjoint set of blocks,
+so the result is bitwise identical for any worker count; ``stepid`` is the
 only synchronization key.  Checkpoints at step boundaries make a run fully
 resumable, including when all blocks live in files.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OpCounters, _mm_acc, _mm_acc_ordered, as_matrix, check_finite, invert_small
+from .core import (
+    OpCounters,
+    _inv2_stack,
+    _mm_acc_ordered,
+    as_matrix,
+    check_finite,
+    invert_small,
+)
 from .errors import (
     BlockShapeMismatch,
     InvalidWorkers,
@@ -168,6 +192,7 @@ def decode_step(loopid) -> StepAction:
     return StepAction(ARROWS_AND_SCHUR, "tset", cid=cid, sid=last - 1)
 
 
+@functools.lru_cache(maxsize=1024)
 def step_plan(stepid: int, blocksize: int) -> StepPlan:
     loopid = loopid_for_step(stepid, blocksize)
     return StepPlan(stepid, tuple(loopid), decode_step(loopid))
@@ -210,6 +235,24 @@ def _offsets(sizes) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=256)
+def _fox_order(row_sizes: tuple, inner_sizes: tuple) -> np.ndarray | None:
+    """Fox summation order of a blocked product, as ``_mm_acc_ordered`` takes it.
+
+    Every row of block row i sums the inner indices from a's block column
+    ``i % nb`` onwards, wrapping at the end.  One inner block is plain
+    ascending order (None).
+    """
+    nb = len(inner_sizes)
+    if nb == 1:
+        return None
+    inner_offsets = _offsets(inner_sizes)
+    starts = np.repeat([inner_offsets[i % nb] for i in range(len(row_sizes))], row_sizes)
+    order = (np.arange(inner_offsets[-1])[:, None] + starts) % inner_offsets[-1]
+    order.flags.writeable = False  # shared by every caller
+    return order
+
+
 def fox_block_multiply(
     a: BlockedView,
     b: BlockedView,
@@ -228,7 +271,8 @@ def fox_block_multiply(
 
     Every row of block row i therefore sums the inner indices from a's
     block column ``i % nb`` onwards, wrapping at the end; all rows run
-    through one ordered kernel call on the calling thread.
+    through one ordered kernel call on the calling thread, the same call
+    the step engine makes for a whole stack of quads.
     """
     if a.col_sizes != b.row_sizes:
         raise BlockShapeMismatch(f"a cols {a.col_sizes} vs b rows {b.row_sizes}")
@@ -239,18 +283,151 @@ def fox_block_multiply(
         )
     if not accumulate:
         out.data[...] = 0.0
-    nb = len(a.col_sizes)
-    if nb == 1:
-        _mm_acc(a.data, b.data, out.data, negate)
-    else:
-        inner = a.col_offsets[-1]
-        starts = np.repeat([a.col_offsets[i % nb] for i in range(len(a.row_sizes))], a.row_sizes)
-        order = (np.arange(inner)[:, None] + starts) % inner
-        _mm_acc_ordered(a.data, b.data, out.data, order, negate)
+    _mm_acc_ordered(
+        a.data[None], b.data[None], out.data[None], _fox_order(a.row_sizes, a.col_sizes), negate
+    )
     if counters is not None:
         counters.multiplies += 1
         if accumulate:
             counters.reductions += 1
+
+
+# ---------------------------------------------------------------------------
+# Step layouts: the blocks or quads of a step, grouped for stacked kernels
+# ---------------------------------------------------------------------------
+
+
+class _Group:
+    """Diagonal blocks or quads of one step that share their block sizes and
+    sit at evenly spaced diagonal offsets.
+
+    Item i covers diagonal blocks ``spans[i] = (first, mid, last)``, its A
+    half [first, mid) and D half [mid, last); a diagonal block p is
+    ``(p, p + 1, p + 1)`` with an empty D half.  ``ha`` and ``span`` are
+    the scalar widths of the A half and of the whole item, and item i's
+    scalar diagonal offset is ``start + i * stride``, so in any dense array
+    of the matrix's order the items are one strided (q, span, span) view.
+    ``orders`` holds the Fox orders of the four arrows products (R, L,
+    S_D, S_A) of quads, and ``cut`` the scalar slices of each part of an
+    item (see ``_Engine._read``).
+    """
+
+    def __init__(self, scheme, level, items, spans):
+        off = scheme.offsets
+        first, mid, last = spans[0]
+        self.level = level
+        self.items = items
+        self.spans = spans
+        self.start = off[first]
+        self.stride = off[spans[1][0]] - off[first] if len(items) > 1 else 0
+        self.ha = off[mid] - off[first]
+        self.span = off[last] - off[first]
+        sizes_a = scheme.sizes[first:mid]
+        sizes_d = scheme.sizes[mid:last]
+        self.paired = sizes_a == sizes_d
+        if sizes_d:
+            self.orders = (
+                _fox_order(sizes_a, sizes_a),
+                _fox_order(sizes_d, sizes_d),
+                _fox_order(sizes_a, sizes_d),
+                _fox_order(sizes_d, sizes_a),
+            )
+        halves = {"A": slice(0, self.ha), "D": slice(self.ha, None), "Q": slice(None)}
+        self.cut = {r + c: (slice(None), halves[r], halves[c]) for r in halves for c in halves}
+        self._chunks = {}
+
+    def __len__(self):
+        return len(self.items)
+
+    def view(self, data: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Items [lo, hi) of a C-ordered (n, n) float64 array, as a view."""
+        n = data.shape[1]
+        step = (n + 1) * 8  # bytes from one diagonal element to the next
+        return np.ndarray(
+            (hi - lo, self.span, self.span), np.float64, data,
+            (self.start + lo * self.stride) * step, (self.stride * step, n * 8, 8),
+        )
+
+    def pair(self, data: np.ndarray, lo: int, hi: int, which: str) -> np.ndarray:
+        """Both halves of items [lo, hi) of quads whose A and D halves are
+        alike, as a (2, q, h, h) view: "X" the diagonal halves (A, D), "Y"
+        the off-diagonal ones (B, C), in the quad layout [[A, B], [C, D]]."""
+        n = data.shape[1]
+        h = self.ha
+        corner = (self.start + lo * self.stride) * (n + 1)
+        offset, side = (corner, h * (n + 1)) if which == "X" else (corner + h, h * (n - 1))
+        return np.ndarray(
+            (2, hi - lo, h, h), np.float64, data,
+            offset * 8, (side * 8, self.stride * (n + 1) * 8, n * 8, 8),
+        )
+
+    def chunks(self, kind: str, workers: int) -> list[tuple[int, int, tuple]]:
+        """(lo, hi, write-target ids) of each of ``min(workers, q)``
+        contiguous chunks of a ``kind`` task over these items."""
+        key = kind, workers
+        if key not in self._chunks:
+            ids = []
+            for item, (first, mid, last) in zip(self.items, self.spans):
+                if kind == "diag":
+                    ids.append(("minv", item, item))
+                elif kind == "arrows":
+                    ids += [
+                        ("t", self.level, "L", item),
+                        ("t", self.level, "R", item),
+                        ("t", self.level, "S", 2 * item),
+                        ("t", self.level, "S", 2 * item + 1),
+                    ]
+                else:  # both off-diagonal halves of an assembly pass
+                    ids += [("minv", r, c) for r in range(mid, last) for c in range(first, mid)]
+                    ids += [("minv", r, c) for r in range(first, mid) for c in range(mid, last)]
+            q = len(self.items)
+            per_item = len(ids) // q
+            n = min(workers, q)
+            bounds = [(c * q // n, (c + 1) * q // n) for c in range(n)]
+            self._chunks[key] = [
+                (lo, hi, tuple(ids[lo * per_item : hi * per_item])) for lo, hi in bounds
+            ]
+        return self._chunks[key]
+
+
+def _groups(scheme, level, spans) -> tuple[_Group, ...]:
+    """Group items by block-size signature, then split each group into
+    runs at evenly spaced offsets; groups come in order of their first item."""
+    off = scheme.offsets
+    by_sig: dict[tuple, list[int]] = {}
+    for item, (first, mid, last) in enumerate(spans):
+        by_sig.setdefault((scheme.sizes[first:mid], scheme.sizes[mid:last]), []).append(item)
+    runs = []
+    for members in by_sig.values():
+        run = [members[0]]
+        for item in members[1:]:
+            if len(run) > 1 and (
+                off[spans[item][0]] - off[spans[run[-1]][0]]
+                != off[spans[run[1]][0]] - off[spans[run[0]][0]]
+            ):
+                runs.append(run)
+                run = []
+            run.append(item)
+        runs.append(run)
+    runs.sort()
+    return tuple(
+        _Group(scheme, level, tuple(run), tuple(spans[i] for i in run)) for run in runs
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(scheme) -> dict[int, tuple[_Group, ...]]:
+    """The groups of every step shape of a partition, built once and shared
+    by every run on it: level 0 holds the diagonal blocks, level l >= 1 the
+    level-l quads."""
+    n = scheme.n_blocks
+    layout = {0: _groups(scheme, 0, [(p, p + 1, p + 1) for p in range(n)])}
+    for level in range(1, scheme.k + 1):
+        w = 2**level
+        layout[level] = _groups(
+            scheme, level, [(g * w, g * w + w // 2, (g + 1) * w) for g in range(n // w)]
+        )
+    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +436,25 @@ def fox_block_multiply(
 
 
 class _Engine:
+    """Runs steps as stacked kernel calls, one task per group of a step
+    (or per contiguous chunk of a group, one for each worker).
+
+    The source, the inverse and the provisional sets are all stores of
+    blocks of the matrix: in memory they expose a dense ``data`` array and
+    every group's operands are strided views of it; file-backed stores
+    (``data`` None) are read and written block by block through
+    ``region`` and ``set_region``.
+    """
+
     def __init__(self, scheme, source_store, minv, tsets, workers, counters):
         self.scheme = scheme
         self.source = source_store
         self.minv = minv
         self.tsets = tsets
         self.counters = counters
+        self.workers = workers
+        self.layout = _layout(scheme)
+        self._views = {}  # strided views of in-memory stores, see _read
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def close(self):
@@ -273,124 +463,159 @@ class _Engine:
 
     # -- task batches -------------------------------------------------------
 
-    def _run_batch(self, tasks) -> None:
-        """tasks: [(write_target_ids, fn)]; targets must be pairwise disjoint."""
+    def _run_batch(self, tasks) -> list:
+        """tasks: [(write_target_ids, fn)]; targets must be pairwise
+        disjoint.  Returns the tasks' results in task order."""
         seen = set()
         for targets, _ in tasks:
-            for t in targets:
-                if t in seen:
-                    raise OverlappingWriteTargets(f"write target {t} claimed by two tasks")
-                seen.add(t)
+            seen.update(targets)
+        if len(seen) != sum(len(targets) for targets, _ in tasks):
+            seen = set()
+            for targets, _ in tasks:
+                for t in targets:
+                    if t in seen:
+                        raise OverlappingWriteTargets(f"write target {t} claimed by two tasks")
+                    seen.add(t)
         if self.pool is None:
-            for _, fn in tasks:
-                fn()
+            return [fn() for _, fn in tasks]
+        return [future.result() for future in [self.pool.submit(fn) for _, fn in tasks]]
+
+    def _tasks(self, groups, kind, run) -> list:
+        """One task per group, or per contiguous chunk of a group when there
+        are several workers: ``run(group, lo, hi)`` covers items [lo, hi)."""
+        return [
+            (ids, functools.partial(run, grp, lo, hi))
+            for grp in groups
+            for lo, hi, ids in grp.chunks(kind, self.workers)
+        ]
+
+    # -- operands -------------------------------------------------------------
+    #
+    # A part of an item is two letters, its rows then its cols, each "A" (the
+    # A half), "D" (the D half) or "Q" (the whole item).  Two more parts
+    # name a pair of halves in the quad layout [[A, B], [C, D]]: "X" is
+    # (A, D) and "Y" is (B, C).  When a group's A and D halves are alike a
+    # pair is one (2, q, h, h) stack, so each pair of products below is one
+    # stacked kernel call; otherwise it is a list of the two stacks.
+
+    _PAIRS = {"X": ("AA", "DD"), "Y": ("AD", "DA")}
+
+    def _read(self, store, grp, lo, hi, part):
+        """A part of items [lo, hi) of ``store``: a (q, rows, cols) stack, or
+        a pair of them for "X" and "Y".  In-memory stores give strided views
+        (built once per run), file-backed ones block-by-block copies."""
+        halves = self._PAIRS.get(part)
+        if halves is not None and not grp.paired:
+            return [self._read(store, grp, lo, hi, half) for half in halves]
+        if store.data is not None:
+            return self._view(store, grp, lo, hi, part)
+        if halves is not None:
+            return np.stack([self._read(store, grp, lo, hi, half) for half in halves])
+        return np.stack([store.region(*self._blocks(grp, i, part)) for i in range(lo, hi)])
+
+    def _write(self, store, grp, lo, hi, part, values) -> None:
+        """Store a stack, or a pair of them, as a part of items [lo, hi).
+
+        The kernels sum into fresh C-ordered stacks, which numpy updates
+        several times faster than strided views of a store; each stack is
+        then copied in once.
+        """
+        halves = self._PAIRS.get(part)
+        if store.data is not None and (halves is None or grp.paired):
+            self._view(store, grp, lo, hi, part)[...] = values
+        elif halves is not None:
+            for half, half_values in zip(halves, values):
+                self._write(store, grp, lo, hi, half, half_values)
         else:
-            for future in [self.pool.submit(fn) for _, fn in tasks]:
-                future.result()
+            for i in range(lo, hi):
+                store.set_region(*self._blocks(grp, i, part), values[i - lo])
 
-    # -- sources ------------------------------------------------------------
+    @staticmethod
+    def _blocks(grp, i, part):
+        """Block rows and cols of a part of item i, for ``region``."""
+        first, mid, last = grp.spans[i]
+        bounds = {"A": (first, mid), "D": (mid, last), "Q": (first, last)}
+        return (*bounds[part[0]], *bounds[part[1]])
 
-    def _covering_s_entry(self, cid: int, first_block: int, width: int):
-        """(entry_array, entry_first_block) of the T_cid Schur complement
-        covering diagonal blocks [first_block, first_block + width)."""
-        tset = self.tsets[cid]
-        span = 2**cid
-        half = span // 2
-        qp = first_block // span
-        offset = first_block - qp * span
-        if offset + width <= half:
-            return tset.s_block(2 * qp), qp * span
-        assert offset >= half, "quad straddles an S entry"
-        return tset.s_block(2 * qp + 1), qp * span + half
+    def _view(self, store, grp, lo, hi, part) -> np.ndarray:
+        key = id(store), id(grp), lo, part
+        view = self._views.get(key)
+        if view is None:
+            if part in self._PAIRS:
+                view = grp.pair(store.data, lo, hi, part)
+            else:
+                view = grp.view(store.data, lo, hi)[grp.cut[part]]
+            self._views[key] = view
+        return view
 
-    def _source_region(self, action, r0, r1, c0, c1) -> np.ndarray:
+    @staticmethod
+    def _pair_products(grp, a, b, out, orders, negate=False) -> None:
+        """out[s] += (+-1) * a[s] @ b[s] for both sides s of pairs, summed
+        in ``orders[s]``: one stacked call when the halves are alike."""
+        if grp.paired:
+            _mm_acc_ordered(a, b, out, orders[0], negate)
+        else:
+            for side in (0, 1):
+                _mm_acc_ordered(a[side], b[side], out[side], orders[side], negate)
+
+    def _source(self, action):
         if action.source == "matrix":
-            return self.source.region(r0, r1, c0, c1)
-        width = max(r1, c1) - min(r0, c0)
-        entry, p0 = self._covering_s_entry(action.cid, min(r0, c0), width)
-        off = self.scheme.offsets
-        base = off[p0]
-        return entry[off[r0] - base : off[r1] - base, off[c0] - base : off[c1] - base]
+            return self.source
+        tset = self.tsets[action.cid]
+        tset.require("S")
+        return tset
 
     # -- step actions -------------------------------------------------------
 
     def invert_diagonals(self, action, stepid: int) -> None:
-        tasks = []
-        for p in range(self.scheme.n_blocks):
-            tasks.append((((("minv"), p, p),), self._diag_task(action, p, stepid)))
-            self.counters.inversions += 1
-        self._run_batch(tasks)
+        src = self._source(action)
 
-    def _diag_task(self, action, p: int, stepid: int):
-        def fn():
-            block = self._source_region(action, p, p + 1, p, p + 1)
-            out = np.empty_like(block)
-            try:
-                _leaf_invert(block, out)
-            except SingularBlock as exc:
-                raise SingularBlock(exc.block, path=exc.path, step=stepid, quad=p) from None
-            self.minv.set_block(p, p, out)
+        def run(grp, lo, hi):
+            """Invert items [lo, hi); (p, SingularBlock) of the first failure, or None."""
+            blocks = self._read(src, grp, lo, hi, "QQ")
+            out = np.empty(blocks.shape)
+            if grp.span == 2:
+                singular = _inv2_stack(blocks, out)
+                if np.count_nonzero(singular):
+                    return grp.items[lo + int(np.argmax(singular))], SingularBlock("A")
+            else:
+                for i in range(hi - lo):
+                    try:
+                        _leaf_invert(blocks[i], out[i])
+                    except SingularBlock as exc:
+                        return grp.items[lo + i], exc
+            self._write(self.minv, grp, lo, hi, "QQ", out)
+            return None
 
-        return fn
+        self.counters.inversions += self.scheme.n_blocks
+        failures = [f for f in self._run_batch(self._tasks(self.layout[0], "diag", run)) if f]
+        if failures:
+            p, exc = min(failures, key=lambda f: f[0])
+            raise SingularBlock(exc.block, path=exc.path, step=stepid, quad=p)
 
     def arrows_and_schur(self, action, stepid: int) -> None:
-        lvl = action.sid
-        tset_out = self.tsets[lvl]
-        tasks = []
-        for g in range(self.scheme.n_blocks // 2**lvl):
-            targets = (
-                ("t", lvl, "L", g),
-                ("t", lvl, "R", g),
-                ("t", lvl, "S", 2 * g),
-                ("t", lvl, "S", 2 * g + 1),
-            )
-            tasks.append((targets, self._arrows_task(action, tset_out, g)))
-            self.counters.multiplies += 2
-            self.counters.reductions += 2
-        self._run_batch(tasks)
+        """R = -A^-1 B, L = -D^-1 C, S_D = A + B L and S_A = D + C R for
+        every quad of level ``sid``, into provisional set ``sid``."""
+        src = self._source(action)
+        tset_out = self.tsets[action.sid]
 
-    def _arrows_task(self, action, tset_out: ProvisionalSet, g: int):
-        scheme = self.scheme
-        first, mid, last = tset_out.spans(g)
-        sizes_a = scheme.sizes[first:mid]
-        sizes_d = scheme.sizes[mid:last]
-        span_a = sum(sizes_a)
-        span_d = sum(sizes_d)
+        def run(grp, lo, hi):
+            x = self._read(src, grp, lo, hi, "X")  # (A, D)
+            off = self._read(src, grp, lo, hi, "Y")  # (B, C)
+            inv = self._read(self.minv, grp, lo, hi, "X")  # (A^-1, D^-1)
+            y = _fresh(off)
+            self._pair_products(grp, inv, off, y, grp.orders[:2], negate=True)  # (R, L)
+            s = _fresh(x, copy=True)
+            self._pair_products(grp, off, y[::-1], s, grp.orders[2:])  # (A + B L, D + C R)
+            self._write(tset_out, grp, lo, hi, "X", s)
+            self._write(tset_out, grp, lo, hi, "Y", y)
 
-        def fn():
-            a = self._source_region(action, first, mid, first, mid)
-            b = self._source_region(action, first, mid, mid, last)
-            c = self._source_region(action, mid, last, first, mid)
-            d = self._source_region(action, mid, last, mid, last)
-            a_inv = BlockedView(self.minv.region(first, mid, first, mid), sizes_a, sizes_a)
-            d_inv = BlockedView(self.minv.region(mid, last, mid, last), sizes_d, sizes_d)
-
-            r = np.empty((span_a, span_d))
-            fox_block_multiply(
-                a_inv, BlockedView(b, sizes_a, sizes_d),
-                BlockedView(r, sizes_a, sizes_d), negate=True,
-            )
-            l = np.empty((span_d, span_a))
-            fox_block_multiply(
-                d_inv, BlockedView(c, sizes_d, sizes_a),
-                BlockedView(l, sizes_d, sizes_a), negate=True,
-            )
-            s_d = np.array(a, copy=True)
-            fox_block_multiply(
-                BlockedView(b, sizes_a, sizes_d), BlockedView(l, sizes_d, sizes_a),
-                BlockedView(s_d, sizes_a, sizes_a), accumulate=True,
-            )
-            s_a = np.array(d, copy=True)
-            fox_block_multiply(
-                BlockedView(c, sizes_d, sizes_a), BlockedView(r, sizes_a, sizes_d),
-                BlockedView(s_a, sizes_d, sizes_d), accumulate=True,
-            )
-            tset_out.store_r(g, r)
-            tset_out.store_l(g, l)
-            tset_out.store_s(2 * g, s_d)
-            tset_out.store_s(2 * g + 1, s_a)
-
-        return fn
+        groups = self.layout[action.sid]
+        quads = self.scheme.n_blocks // 2**action.sid
+        self.counters.multiplies += 2 * quads
+        self.counters.reductions += 2 * quads
+        self._run_batch(self._tasks(groups, "arrows", run))
+        tset_out.mark_all_stored()
 
     def assemble(self, action, stepid: int) -> None:
         self.invert_diagonals(action, stepid)  # Schur diagonal blocks
@@ -401,34 +626,25 @@ class _Engine:
         """One assembly pass: extend the completed diagonal inverses of
         half-width 2**(level-1) blocks to full level-``level`` quads.
 
-        Each quad takes two panel products, one per half:
-        down ``minv[mid:last, first:mid] = L @ minv[first:mid, first:mid]``
-        and up ``minv[first:mid, mid:last] = R @ minv[mid:last, mid:last]``.
+        Each quad takes two panel products, one per half, summed over the
+        inner index ascending: down ``minv[mid:last, first:mid] = L @
+        minv[first:mid, first:mid]`` and up ``minv[first:mid, mid:last] =
+        R @ minv[mid:last, mid:last]``, with L = -D^-1 C and R = -A^-1 B
+        from provisional set ``level``.
         """
         tset = self.tsets[level]
-        tasks = []
-        for g in range(tset.n_quads):
-            first, mid, last = tset.spans(g)
-            down = tuple(("minv", r, c) for r in range(mid, last) for c in range(first, mid))
-            up = tuple(("minv", r, c) for r in range(first, mid) for c in range(mid, last))
-            tasks.append((down, self._panel_task(tset.l_block, g, (first, mid), (mid, last))))
-            tasks.append((up, self._panel_task(tset.r_block, g, (mid, last), (first, mid))))
-            self.counters.multiplies += 2
-        self._run_batch(tasks)
+        tset.require("L")
+        tset.require("R")
 
-    def _panel_task(self, panel_of, g: int, src: tuple[int, int], dst: tuple[int, int]):
-        """minv[dst, src] = panel @ minv[src, src], summed over the inner
-        index ascending, where panel is ``panel_of(g)`` (L = -D^-1 C for the
-        down half, R = -A^-1 B for the up half)."""
+        def run(grp, lo, hi):
+            panels = self._read(tset, grp, lo, hi, "Y")  # (R, L)
+            done = self._read(self.minv, grp, lo, hi, "X")  # completed (A^-1, D^-1)
+            out = _fresh(panels)
+            self._pair_products(grp, panels, done[::-1], out, (None, None))  # (R D^-1, L A^-1)
+            self._write(self.minv, grp, lo, hi, "Y", out)
 
-        def fn():
-            panel = panel_of(g)
-            done = self.minv.region(src[0], src[1], src[0], src[1])
-            out = np.zeros((panel.shape[0], done.shape[1]))
-            _mm_acc(panel, done, out)
-            self.minv.set_region(dst[0], dst[1], src[0], src[1], out)
-
-        return fn
+        self.counters.multiplies += 2 * tset.n_quads
+        self._run_batch(self._tasks(self.layout[level], "updown", run))
 
     def execute(self, plan: StepPlan) -> None:
         action = plan.action
@@ -438,6 +654,14 @@ class _Engine:
             self.arrows_and_schur(action, plan.stepid)
         else:
             self.assemble(action, plan.stepid)
+
+
+def _fresh(stacks, copy: bool = False):
+    """New C-ordered zeros shaped like a stack or a pair of stacks, or
+    copies of them."""
+    if isinstance(stacks, np.ndarray):
+        return stacks.copy() if copy else np.zeros(stacks.shape)
+    return [x.copy() if copy else np.zeros(x.shape) for x in stacks]
 
 
 def _leaf_invert(block: np.ndarray, out: np.ndarray) -> None:
@@ -508,9 +732,10 @@ def run_inversion(
         source = BlockMatrix.from_dense(m, scheme)
     counters = counters if counters is not None else OpCounters()
 
-    dense_input = source.to_dense()
+    dense_input = source.store.data if source.store.data is not None else source.to_dense()
     check_finite(dense_input)
-    input_hash = input_fingerprint(dense_input, scheme)
+    # only checkpoints are keyed by the input
+    input_hash = input_fingerprint(dense_input, scheme) if checkpoint_dir is not None else None
     n_steps = total_steps(scheme.n_blocks)
 
     start = 1

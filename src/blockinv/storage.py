@@ -75,6 +75,7 @@ class FileBlockStore:
     """One file per block under ``root``, named ``B_<i>_<j>.blk``."""
 
     file_backed = True
+    data = None  # no dense array to take views of
 
     def __init__(self, scheme: PartitionScheme, root, data: np.ndarray | None = None):
         self.scheme = scheme
@@ -166,8 +167,14 @@ class ProvisionalSet:
     """Level-``level`` scratch: per quad the left product L = -D^-1 C, the
     right product R = -A^-1 B, and the Schur complements S_D, S_A.
 
-    S blocks are indexed 2*quad (S_D) and 2*quad + 1 (S_A).  Shapes are
-    validated against the partition scheme on every store.
+    S blocks are indexed 2*quad (S_D) and 2*quad + 1 (S_A).  Each block
+    sits where the quad layout puts it in the matrix: S_D over the A half's
+    diagonal, S_A over the D half's, R above and L below them.  In memory
+    all of them share one dense ``data`` array of the matrix's order, so
+    same-shaped quads are one strided view for the step engine, which
+    fills ``data`` in place and then calls :meth:`mark_all_stored`;
+    file-backed sets keep one file per block and have ``data = None``.
+    Shapes are validated against the partition scheme on every store.
     """
 
     def __init__(self, scheme: PartitionScheme, level: int, root=None):
@@ -179,10 +186,13 @@ class ProvisionalSet:
         self.root = None if root is None else Path(root)
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
+            self.data = None
         else:
-            self._l: list = [None] * self.n_quads
-            self._r: list = [None] * self.n_quads
-            self._s: list = [None] * (2 * self.n_quads)
+            self.data = np.zeros((scheme.m_n, scheme.m_n))
+            self._stored = {kind: [False] * self._count(kind) for kind in "LRS"}
+
+    def _count(self, kind: str) -> int:
+        return 2 * self.n_quads if kind == "S" else self.n_quads
 
     def spans(self, quad: int) -> tuple[int, int, int]:
         """(first, mid, last) diagonal block indices of the quad."""
@@ -190,19 +200,19 @@ class ProvisionalSet:
         half = 2 ** (self.level - 1)
         return first, first + half, first + 2 * half
 
+    def _blocks(self, kind: str, idx: int) -> tuple[int, int, int, int]:
+        """Block rows [r0, r1) and cols [c0, c1) of a stored block."""
+        if kind == "S":
+            first, mid, last = self.spans(idx // 2)
+            lo, hi = (first, mid) if idx % 2 == 0 else (mid, last)
+            return lo, hi, lo, hi
+        first, mid, last = self.spans(idx)
+        return (mid, last, first, mid) if kind == "L" else (first, mid, mid, last)
+
     def _expected(self, kind: str, idx: int) -> tuple[int, int]:
+        r0, r1, c0, c1 = self._blocks(kind, idx)
         off = self.scheme.offsets
-        if kind in ("L", "R"):
-            first, mid, last = self.spans(idx)
-            a_span = off[mid] - off[first]
-            d_span = off[last] - off[mid]
-            return (d_span, a_span) if kind == "L" else (a_span, d_span)
-        first, mid, last = self.spans(idx // 2)
-        if idx % 2 == 0:
-            span = off[mid] - off[first]  # S_D shaped like the A half
-        else:
-            span = off[last] - off[mid]  # S_A shaped like the D half
-        return (span, span)
+        return off[r1] - off[r0], off[c1] - off[c0]
 
     def _check(self, kind: str, idx: int, values: np.ndarray) -> None:
         want = self._expected(kind, idx)
@@ -215,12 +225,9 @@ class ProvisionalSet:
         self._check(kind, idx, values)
         if self.root is not None:
             save_binary(values, self.root / f"{kind}_{idx}.blk")
-        elif kind == "L":
-            self._l[idx] = values
-        elif kind == "R":
-            self._r[idx] = values
         else:
-            self._s[idx] = values
+            self.scheme.region(self.data, *self._blocks(kind, idx))[...] = values
+            self._stored[kind][idx] = True
 
     def _load(self, kind: str, idx: int) -> np.ndarray:
         if self.root is not None:
@@ -228,10 +235,55 @@ class ProvisionalSet:
             if not path.exists():
                 raise MissingProvisionalData(f"T_{self.level} {kind}_{idx}")
             return load_binary(path)
-        table = {"L": self._l, "R": self._r, "S": self._s}[kind]
-        if table[idx] is None:
+        if not self._stored[kind][idx]:
             raise MissingProvisionalData(f"T_{self.level} {kind}_{idx}")
-        return table[idx]
+        return self.scheme.region(self.data, *self._blocks(kind, idx))
+
+    def _entry(self, r0: int, r1: int, c0: int, c1: int) -> tuple[str, int]:
+        """(kind, idx) of the stored block holding rows [r0, r1) x cols [c0, c1)."""
+        quad = r0 // 2**self.level
+        first, mid, last = self.spans(quad)
+        top, left = r1 <= mid, c1 <= mid
+        if (
+            not first <= c0
+            or max(r1, c1) > last
+            or not (top or r0 >= mid)
+            or not (left or c0 >= mid)
+        ):
+            raise BlockShapeMismatch(
+                f"T_{self.level}: blocks [{r0}, {r1}) x [{c0}, {c1}) straddle stored blocks"
+            )
+        if top:
+            return ("S", 2 * quad) if left else ("R", quad)
+        return ("L", quad) if left else ("S", 2 * quad + 1)
+
+    def region(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """Block rows [r0, r1) x cols [c0, c1), which must lie in one stored block."""
+        kind, idx = self._entry(r0, r1, c0, c1)
+        br0, _, bc0, _ = self._blocks(kind, idx)
+        off = self.scheme.offsets
+        return self._load(kind, idx)[
+            off[r0] - off[br0] : off[r1] - off[br0], off[c0] - off[bc0] : off[c1] - off[bc0]
+        ]
+
+    def set_region(self, r0: int, r1: int, c0: int, c1: int, values: np.ndarray) -> None:
+        """Store one whole block given by its block rows and cols."""
+        kind, idx = self._entry(r0, r1, c0, c1)
+        if self._blocks(kind, idx) != (r0, r1, c0, c1):
+            raise BlockShapeMismatch(f"T_{self.level}: partial write of {kind}_{idx}")
+        self._store(kind, idx, values)
+
+    def require(self, kind: str) -> None:
+        """Raise MissingProvisionalData unless every ``kind`` block is stored
+        (file-backed sets raise on the first read of a missing block)."""
+        if self.root is None and not all(self._stored[kind]):
+            idx = self._stored[kind].index(False)
+            raise MissingProvisionalData(f"T_{self.level} {kind}_{idx}")
+
+    def mark_all_stored(self) -> None:
+        """Record every block as stored once ``data`` has been filled in place."""
+        if self.root is None:
+            self._stored = {kind: [True] * self._count(kind) for kind in "LRS"}
 
     def store_l(self, quad: int, values: np.ndarray) -> None:
         self._store("L", quad, values)

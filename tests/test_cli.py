@@ -150,6 +150,17 @@ class TestInvert:
         assert "parallel" in capsys.readouterr().err
         assert not (tmp_path / "ck").exists()
 
+    @pytest.mark.parametrize("argv, usage", [
+        (("invert", "--retry"), "usage: blockinv invert "),
+        (("invert", "--method", "a", "--sizes", "4,4"), "usage: blockinv invert "),
+        (("verify", "--method", "a", "--sizes", "4,4"), "usage: blockinv verify "),
+    ], ids=["invert-retry", "invert-sizes", "verify-sizes"])
+    def test_method_checks_print_subcommand_usage(self, tmp_path, capsys, argv, usage):
+        src = tmp_path / "m.txt"
+        save_matrix(well_conditioned(8, 73), src)
+        assert exit_code(argv[0], "--in", src, *argv[1:]) == 3
+        assert capsys.readouterr().err.startswith(usage)
+
     def test_verify_sizes_with_other_method_exit_code(self, tmp_path):
         src = tmp_path / "m.txt"
         save_matrix(well_conditioned(8, 72), src)

@@ -290,6 +290,72 @@ class TestInvertSmall:
             invert_small(np.eye(5), np.empty((5, 5)))
 
 
+def _inv2_reference(m):
+    """(singular mask, inverses) from ``_inv_rows`` one block at a time."""
+    singular, out = [], np.zeros(m.shape)
+    for i, block in enumerate(m):
+        try:
+            out[i] = core._inv_rows(block.tolist())
+            singular.append(False)
+        except SingularBlock:
+            singular.append(True)
+    return np.array(singular), out
+
+
+class TestInv2Stack:
+    """The stacked 2x2 leaf is ``_inv_rows`` bit for bit."""
+
+    def _blocks(self):
+        g = np.random.default_rng(8800)
+        blocks = list(g.uniform(-1.0, 1.0, (40, 2, 2)) * 10.0 ** g.integers(-5, 5, (40, 1, 1)))
+        # signed zeros on and off the diagonal: the inverse's signs must follow
+        for a, b, c, d in (
+            (2.0, -0.0, 0.0, 3.0),
+            (-0.0, 1.0, -1.0, 0.0),
+            (0.0, -2.0, 0.5, -0.0),
+            (-4.0, 0.0, -0.0, 0.25),
+        ):
+            blocks.append(np.array([[a, b], [c, d]]))
+        return np.array(blocks)
+
+    def test_inverses_bitwise(self):
+        m = self._blocks()
+        out = np.full(m.shape, np.nan)
+        singular = core._inv2_stack(m, out)
+        ref_singular, ref = _inv2_reference(m)
+        assert not ref_singular.any() and not singular.any()
+        assert out.tobytes() == ref.tobytes()
+
+    def test_strided_input_view(self):
+        m = self._blocks()
+        parent = np.zeros((m.shape[0], 3, 5))
+        parent[:, :2, 1:3] = m
+        out = np.empty(m.shape)
+        core._inv2_stack(parent[:, :2, 1:3], out)
+        assert out.tobytes() == _inv2_reference(m)[1].tobytes()
+
+    def test_determinant_on_the_threshold(self):
+        # det = a * d with amax = 1: singular exactly at 1e-12 * 4, not one ulp above
+        on = 1e-12 * 4
+        above = np.nextafter(on, 1.0)
+        m = np.array([[[1.0, 0.0], [0.0, on]], [[1.0, 0.0], [0.0, above]]])
+        ref_singular, ref = _inv2_reference(m)
+        assert ref_singular.tolist() == [True, False]
+        assert core._inv2_stack(m, np.empty(m.shape)).tolist() == [True, False]
+        out = np.empty((1, 2, 2))
+        assert not core._inv2_stack(m[1:], out).any()
+        assert out.tobytes() == ref[1:].tobytes()
+
+    def test_singular_mask_and_no_write(self):
+        m = self._blocks()
+        m[[3, 17]] = [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, -0.0]]]
+        out = np.full(m.shape, 7.0)
+        singular = core._inv2_stack(m, out)
+        assert singular.tolist() == _inv2_reference(m)[0].tolist()
+        assert np.flatnonzero(singular).tolist() == [3, 17]
+        assert (out == 7.0).all()
+
+
 class TestOracle:
     @pytest.mark.parametrize("order", [1, 3, 17])
     def test_identity(self, order):

@@ -302,8 +302,8 @@ class TestRunInversion:
         p = np.eye(4)[::-1].copy()  # reversal permutation: zero diagonal blocks
         with pytest.raises(SingularBlock) as info:
             run_inversion(p)
-        assert info.value.step == 1
-        assert info.value.quad is not None
+        assert (info.value.block, info.value.path) == ("A", [])
+        assert (info.value.step, info.value.quad) == (1, 0)
 
     def test_block_matrix_input(self):
         m = well_conditioned(9, 44)
@@ -373,6 +373,69 @@ except OverlappingWriteTargets:
     eng._run_batch(tasks[1:])
     print("raised, then ran", ran)
 """
+
+
+def _schur_d_zero(p):
+    # blocks of 2 at order 8; A = I + P, B = C = D = I, so S_D = P, whose
+    # diagonal block p is zero
+    pin = np.eye(4)
+    pin[2 * p : 2 * p + 2, 2 * p : 2 * p + 2] = 0.0
+    return np.block([[np.eye(4) + pin, np.eye(4)], [np.eye(4), np.eye(4)]])
+
+
+def _schur_a_swap():
+    # A = B = I, C = 2I, D = 2I + K: S_D is fine, S_A = K has zero diagonal blocks
+    k = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+    return np.block([[np.eye(4), np.eye(4)], [2 * np.eye(4), 2 * np.eye(4) + k]])
+
+
+def _deep_16():
+    # the zero diagonal block appears in a level-3 Schur complement
+    pin = np.eye(8)
+    pin[2:4, 2:4] = 0.0
+    return np.block([[np.eye(8) + pin, np.eye(8)], [np.eye(8), np.eye(8)]])
+
+
+def _patched(order, seed, r0, block):
+    m = well_conditioned(order, seed)
+    m[r0 : r0 + len(block), r0 : r0 + len(block)] = block
+    return m
+
+
+_TWINS = np.block([[np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]])
+
+# (input, sizes) -> (block, path, step, quad) of the SingularBlock raised
+ENGINE_FAILURES = {
+    "reversal_4": (lambda: (np.eye(4)[::-1].copy(), None), ("A", [], 1, 0)),
+    "reversal_8": (lambda: (np.eye(8)[::-1].copy(), None), ("A", [], 1, 0)),
+    "reversal_16": (lambda: (np.eye(16)[::-1].copy(), None), ("A", [], 1, 0)),
+    "schur_d_0": (lambda: (_schur_d_zero(0), None), ("A", [], 5, 0)),
+    "schur_d_1": (lambda: (_schur_d_zero(1), None), ("A", [], 5, 1)),
+    "schur_a_swap": (lambda: (_schur_a_swap(), None), ("A", [], 5, 2)),
+    "deep_16": (lambda: (_deep_16(), None), ("A", [], 9, 1)),
+    # order 33: fifteen blocks of 2, then one of 3
+    "order33_size3": (lambda: (_patched(33, 123, 30, np.ones((3, 3))), None), ("A", [], 1, 15)),
+    "order33_size2": (
+        lambda: (_patched(33, 124, 14, np.array([[1.0, 2.0], [2.0, 4.0]])), None),
+        ("A", [], 1, 7),
+    ),
+    "sized_5": (lambda: (_patched(12, 125, 0, np.ones((5, 5))), [5, 7]), ("A", ["A"], 1, 0)),
+    "sized_4_twins": (lambda: (_patched(16, 126, 8, _TWINS), [4] * 4), ("SchurD", [], 1, 2)),
+}
+
+
+class TestFailureReports:
+    """Pinned where the engine reports a singular diagonal block."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(ENGINE_FAILURES))
+    def test_block_path_step_quad_pinned(self, name, workers):
+        make, expected = ENGINE_FAILURES[name]
+        m, sizes = make()
+        with pytest.raises(SingularBlock) as info:
+            run_inversion(m, sizes=sizes, workers=workers)
+        e = info.value
+        assert (e.block, e.path, e.step, e.quad) == expected
 
 
 class TestRunBatch:

@@ -23,11 +23,13 @@ import pytest
 
 from blockinv.core import (
     OpCounters,
+    _mm_acc,
+    _mm_acc_ordered,
     invert_small,
     multiply_inplace_left,
     multiply_inplace_right,
 )
-from blockinv.engine import BlockedView, fox_block_multiply, run_inversion
+from blockinv.engine import BlockedView, _fox_order, fox_block_multiply, run_inversion
 from blockinv.errors import SingularBlock
 from blockinv.recursive import (
     invertor_by_a,
@@ -343,6 +345,33 @@ def test_fox_matches_per_tile_loop_bitwise():
         )
         ref = _fox_reference(rows, inner, a, b, base, negate, accumulate)
         assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("negate", [False, True])
+def test_stacked_kernel_matches_per_product_calls_bitwise(batch, negate):
+    """One stacked ``_mm_acc_ordered`` call equals a call per product, and
+    each product equals the per-tile reference, for every Fox signature
+    and for ascending order (``None``, checked against ``_mm_acc``)."""
+    g = np.random.default_rng(9990 + batch)
+    for rows, inner, cols in _FOX_SHAPES:
+        r, k, c = sum(rows), sum(inner), sum(cols)
+        for order in (_fox_order(rows, inner), None):
+            a = g.uniform(-1.0, 1.0, (batch, r, k))
+            b = g.uniform(-1.0, 1.0, (batch, k, c))
+            base = g.uniform(-1.0, 1.0, (batch, r, c))
+            stacked = base.copy()
+            _mm_acc_ordered(a, b, stacked, order, negate)
+            for i in range(batch):
+                one = base[i : i + 1].copy()
+                _mm_acc_ordered(a[i : i + 1], b[i : i + 1], one, order, negate)
+                assert stacked[i : i + 1].tobytes() == one.tobytes()
+                if order is None:
+                    ref = base[i].copy()
+                    _mm_acc(a[i], b[i], ref, negate)
+                else:
+                    ref = _fox_reference(rows, inner, a[i], b[i], base[i], negate, True)
+                assert stacked[i].tobytes() == ref.tobytes()
 
 
 # widths around the in-place kernel's column panels of 16
