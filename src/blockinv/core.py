@@ -109,12 +109,14 @@ def _mm_acc(a: np.ndarray, b: np.ndarray, out: np.ndarray, negate: bool = False)
 
     One rank-1 update per inner index over the whole output, so every
     element receives ``o + a[i, k] * b[k, j]`` for k = 0, 1, ... in turn.
+    ``a``, ``b`` and ``out`` may carry the same leading stack axes, each
+    product of the stack getting exactly the operations it gets alone.
     """
     if negate:
         a = -a  # negating the factor up front folds the sign into every term
     tmp = np.empty_like(out)
-    for k in range(a.shape[1]):
-        np.multiply(a[:, k, None], b[k], out=tmp)
+    for k in range(a.shape[-1]):
+        np.multiply(a[..., k, None], b[..., k, None, :], out=tmp)
         np.add(out, tmp, out=out)
 
 
@@ -132,20 +134,17 @@ def _mm_acc_ordered(
     ``a``, ``b`` and ``out`` are (..., rows, inner), (..., inner, cols) and
     (..., rows, cols) with the same leading stack axes; every product of
     the stack shares ``order``, an (inner, rows) integer array whose every
-    column is a permutation of the inner indices.  ``None`` means
-    ascending for every row, the order of :func:`_mm_acc`.  ``a`` is
-    gathered into that order once; stage j then multiplies each row's
-    j-th term and adds it, over all rows of the stack at once.  Every
-    output element receives the same IEEE-754 operations in the same
-    order as :func:`_mm_acc` calls over consecutive runs of its order,
-    whatever else is in the stack, so a stacked call and one call per
-    product are bitwise interchangeable.
+    column is a permutation of the inner indices, or None for ascending
+    order in every row, which is :func:`_mm_acc`.  ``a`` is gathered into
+    that order once; stage j then multiplies each row's j-th term and adds
+    it, over all rows of the stack at once.  Every output element receives
+    the same IEEE-754 operations in the same order as :func:`_mm_acc`
+    calls over consecutive runs of its order, whatever else is in the
+    stack, so a stacked call and one call per product are bitwise
+    interchangeable.
     """
     if order is None:
-        if negate:
-            a = -a  # negating the factor up front folds the sign into every term
-        for j in range(a.shape[-1]):
-            out += a[..., j, None] * b[..., j, None, :]
+        _mm_acc(a, b, out, negate)
         return
     a_ord = a[..., np.arange(a.shape[-2]), order]  # a_ord[..., j, r] = a[..., r, order[j, r]]
     if negate:

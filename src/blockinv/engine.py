@@ -18,18 +18,20 @@ of three actions:
 
 A step runs its diagonal blocks or quads in groups: items with the same
 block sizes at evenly spaced diagonal offsets, one group per step for
-power-of-two orders under the default partition.  Each group gathers its
-operands as (items, rows, cols) stacks - strided views of the in-memory
-stores, block-by-block copies of file-backed ones - and runs every Fox
-product and every assembly half as one stacked ``core._mm_acc_ordered``
-call; when a quad's two halves have the same block sizes, the A-half and
-D-half products (R and L, S_D and S_A, the up and down halves) share one
-call.  The 2x2 leaf inverses of a group are one stacked
-``core._inv2_stack`` call; larger leaves are inverted one by one inside
-the group's task.  The groups and their Fox orders are built once per
-partition.  Each element still receives the same IEEE-754 operations in
-the same order as with one product per quad, so the stacking changes no
-bit of the result.
+power-of-two orders under the default partition.  Each group is a
+``storage.DiagonalRun``: it reads its operands as (items, rows, cols)
+stacks - strided views of the in-memory stores, block-by-block copies of
+file-backed ones - and runs every Fox product and every assembly half as
+one stacked ``core._mm_acc_ordered`` call; when a quad's two halves have
+the same block sizes, the A-half and D-half products (R and L, S_D and
+S_A, the up and down halves) share one call.  Provisional sets are
+written only through their own ``store_arrows``.  The 2x2 leaf inverses
+of a group are one stacked ``core._inv2_stack`` call; larger leaves are
+inverted one by one inside the group's task.  The groups, with the row
+starts of their Fox orders, are built once per partition (``_layout``);
+the decoded steps are cached too (``step_plan``).  Each element still
+receives the same IEEE-754 operations in the same order as with one
+product per quad, so the stacking changes no bit of the result.
 
 Within a step every task - a group, or a contiguous chunk of one when
 there are several workers - writes a pre-assigned disjoint set of blocks,
@@ -67,6 +69,7 @@ from .errors import (
 from .partition import make_partition, partition_from_sizes
 from .storage import (
     BlockMatrix,
+    DiagonalRun,
     ProvisionalSet,
     checkpoint_load,
     checkpoint_matches,
@@ -235,22 +238,28 @@ def _offsets(sizes) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=256)
-def _fox_order(row_sizes: tuple, inner_sizes: tuple) -> np.ndarray | None:
-    """Fox summation order of a blocked product, as ``_mm_acc_ordered`` takes it.
-
-    Every row of block row i sums the inner indices from a's block column
-    ``i % nb`` onwards, wrapping at the end.  One inner block is plain
-    ascending order (None).
-    """
+def _fox_starts(row_sizes: tuple, inner_sizes: tuple) -> np.ndarray | None:
+    """The inner index each row of a blocked product starts its Fox order
+    at: a's block column ``i % nb`` for the rows of block row i.  None for
+    one inner block, which is plain ascending order."""
     nb = len(inner_sizes)
     if nb == 1:
         return None
     inner_offsets = _offsets(inner_sizes)
-    starts = np.repeat([inner_offsets[i % nb] for i in range(len(row_sizes))], row_sizes)
-    order = (np.arange(inner_offsets[-1])[:, None] + starts) % inner_offsets[-1]
-    order.flags.writeable = False  # shared by every caller
-    return order
+    return np.repeat([inner_offsets[i % nb] for i in range(len(row_sizes))], row_sizes)
+
+
+def _order(starts: np.ndarray | None, inner: int) -> np.ndarray | None:
+    """The (inner, rows) order ``_mm_acc_ordered`` takes: every row runs
+    through the inner indices from its start onwards, wrapping at the end."""
+    if starts is None:
+        return None
+    return (np.arange(inner)[:, None] + starts) % inner
+
+
+def _fox_order(row_sizes: tuple, inner_sizes: tuple) -> np.ndarray | None:
+    """Fox summation order of a blocked product, as ``_mm_acc_ordered`` takes it."""
+    return _order(_fox_starts(row_sizes, inner_sizes), sum(inner_sizes))
 
 
 def fox_block_multiply(
@@ -297,97 +306,46 @@ def fox_block_multiply(
 # ---------------------------------------------------------------------------
 
 
-class _Group:
-    """Diagonal blocks or quads of one step that share their block sizes and
-    sit at evenly spaced diagonal offsets.
+class _Group(DiagonalRun):
+    """A run of diagonal blocks (level 0) or of level-``level`` quads that
+    one step handles with stacked kernel calls.
 
-    Item i covers diagonal blocks ``spans[i] = (first, mid, last)``, its A
-    half [first, mid) and D half [mid, last); a diagonal block p is
-    ``(p, p + 1, p + 1)`` with an empty D half.  ``ha`` and ``span`` are
-    the scalar widths of the A half and of the whole item, and item i's
-    scalar diagonal offset is ``start + i * stride``, so in any dense array
-    of the matrix's order the items are one strided (q, span, span) view.
-    ``orders`` holds the Fox orders of the four arrows products (R, L,
-    S_D, S_A) of quads, and ``cut`` the scalar slices of each part of an
-    item (see ``_Engine._read``).
+    ``items`` holds the block or quad index of each item.  ``targets``
+    maps each kind of task to ``(ids, per_item)``: the write-target ids of
+    all items in item order, ``per_item`` of them per item.  ``fox`` holds
+    the Fox order starts and inner widths of the four arrows products (R,
+    L, S_D, S_A) of quads.
     """
 
-    def __init__(self, scheme, level, items, spans):
-        off = scheme.offsets
-        first, mid, last = spans[0]
-        self.level = level
-        self.items = items
-        self.spans = spans
-        self.start = off[first]
-        self.stride = off[spans[1][0]] - off[first] if len(items) > 1 else 0
-        self.ha = off[mid] - off[first]
-        self.span = off[last] - off[first]
-        sizes_a = scheme.sizes[first:mid]
-        sizes_d = scheme.sizes[mid:last]
-        self.paired = sizes_a == sizes_d
-        if sizes_d:
-            self.orders = (
-                _fox_order(sizes_a, sizes_a),
-                _fox_order(sizes_d, sizes_d),
-                _fox_order(sizes_a, sizes_d),
-                _fox_order(sizes_d, sizes_a),
-            )
-        halves = {"A": slice(0, self.ha), "D": slice(self.ha, None), "Q": slice(None)}
-        self.cut = {r + c: (slice(None), halves[r], halves[c]) for r in halves for c in halves}
-        self._chunks = {}
-
-    def __len__(self):
-        return len(self.items)
-
-    def view(self, data: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Items [lo, hi) of a C-ordered (n, n) float64 array, as a view."""
-        n = data.shape[1]
-        step = (n + 1) * 8  # bytes from one diagonal element to the next
-        return np.ndarray(
-            (hi - lo, self.span, self.span), np.float64, data,
-            (self.start + lo * self.stride) * step, (self.stride * step, n * 8, 8),
-        )
-
-    def pair(self, data: np.ndarray, lo: int, hi: int, which: str) -> np.ndarray:
-        """Both halves of items [lo, hi) of quads whose A and D halves are
-        alike, as a (2, q, h, h) view: "X" the diagonal halves (A, D), "Y"
-        the off-diagonal ones (B, C), in the quad layout [[A, B], [C, D]]."""
-        n = data.shape[1]
-        h = self.ha
-        corner = (self.start + lo * self.stride) * (n + 1)
-        offset, side = (corner, h * (n + 1)) if which == "X" else (corner + h, h * (n - 1))
-        return np.ndarray(
-            (2, hi - lo, h, h), np.float64, data,
-            offset * 8, (side * 8, self.stride * (n + 1) * 8, n * 8, 8),
-        )
-
-    def chunks(self, kind: str, workers: int) -> list[tuple[int, int, tuple]]:
-        """(lo, hi, write-target ids) of each of ``min(workers, q)``
-        contiguous chunks of a ``kind`` task over these items."""
-        key = kind, workers
-        if key not in self._chunks:
-            ids = []
-            for item, (first, mid, last) in zip(self.items, self.spans):
-                if kind == "diag":
-                    ids.append(("minv", item, item))
-                elif kind == "arrows":
-                    ids += [
-                        ("t", self.level, "L", item),
-                        ("t", self.level, "R", item),
-                        ("t", self.level, "S", 2 * item),
-                        ("t", self.level, "S", 2 * item + 1),
-                    ]
-                else:  # both off-diagonal halves of an assembly pass
-                    ids += [("minv", r, c) for r in range(mid, last) for c in range(first, mid)]
-                    ids += [("minv", r, c) for r in range(first, mid) for c in range(mid, last)]
-            q = len(self.items)
-            per_item = len(ids) // q
-            n = min(workers, q)
-            bounds = [(c * q // n, (c + 1) * q // n) for c in range(n)]
-            self._chunks[key] = [
-                (lo, hi, tuple(ids[lo * per_item : hi * per_item])) for lo, hi in bounds
+    def __init__(self, scheme, level, spans):
+        super().__init__(scheme, spans)
+        self.items = tuple(first >> level for first, _, _ in spans)
+        ids = {"diag": [], "arrows": [], "updown": []}
+        for item, (first, mid, last) in zip(self.items, spans):
+            if level == 0:
+                ids["diag"].append(("minv", item, item))
+                continue
+            ids["arrows"] += [
+                ("t", level, "L", item),
+                ("t", level, "R", item),
+                ("t", level, "S", 2 * item),
+                ("t", level, "S", 2 * item + 1),
             ]
-        return self._chunks[key]
+            # both off-diagonal halves of an assembly pass
+            ids["updown"] += [("minv", r, c) for r in range(mid, last) for c in range(first, mid)]
+            ids["updown"] += [("minv", r, c) for r in range(first, mid) for c in range(mid, last)]
+        self.targets = {kind: (tuple(v), len(v) // len(spans)) for kind, v in ids.items() if v}
+        if level:
+            first, mid, last = spans[0]
+            sizes_a, sizes_d = scheme.sizes[first:mid], scheme.sizes[mid:last]
+            # the orders themselves are (inner, rows) index arrays, as large
+            # as the products; they are expanded per call, not kept
+            self.fox = (
+                (_fox_starts(sizes_a, sizes_a), self.ha),
+                (_fox_starts(sizes_d, sizes_d), self.hd),
+                (_fox_starts(sizes_a, sizes_d), self.hd),
+                (_fox_starts(sizes_d, sizes_a), self.ha),
+            )
 
 
 def _groups(scheme, level, spans) -> tuple[_Group, ...]:
@@ -410,9 +368,7 @@ def _groups(scheme, level, spans) -> tuple[_Group, ...]:
             run.append(item)
         runs.append(run)
     runs.sort()
-    return tuple(
-        _Group(scheme, level, tuple(run), tuple(spans[i] for i in run)) for run in runs
-    )
+    return tuple(_Group(scheme, level, [spans[i] for i in run]) for run in runs)
 
 
 @functools.lru_cache(maxsize=16)
@@ -440,10 +396,9 @@ class _Engine:
     (or per contiguous chunk of a group, one for each worker).
 
     The source, the inverse and the provisional sets are all stores of
-    blocks of the matrix: in memory they expose a dense ``data`` array and
-    every group's operands are strided views of it; file-backed stores
-    (``data`` None) are read and written block by block through
-    ``region`` and ``set_region``.
+    blocks of the matrix, which the groups read and write as stacks (see
+    :class:`~blockinv.storage.DiagonalRun`); a provisional set is written
+    only through its own ``store_arrows``.
     """
 
     def __init__(self, scheme, source_store, minv, tsets, workers, counters):
@@ -454,7 +409,6 @@ class _Engine:
         self.counters = counters
         self.workers = workers
         self.layout = _layout(scheme)
-        self._views = {}  # strided views of in-memory stores, see _read
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def close(self):
@@ -483,75 +437,23 @@ class _Engine:
     def _tasks(self, groups, kind, run) -> list:
         """One task per group, or per contiguous chunk of a group when there
         are several workers: ``run(group, lo, hi)`` covers items [lo, hi)."""
-        return [
-            (ids, functools.partial(run, grp, lo, hi))
-            for grp in groups
-            for lo, hi, ids in grp.chunks(kind, self.workers)
-        ]
-
-    # -- operands -------------------------------------------------------------
-    #
-    # A part of an item is two letters, its rows then its cols, each "A" (the
-    # A half), "D" (the D half) or "Q" (the whole item).  Two more parts
-    # name a pair of halves in the quad layout [[A, B], [C, D]]: "X" is
-    # (A, D) and "Y" is (B, C).  When a group's A and D halves are alike a
-    # pair is one (2, q, h, h) stack, so each pair of products below is one
-    # stacked kernel call; otherwise it is a list of the two stacks.
-
-    _PAIRS = {"X": ("AA", "DD"), "Y": ("AD", "DA")}
-
-    def _read(self, store, grp, lo, hi, part):
-        """A part of items [lo, hi) of ``store``: a (q, rows, cols) stack, or
-        a pair of them for "X" and "Y".  In-memory stores give strided views
-        (built once per run), file-backed ones block-by-block copies."""
-        halves = self._PAIRS.get(part)
-        if halves is not None and not grp.paired:
-            return [self._read(store, grp, lo, hi, half) for half in halves]
-        if store.data is not None:
-            return self._view(store, grp, lo, hi, part)
-        if halves is not None:
-            return np.stack([self._read(store, grp, lo, hi, half) for half in halves])
-        return np.stack([store.region(*self._blocks(grp, i, part)) for i in range(lo, hi)])
-
-    def _write(self, store, grp, lo, hi, part, values) -> None:
-        """Store a stack, or a pair of them, as a part of items [lo, hi).
-
-        The kernels sum into fresh C-ordered stacks, which numpy updates
-        several times faster than strided views of a store; each stack is
-        then copied in once.
-        """
-        halves = self._PAIRS.get(part)
-        if store.data is not None and (halves is None or grp.paired):
-            self._view(store, grp, lo, hi, part)[...] = values
-        elif halves is not None:
-            for half, half_values in zip(halves, values):
-                self._write(store, grp, lo, hi, half, half_values)
-        else:
-            for i in range(lo, hi):
-                store.set_region(*self._blocks(grp, i, part), values[i - lo])
+        tasks = []
+        for grp in groups:
+            ids, per_item = grp.targets[kind]
+            q = len(grp)
+            n = min(self.workers, q)
+            for c in range(n):
+                lo, hi = c * q // n, (c + 1) * q // n
+                tasks.append((ids[lo * per_item : hi * per_item], functools.partial(run, grp, lo, hi)))
+        return tasks
 
     @staticmethod
-    def _blocks(grp, i, part):
-        """Block rows and cols of a part of item i, for ``region``."""
-        first, mid, last = grp.spans[i]
-        bounds = {"A": (first, mid), "D": (mid, last), "Q": (first, last)}
-        return (*bounds[part[0]], *bounds[part[1]])
-
-    def _view(self, store, grp, lo, hi, part) -> np.ndarray:
-        key = id(store), id(grp), lo, part
-        view = self._views.get(key)
-        if view is None:
-            if part in self._PAIRS:
-                view = grp.pair(store.data, lo, hi, part)
-            else:
-                view = grp.view(store.data, lo, hi)[grp.cut[part]]
-            self._views[key] = view
-        return view
-
-    @staticmethod
-    def _pair_products(grp, a, b, out, orders, negate=False) -> None:
+    def _pair_products(grp, a, b, out, fox=None, negate=False) -> None:
         """out[s] += (+-1) * a[s] @ b[s] for both sides s of pairs, summed
-        in ``orders[s]``: one stacked call when the halves are alike."""
+        in the Fox order ``fox[s]`` (ascending without ``fox``): one stacked
+        call when the halves are alike."""
+        sides = 1 if grp.paired else 2
+        orders = [_order(*fox[side]) if fox else None for side in range(sides)]
         if grp.paired:
             _mm_acc_ordered(a, b, out, orders[0], negate)
         else:
@@ -559,6 +461,8 @@ class _Engine:
                 _mm_acc_ordered(a[side], b[side], out[side], orders[side], negate)
 
     def _source(self, action):
+        """The matrix a step reads: the input, or the Schur complements
+        (the S blocks) of provisional set ``cid``."""
         if action.source == "matrix":
             return self.source
         tset = self.tsets[action.cid]
@@ -572,11 +476,11 @@ class _Engine:
 
         def run(grp, lo, hi):
             """Invert items [lo, hi); (p, SingularBlock) of the first failure, or None."""
-            blocks = self._read(src, grp, lo, hi, "QQ")
+            blocks = grp.read(src, lo, hi, "QQ")
             out = np.empty(blocks.shape)
-            if grp.span == 2:
+            if grp.ha == 2:
                 singular = _inv2_stack(blocks, out)
-                if np.count_nonzero(singular):
+                if singular.any():
                     return grp.items[lo + int(np.argmax(singular))], SingularBlock("A")
             else:
                 for i in range(hi - lo):
@@ -584,7 +488,7 @@ class _Engine:
                         _leaf_invert(blocks[i], out[i])
                     except SingularBlock as exc:
                         return grp.items[lo + i], exc
-            self._write(self.minv, grp, lo, hi, "QQ", out)
+            grp.write(self.minv, lo, hi, "QQ", out)
             return None
 
         self.counters.inversions += self.scheme.n_blocks
@@ -600,22 +504,19 @@ class _Engine:
         tset_out = self.tsets[action.sid]
 
         def run(grp, lo, hi):
-            x = self._read(src, grp, lo, hi, "X")  # (A, D)
-            off = self._read(src, grp, lo, hi, "Y")  # (B, C)
-            inv = self._read(self.minv, grp, lo, hi, "X")  # (A^-1, D^-1)
-            y = _fresh(off)
-            self._pair_products(grp, inv, off, y, grp.orders[:2], negate=True)  # (R, L)
-            s = _fresh(x, copy=True)
-            self._pair_products(grp, off, y[::-1], s, grp.orders[2:])  # (A + B L, D + C R)
-            self._write(tset_out, grp, lo, hi, "X", s)
-            self._write(tset_out, grp, lo, hi, "Y", y)
+            x = grp.read(src, lo, hi, "X")  # (A, D)
+            off = grp.read(src, lo, hi, "Y")  # (B, C)
+            inv = grp.read(self.minv, lo, hi, "X")  # (A^-1, D^-1)
+            panels = _fresh(off)
+            self._pair_products(grp, inv, off, panels, grp.fox[:2], negate=True)  # (R, L)
+            schur = _fresh(x, copy=True)
+            self._pair_products(grp, off, panels[::-1], schur, grp.fox[2:])  # (A + B L, D + C R)
+            tset_out.store_arrows(grp, lo, hi, schur, panels)
 
-        groups = self.layout[action.sid]
         quads = self.scheme.n_blocks // 2**action.sid
         self.counters.multiplies += 2 * quads
         self.counters.reductions += 2 * quads
-        self._run_batch(self._tasks(groups, "arrows", run))
-        tset_out.mark_all_stored()
+        self._run_batch(self._tasks(self.layout[action.sid], "arrows", run))
 
     def assemble(self, action, stepid: int) -> None:
         self.invert_diagonals(action, stepid)  # Schur diagonal blocks
@@ -637,11 +538,11 @@ class _Engine:
         tset.require("R")
 
         def run(grp, lo, hi):
-            panels = self._read(tset, grp, lo, hi, "Y")  # (R, L)
-            done = self._read(self.minv, grp, lo, hi, "X")  # completed (A^-1, D^-1)
+            panels = tset.panels(grp, lo, hi)  # (R, L)
+            done = grp.read(self.minv, lo, hi, "X")  # completed (A^-1, D^-1)
             out = _fresh(panels)
-            self._pair_products(grp, panels, done[::-1], out, (None, None))  # (R D^-1, L A^-1)
-            self._write(self.minv, grp, lo, hi, "Y", out)
+            self._pair_products(grp, panels, done[::-1], out)  # (R D^-1, L A^-1)
+            grp.write(self.minv, lo, hi, "Y", out)  # the (B, C) halves of the inverse
 
         self.counters.multiplies += 2 * tset.n_quads
         self._run_batch(self._tasks(self.layout[level], "updown", run))
@@ -658,7 +559,8 @@ class _Engine:
 
 def _fresh(stacks, copy: bool = False):
     """New C-ordered zeros shaped like a stack or a pair of stacks, or
-    copies of them."""
+    copies of them.  The kernels sum into these, which numpy updates
+    several times faster than strided views of a store."""
     if isinstance(stacks, np.ndarray):
         return stacks.copy() if copy else np.zeros(stacks.shape)
     return [x.copy() if copy else np.zeros(x.shape) for x in stacks]

@@ -4,7 +4,10 @@ A :class:`BlockMatrix` holds the source matrix or the inverse under
 construction, either in memory (one dense array, block reads are views) or
 file-backed (one ``.blk`` file per block, named by block coordinates).
 Provisional sets hold the per-level L / R / S scratch blocks with the same
-two backends.  Checkpoints live in a directory::
+two backends (in memory, one band array per level).  A
+:class:`DiagonalRun` reads and writes evenly spaced diagonal blocks or
+quads of any of these stores as one stack.  Checkpoints live in a
+directory::
 
     meta.json                       stepid, blocksize, sizes, hashes, version
     minv/B_<i>_<j>.blk              inverse blocks
@@ -54,6 +57,8 @@ class MemoryBlockStore:
         if data.shape != (scheme.m_n, scheme.m_n):
             raise DimensionMismatch(f"data {data.shape} vs order {scheme.m_n}")
         self.data = np.ascontiguousarray(data, dtype=np.float64)
+        # (buffer, base, ld): element (i, j) is buffer.flat[base + i * ld + j]
+        self.strided = self.data, 0, scheme.m_n
 
     def region(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         return self.scheme.region(self.data, r0, r1, c0, c1)
@@ -76,6 +81,7 @@ class FileBlockStore:
 
     file_backed = True
     data = None  # no dense array to take views of
+    strided = None
 
     def __init__(self, scheme: PartitionScheme, root, data: np.ndarray | None = None):
         self.scheme = scheme
@@ -163,18 +169,108 @@ class BlockMatrix:
 # ---------------------------------------------------------------------------
 
 
+class DiagonalRun:
+    """Diagonal blocks or quads of a partition that share their block sizes
+    and sit at evenly spaced diagonal offsets, read and written as stacks.
+
+    Item i covers diagonal blocks ``spans[i] = (first, mid, last)``: its A
+    half [first, mid) and its D half [mid, last); a diagonal block p is
+    ``(p, p + 1, p + 1)`` with an empty D half.  Item i's scalar diagonal
+    offset is ``start + i * stride``; ``ha`` and ``hd`` are the scalar
+    widths of its halves.
+
+    A part of an item is two letters, its rows then its cols, each "A",
+    "D" or "Q" (the whole item).  The pairs "X" = (AA, DD) and "Y" =
+    (AD, DA) are the diagonal and the off-diagonal halves of the quad
+    layout [[A, B], [C, D]]: one (2, q, h, h) stack when both halves have
+    the same block sizes (``paired``), else a list of two stacks.  A store
+    in memory gives strided views, which may be written through; a
+    file-backed one gives block-by-block copies.
+    """
+
+    PAIRS = {"X": ("AA", "DD"), "Y": ("AD", "DA")}
+
+    def __init__(self, scheme: PartitionScheme, spans):
+        off = scheme.offsets
+        first, mid, last = spans[0]
+        self.spans = tuple(spans)
+        self.start = off[first]
+        self.stride = off[spans[1][0]] - off[first] if len(spans) > 1 else 0
+        self.ha = off[mid] - off[first]
+        self.hd = off[last] - off[mid]
+        self.paired = scheme.sizes[first:mid] == scheme.sizes[mid:last]
+        halves = {"A": (0, self.ha), "D": (self.ha, self.hd), "Q": (0, self.ha + self.hd)}
+        # part -> (row offset, col offset, block shape, shift to a pair's second half)
+        self._specs = {
+            r + c: (halves[r][0], halves[c][0], (halves[r][1], halves[c][1]), None)
+            for r in halves
+            for c in halves
+        }
+        if self.paired:
+            for pair, (one, two) in self.PAIRS.items():
+                r0, c0, shape, _ = self._specs[one]
+                r1, c1, _, _ = self._specs[two]
+                self._specs[pair] = (r0, c0, shape, (r1 - r0, c1 - c0))
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def read(self, store, lo: int, hi: int, part: str):
+        """A part of items [lo, hi) of ``store``."""
+        spec = self._specs.get(part)
+        if spec is None:  # a pair of halves with different block sizes
+            return [self.read(store, lo, hi, half) for half in self.PAIRS[part]]
+        if store.strided is not None:
+            return self._view(store.strided, lo, hi, spec)
+        if spec[3] is not None:
+            return np.stack([self.read(store, lo, hi, half) for half in self.PAIRS[part]])
+        return np.stack([store.region(*self._blocks(i, part)) for i in range(lo, hi)])
+
+    def write(self, store, lo: int, hi: int, part: str, values) -> None:
+        """Store a stack, or a pair of them, as a part of items [lo, hi)."""
+        spec = self._specs.get(part)
+        if spec is not None and store.strided is not None:
+            self._view(store.strided, lo, hi, spec)[...] = values
+        elif part in self.PAIRS:
+            for half, half_values in zip(self.PAIRS[part], values):
+                self.write(store, lo, hi, half, half_values)
+        else:
+            for i in range(lo, hi):
+                store.set_region(*self._blocks(i, part), values[i - lo])
+
+    def _blocks(self, i: int, part: str) -> tuple[int, int, int, int]:
+        """Block rows and cols of a part of item i, for ``region``."""
+        first, mid, last = self.spans[i]
+        bounds = {"A": (first, mid), "D": (mid, last), "Q": (first, last)}
+        return (*bounds[part[0]], *bounds[part[1]])
+
+    def _view(self, strided, lo: int, hi: int, spec) -> np.ndarray:
+        buf, base, ld = strided
+        r0, c0, shape, shift = spec
+        offset = (base + (self.start + lo * self.stride) * (ld + 1) + r0 * ld + c0) * 8
+        strides = (self.stride * (ld + 1) * 8, ld * 8, 8)
+        if shift is None:
+            return np.ndarray((hi - lo, *shape), np.float64, buf, offset, strides)
+        return np.ndarray(
+            (2, hi - lo, *shape), np.float64, buf, offset, ((shift[0] * ld + shift[1]) * 8, *strides)
+        )
+
+
 class ProvisionalSet:
     """Level-``level`` scratch: per quad the left product L = -D^-1 C, the
     right product R = -A^-1 B, and the Schur complements S_D, S_A.
 
     S blocks are indexed 2*quad (S_D) and 2*quad + 1 (S_A).  Each block
     sits where the quad layout puts it in the matrix: S_D over the A half's
-    diagonal, S_A over the D half's, R above and L below them.  In memory
-    all of them share one dense ``data`` array of the matrix's order, so
-    same-shaped quads are one strided view for the step engine, which
-    fills ``data`` in place and then calls :meth:`mark_all_stored`;
-    file-backed sets keep one file per block and have ``data = None``.
-    Shapes are validated against the partition scheme on every store.
+    diagonal, S_A over the D half's, R above and L below them, so the S
+    blocks read through ``region`` (or a :class:`DiagonalRun`) are the
+    Schur complement matrix of the next steps.  In memory all blocks share
+    one band array: matrix element (i, j) sits at ``base + i * ld + j``
+    with ``ld = 2W - 2`` and ``base = W - 1`` for the widest quad span W
+    (a dense array when that is no larger), about ``2 * W`` scalars per
+    row, and any run of quads is one strided view.  File-backed sets keep
+    one file per block.  Shapes are validated against the partition
+    scheme on every single-block store.
     """
 
     def __init__(self, scheme: PartitionScheme, level: int, root=None):
@@ -186,9 +282,14 @@ class ProvisionalSet:
         self.root = None if root is None else Path(root)
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-            self.data = None
+            self.strided = None
         else:
-            self.data = np.zeros((scheme.m_n, scheme.m_n))
+            off, w, n = scheme.offsets, 2**level, scheme.m_n
+            width = max(off[(q + 1) * w] - off[q * w] for q in range(self.n_quads))
+            if 2 * width - 1 >= n:
+                self.strided = np.zeros(n * n), 0, n
+            else:
+                self.strided = np.zeros(n * (2 * width - 1)), width - 1, 2 * width - 2
             self._stored = {kind: [False] * self._count(kind) for kind in "LRS"}
 
     def _count(self, kind: str) -> int:
@@ -226,7 +327,7 @@ class ProvisionalSet:
         if self.root is not None:
             save_binary(values, self.root / f"{kind}_{idx}.blk")
         else:
-            self.scheme.region(self.data, *self._blocks(kind, idx))[...] = values
+            self._view(kind, idx)[...] = values
             self._stored[kind][idx] = True
 
     def _load(self, kind: str, idx: int) -> np.ndarray:
@@ -237,7 +338,17 @@ class ProvisionalSet:
             return load_binary(path)
         if not self._stored[kind][idx]:
             raise MissingProvisionalData(f"T_{self.level} {kind}_{idx}")
-        return self.scheme.region(self.data, *self._blocks(kind, idx))
+        return self._view(kind, idx)
+
+    def _view(self, kind: str, idx: int) -> np.ndarray:
+        """A stored block of an in-memory set, as a view of its band."""
+        buf, base, ld = self.strided
+        r0, r1, c0, c1 = self._blocks(kind, idx)
+        off = self.scheme.offsets
+        return np.ndarray(
+            (off[r1] - off[r0], off[c1] - off[c0]), np.float64, buf,
+            (base + off[r0] * ld + off[c0]) * 8, (ld * 8, 8),
+        )
 
     def _entry(self, r0: int, r1: int, c0: int, c1: int) -> tuple[str, int]:
         """(kind, idx) of the stored block holding rows [r0, r1) x cols [c0, c1)."""
@@ -280,10 +391,22 @@ class ProvisionalSet:
             idx = self._stored[kind].index(False)
             raise MissingProvisionalData(f"T_{self.level} {kind}_{idx}")
 
-    def mark_all_stored(self) -> None:
-        """Record every block as stored once ``data`` has been filled in place."""
+    def store_arrows(self, run: DiagonalRun, lo: int, hi: int, schur, panels) -> None:
+        """Store the blocks of quads [lo, hi) of a run of this level's quads:
+        ``schur`` is the pair (S_D, S_A) and ``panels`` the pair (R, L), each
+        as :meth:`DiagonalRun.read` gives pairs."""
+        run.write(self, lo, hi, "X", schur)
+        run.write(self, lo, hi, "Y", panels)
         if self.root is None:
-            self._stored = {kind: [True] * self._count(kind) for kind in "LRS"}
+            stored_l, stored_r, stored_s = (self._stored[kind] for kind in "LRS")
+            for first, _, _ in run.spans[lo:hi]:
+                quad = first >> self.level
+                stored_l[quad] = stored_r[quad] = True
+                stored_s[2 * quad] = stored_s[2 * quad + 1] = True
+
+    def panels(self, run: DiagonalRun, lo: int, hi: int):
+        """The pair (R, L) of quads [lo, hi) of a run of this level's quads."""
+        return run.read(self, lo, hi, "Y")
 
     def store_l(self, quad: int, values: np.ndarray) -> None:
         self._store("L", quad, values)

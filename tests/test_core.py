@@ -106,6 +106,20 @@ class TestMultiply:
                             ref[i][j] = ref[i][j] + float(aik) * float(b[kk, j])
                 assert out.tobytes() == np.array(ref).tobytes()
 
+    def test_stacked_kernel_equals_per_slice(self, rng):
+        # leading stack axes: each product gets exactly its lone-call bits
+        for stack in [(1,), (3,), (2, 3)]:
+            a = rng.uniform(-1, 1, (*stack, 4, 5))
+            b = rng.uniform(-1, 1, (*stack, 5, 3))
+            base = rng.uniform(-1, 1, (*stack, 4, 3))
+            for negate in (False, True):
+                out = base.copy()
+                core._mm_acc(a, b, out, negate)
+                for idx in np.ndindex(*stack):
+                    ref = base[idx].copy()
+                    core._mm_acc(a[idx], b[idx], ref, negate)
+                    assert out[idx].tobytes() == ref.tobytes()
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             multiply(np.ones((2, 3)), np.ones((2, 3)), np.empty((2, 3)))

@@ -63,6 +63,45 @@ class TestProvisionalSetFiles:
         assert names == ["L_0", "S_0"]
 
 
+class TestProvisionalSetStacks:
+    """store_arrows and panels keep the quad layout for both backends."""
+
+    def _write(self, tset, rng):
+        from blockinv.engine import _layout
+
+        (grp,) = _layout(tset.scheme)[tset.level]
+        q, h = len(grp), grp.ha
+        schur = rng.uniform(-1, 1, (2, q, h, h))
+        panels = rng.uniform(-1, 1, (2, q, h, h))
+        tset.store_arrows(grp, 0, q, schur, panels)
+        return grp, schur, panels
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_memory_and_files_agree(self, tmp_path, level):
+        scheme = make_partition(16)  # 8 blocks of 2
+        mem = ProvisionalSet(scheme, level)
+        files = ProvisionalSet(scheme, level, root=tmp_path)
+        grp, schur, panels = self._write(mem, np.random.default_rng(level))
+        self._write(files, np.random.default_rng(level))
+        for kind in "LRS":
+            mem.require(kind)
+        assert [n for n, _ in mem.entries()] == [n for n, _ in files.entries()]
+        for (_, x), (_, y) in zip(mem.entries(), files.entries()):
+            assert x.tobytes() == y.tobytes()
+        assert mem.r_block(0).tobytes() == panels[0, 0].tobytes()
+        assert mem.l_block(0).tobytes() == panels[1, 0].tobytes()
+        assert mem.s_block(1).tobytes() == schur[1, 0].tobytes()
+        for got in (mem.panels(grp, 0, len(grp)), files.panels(grp, 0, len(grp))):
+            assert np.asarray(got).tobytes() == panels.tobytes()
+
+    def test_band_is_smaller_than_dense_below_the_top(self):
+        scheme = make_partition(64)  # 32 blocks of 2, levels 1..5
+        for level in range(1, 5):
+            buf, _, ld = ProvisionalSet(scheme, level).strided
+            assert buf.size == 64 * (ld + 1) < 64 * 64
+        assert ProvisionalSet(scheme, 5).strided[0].size == 64 * 64
+
+
 class TestCheckpoint:
     def test_resume_bitwise_after_partial_run(self, tmp_path):
         m = well_conditioned(21, 52)
