@@ -14,6 +14,12 @@ column at a time.  The ``fallback_boundary`` group and the ``fallback_*``
 failures were recorded while ``invertor_with_fallback`` still searched
 every all-zero block formula by formula.  The failure cases
 pin the SingularBlock label and path each entry raises.
+
+The ``by_a_boundary`` group and the ``by_a_kron_*`` failures were recorded
+while each recursion still wrote its pivot formula out on numpy arrays and
+again on Python lists, and ``schur`` had its own bodies; every group above
+was recorded before the recursions and ``schur`` came to share one body per
+formula.
 """
 
 import hashlib
@@ -134,6 +140,16 @@ def _invertor_group(invertor):
 
 def _counts_all(c: OpCounters) -> bytes:
     return _counts(c) + repr(c._current_scratch).encode()
+
+
+def _by_a_boundary():
+    # orders whose pivot-A nodes cross order 10, including its list subtrees
+    h = hashlib.sha256()
+    for n in (9, 10, 11, 12, 13, 20, 21, 40, 64, 100):
+        for seed in range(3):
+            inv, c = invertor_by_a(well_conditioned(n, 9560 + 10 * n + seed))
+            h.update(inv.tobytes() + _counts_all(c))
+    return h.hexdigest()
 
 
 def _by_ad_boundary():
@@ -294,6 +310,7 @@ GROUPS = {
     "inplace_boundary": _inplace_boundary,
     "inplace_right": _inplace_right,
     "by_a": _invertor_group(invertor_by_a),
+    "by_a_boundary": _by_a_boundary,
     "by_ad": _invertor_group(invertor_by_ad),
     "by_ad_boundary": _by_ad_boundary,
     "fallback": _fallback,
@@ -308,6 +325,7 @@ GROUPS = {
 
 EXPECTED = {
     "by_a": "cd798e0ac3ac662b61b7b8b4a92eae99e61fe0756a3df311ac703e6357908c1c",
+    "by_a_boundary": "3cafa5775194fd8df61b2bb32fa0a36f901608b33e5249e8752240964fccbd53",
     "by_ad": "7e9d6b4bb831e11addf4c3b80fdd2c32d0d77abcc63f5d7ac98f7730a9f56be1",
     "by_ad_boundary": "05f7ba4d2f7b5e3cc925a1a8ab537c89f372e83b5cced1168057ebaac7e526e9",
     "engine": "61ed9463f82052799f28d4032e07b13ebb7d4c41cf6eafedc1cf295dd23e0951",
@@ -494,6 +512,10 @@ FAILURES = [
     ("invert_small_twins", lambda: invert_small(_twins(), np.empty((4, 4)))),
     ("by_a_ones", lambda: invertor_by_a(np.ones((8, 8)))),
     ("by_a_schur", lambda: invertor_by_a(np.kron(_schur_singular_d(), np.eye(3)))),
+    # singular leaves inside order <= 10 pivot-A subtrees under array nodes
+    ("by_a_kron_swap", lambda: invertor_by_a(_kron_swap(6))),
+    ("by_a_kron_d", lambda: invertor_by_a(np.kron(_schur_singular_d(), np.eye(6)))),
+    ("by_a_kron_twins", lambda: invertor_by_a(np.kron(_twins(), np.eye(7)))),
     ("inplace_ones", lambda: invertor_inplace_by_a(np.ones((8, 8)))),
     ("inplace_schur", lambda: invertor_inplace_by_a(np.kron(_schur_singular_d(), np.eye(3)))),
     ("by_ad_ones", lambda: invertor_by_ad(np.ones((8, 8)))),
@@ -524,6 +546,9 @@ EXPECTED_FAILURES = {
     "invert_small_twins": ("SchurD", []),
     "by_a_ones": ("A", ["A", "A"]),
     "by_a_schur": ("A", ["SchurA", "A", "A"]),
+    "by_a_kron_swap": ("A", ["A", "A", "A"]),
+    "by_a_kron_d": ("A", ["SchurA", "A", "A", "A"]),
+    "by_a_kron_twins": ("A", ["SchurA", "A", "A", "A"]),
     "inplace_ones": ("A", ["A", "A"]),
     "inplace_schur": ("A", ["SchurA", "A", "A"]),
     "by_ad_ones": ("A", ["A", "A"]),
