@@ -16,6 +16,20 @@ Three procedures share the same algebra but differ in how they treat memory:
   workspaces are pooled per (position, size) and reused across recursion
   generations, the way a preallocated scratch plan would.
 
+Each formula is written once, over an operations object ``ops``:
+``_single_pivot`` (which :mod:`blockinv.schur`'s A, D, B and C pivots and
+the order-4 leaf run too), ``_combined_pivot`` (also schur's AD and BC
+pairs) and ``_inplace``.  A formula asks ``ops`` for products, copies, Schur
+complements and sub-inversions, and counts its work on ``ops.counters``.
+The backend is chosen by order: ``_Arrays`` runs numpy blocks through
+core's kernels; nodes of order ``_PY_RECURSION_MAX`` (10) and below run on
+``_Rows``, Python lists with the same operations in the same order, so the
+results are bitwise identical.  The backend owns what the callers differ
+in: the sub-inversion and the label of its failure (the recursion's path,
+or schur's relabelling of its ``invert_sub``), the scratch counting (on in
+the recursions, off in schur) and where a Schur complement lives (a copy,
+or a ``_SchurPool`` slot in ``invertor_by_ad``).
+
 ``invertor_with_fallback`` is the retry path: at every node it tries the
 pivot formulas of :mod:`blockinv.schur` in the order A, D, B, C, on the
 fixed ``n // 2`` split, so inputs that need another split or a row
@@ -25,9 +39,7 @@ the search it skips (every pivot of an all-zero block is all-zero, so each
 formula fails before any product).
 
 Odd orders split floor/ceil; recursion bottoms out at order <= 2, which is
-inverted by the one analytic 1x1/2x2 leaf in :mod:`blockinv.core`.  Nodes
-of order 10 and below, in all three recursions, run on Python lists, with
-the same operations in the same order as on arrays.
+inverted by the one analytic 1x1/2x2 leaf in :mod:`blockinv.core`.
 Failures raise SingularBlock carrying the recursion path, e.g.
 "A.SchurA.A".  Nothing here starts a thread.
 """
@@ -35,6 +47,7 @@ Failures raise SingularBlock carrying the recursion path, e.g.
 from __future__ import annotations
 
 import functools
+from operator import add
 
 import numpy as np
 
@@ -68,74 +81,196 @@ def _check_square(x: np.ndarray) -> np.ndarray:
     return x
 
 
-# ---------------------------------------------------------------------------
-# invertor_by_a
-# ---------------------------------------------------------------------------
-
-
-# Nodes up to this order of the pivot-A, the in-place and the A/D
-# recursions run on Python lists; the numpy round trips per product
-# dominate there.  Same operations in the same order, so results are
-# bitwise identical to the array path.
+# Nodes up to this order run on the list backend: the numpy round trips
+# per product dominate there.
 _PY_RECURSION_MAX = 10
 
 
-def invertor_by_a(x: np.ndarray, counters: OpCounters | None = None):
-    """Invert by recursive pivot-A elimination into new storage.
+# Each formula takes the blocks of one 2x2 split and the output quadrants
+# they map to (None on lists, whose results are new rows), the path handed
+# to sub-inversions and the split's diagonal offset, which only the Schur
+# slots of ``invertor_by_ad`` use.  It returns the output blocks in the
+# order of its output arguments.
 
-    Returns ``(inverse, counters)``; the input is left untouched.
+
+def _single_pivot(ops, piv, row, col, opp, o_piv, o_row, o_col, o_opp, path, start=0,
+                  labels=("A", "SchurA")):
+    """Invert around ``piv``: six block products, two reductions.
+
+    ``row`` and ``col`` are the pivot's neighbours in its block row and block
+    column, ``opp`` the block opposite it; ``o_*`` are the output quadrants
+    they map to.  With P the pivot, S = O - K P^-1 R is its Schur complement;
+    -P^-1 R and K P^-1 are formed first and reused for every remaining term.
+    ``labels`` name the pivot and its complement in the sub-inversions' path.
     """
-    x = _check_square(x)
-    counters = counters if counters is not None else OpCounters()
-    out = _by_a_rec(x, counters, [])
-    return out, counters
+    c = ops.counters
+    p, q = len(piv), len(opp)
+    ops.alloc(p * p)
+    piv_inv = ops.invert(piv, path + [labels[0]])
+    n_pr = ops.mul(piv_inv, row, True)  # -P^-1 R
+    kp = ops.mul(col, piv_inv)  # K P^-1
+    s = ops.mul(col, n_pr, into=opp)  # S = O - K P^-1 R, in new storage
+    c.multiplies += 3
+    c.reductions += 1
+    ops.alloc(2 * p * q + 2 * q * q)  # -P^-1 R, K P^-1, S and S^-1
+    s_inv = ops.invert(s, path + [labels[1]])
+    ops.release(q * q)
+    o_col = ops.mul(n_pr, s_inv, out=o_col)  # -P^-1 R S^-1
+    o_piv = ops.mul(o_col, kp, True, into=piv_inv, out=o_piv)  # P^-1 + P^-1 R S^-1 K P^-1
+    o_row = ops.mul(s_inv, kp, True, out=o_row)  # -S^-1 K P^-1
+    c.multiplies += 3
+    c.reductions += 1
+    ops.release(2 * p * q + p * p + q * q)
+    return o_piv, o_row, o_col, ops.put(s_inv, o_opp)
 
 
-def _by_a_rec(x: np.ndarray, counters: OpCounters, path: list[str]) -> np.ndarray:
-    n = x.shape[0]
-    if n <= _PY_RECURSION_MAX:
-        rows = _by_a_small(x.tolist(), counters, path)
-        out = np.empty((n, n))
-        out[...] = rows
+def _combined_pivot(ops, a, b, c, d, oa, ob, oc, od, path, start=0,
+                    labels=("A", "D", "SchurD", "SchurA"), d_first=False):
+    """Invert both pivots, A and D, then S_D = A - B D^-1 C and
+    S_A = D - C A^-1 B straight onto the output diagonal: four products
+    beyond the four sub-inversions.
+
+    A is inverted before D unless ``d_first``, and S_D before S_A.  Each
+    complement is a fused reduction in its pivot's place (``complement``).
+    ``labels`` name A, D, S_D and S_A in the sub-inversions' path; schur's
+    counter-diagonal pair runs this with C, D, A, B in the roles of A, B,
+    C, D.  The pivot inverses' scratch is released as soon as they are used.
+    """
+    cnt = ops.counters
+    p, q = len(a), len(d)
+    ops.alloc(p * p + q * q)
+    if d_first:
+        d_inv = ops.invert(d, path + [labels[1]], start + p)
+    a_inv = ops.invert(a, path + [labels[0]], start)
+    if not d_first:
+        d_inv = ops.invert(d, path + [labels[1]], start + p)
+    ops.alloc(2 * p * q)
+    n_ab = ops.mul(a_inv, b, True)  # -A^-1 B
+    n_dc = ops.mul(d_inv, c, True)  # -D^-1 C
+    cnt.multiplies += 2
+    ops.release(p * p + q * q)
+    s_d = ops.complement(a, b, n_dc, start, labels[2])  # S_D = A - B D^-1 C
+    s_a = ops.complement(d, c, n_ab, start + p, labels[3])  # S_A = D - C A^-1 B
+    cnt.reductions += 2
+    oa = ops.invert(s_d, path + [labels[2]], start, oa)
+    od = ops.invert(s_a, path + [labels[3]], start + p, od)
+    oc = ops.mul(n_ab, od, out=oc)  # -A^-1 B S_A^-1
+    ob = ops.mul(n_dc, oa, out=ob)  # -D^-1 C S_D^-1
+    cnt.multiplies += 2
+    ops.release(2 * p * q)
+    return oa, ob, oc, od
+
+
+def _inplace(ops, a, b, c, d, oa, ob, oc, od, path, start=0):
+    """The pivot-A formula inside the blocks' own storage: on arrays every
+    step overwrites one of ``a``, ``b``, ``c``, ``d`` (the ``o*`` views are
+    the same storage).  Returns a, c, b, d, which hold the output quadrants
+    that A, B, C, D map to.  A right product ``t <- t @ m`` on lists is
+    ``_mm_rows(t, m)``: each element sums the same products in the same
+    order, since IEEE products commute and ``(-x) * y == x * (-y)``."""
+    cnt = ops.counters
+    a = ops.invert(a, path + ["A"], start, a)  # a <- A^-1
+    b = ops.left(a, b, True)  # b <- -A^-1 B
+    d = ops.mul(c, b, into=d, out=d)  # d <- S_A = D - C A^-1 B
+    c = ops.right(c, a, True)  # c <- -C A^-1
+    cnt.multiplies += 3
+    cnt.reductions += 1
+    d = ops.invert(d, path + ["SchurA"], start, d)  # d <- S_A^-1
+    c = ops.left(d, c)  # c <- -S_A^-1 C A^-1
+    a = ops.mul(b, c, into=a, out=a)  # a <- A^-1 + A^-1 B S_A^-1 C A^-1
+    b = ops.right(b, d)  # b <- -A^-1 B S_A^-1
+    cnt.multiplies += 3
+    cnt.reductions += 1
+    return a, c, b, d
+
+
+class _Arrays:
+    """The array backend.  Each product is one call of this module's
+    ``multiply``, ``schur_accumulate`` or in-place products, looked up by
+    name at the call, so a wrapper installed on those names sees them all.
+
+    Built with ``invert_sub`` (schur's formulas), a failure of it is
+    relabelled with the last entry of the path the formula hands down.
+    Built with ``formula`` (a recursion), ``pool`` holds ``invertor_by_ad``'s
+    Schur slots and ``row`` is the in-place recursion's row buffer.
+    """
+
+    def __init__(self, counters=None, invert_sub=None, formula=None, pool=None, row=None):
+        self.counters = counters if counters is not None else OpCounters()
+        self.invert_sub = invert_sub
+        self.formula = formula
+        self.pool = pool
+        self.row = row
+        if formula is not None:
+            self.alloc = counters.alloc
+            self.release = counters.release
+            self.rows = _Rows(counters, formula, pool)
+
+    def alloc(self, scalars: int) -> None:
+        """Scratch hook (and ``release``): off for schur's formulas."""
+
+    release = alloc
+
+    def invert(self, x, path, start=0, out=None):
+        n = x.shape[0]
+        if out is None:
+            out = np.empty((n, n))
+        if self.formula is None:
+            try:
+                self.invert_sub(x, out)
+            except SingularBlock as exc:
+                raise SingularBlock(path[-1], path=exc.path) from None
+        elif n <= _PY_RECURSION_MAX:
+            out[...] = self.rows.invert(x.tolist(), path, start)
+        else:
+            self.counters.nodes += 1
+            p = n // 2
+            self.formula(self, x[:p, :p], x[:p, p:], x[p:, :p], x[p:, p:],
+                         out[:p, :p], out[p:, :p], out[:p, p:], out[p:, p:], path, start)
         return out
-    out = np.empty((n, n))
-    counters.alloc(n * n)
-    counters.nodes += 1
-    p = n // 2
-    q = n - p
-    a, b, c, d = x[:p, :p], x[:p, p:], x[p:, :p], x[p:, p:]
 
-    a_inv = _by_a_rec(a, counters, path + ["A"])
-    n_ab = np.empty((p, q))
-    counters.alloc(n_ab.size)
-    multiply(a_inv, b, n_ab, negate=True, counters=counters)  # -A^-1 B
-    ca = np.empty((q, p))
-    counters.alloc(ca.size)
-    multiply(c, a_inv, ca, counters=counters)  # C A^-1
-    s_a = d.copy()
-    counters.alloc(s_a.size)
-    multiply(c, n_ab, s_a, accumulate=True, counters=counters)  # S_A = D - C A^-1 B
-    s_a_inv = _by_a_rec(s_a, counters, path + ["SchurA"])
-    counters.release(s_a.size)
+    @staticmethod
+    def mul(a, b, negate=False, into=None, out=None):
+        """(+-1) a @ b, added to the values of ``into`` when given, in
+        ``out``: new storage when None, ``into`` itself to update it."""
+        if out is None:
+            out = np.empty((a.shape[0], b.shape[1])) if into is None else into.copy()
+        elif into is not None and into is not out:
+            out[...] = into
+        multiply(a, b, out, into is not None, negate)
+        return out
 
-    out01 = out[:p, p:]
-    multiply(n_ab, s_a_inv, out01, counters=counters)  # -A^-1 B S_A^-1
-    counters.release(n_ab.size)
-    out[:p, :p] = a_inv
-    counters.release(a_inv.size)
-    multiply(out01, ca, out[:p, :p], accumulate=True, negate=True, counters=counters)
-    multiply(s_a_inv, ca, out[p:, :p], negate=True, counters=counters)  # -S_A^-1 C A^-1
-    counters.release(ca.size)
-    out[p:, p:] = s_a_inv
-    counters.release(s_a_inv.size)
-    return out
+    def left(self, a_inv, t, negate=False):
+        multiply_inplace_left(a_inv, t, self.row, negate)
+        return t
+
+    def right(self, t, a_inv, negate=False):
+        multiply_inplace_right(t, a_inv, self.row, negate)
+        return t
+
+    @staticmethod
+    def put(x, out):
+        out[...] = x
+        return out
+
+    def complement(self, base, x, y, start, label):
+        """base + x @ y, one fused reduction, in a copy of ``base`` or in
+        the pool's slot for (start, order, label)."""
+        if self.pool is None:
+            s = base.copy()
+        else:
+            s = self.pool.claim(start, base.shape[0], label)
+            s[...] = base
+        schur_accumulate(s, x, y)
+        return s
 
 
-def _mm_rows(a, b, negate=False, into=None):
+def _mm_rows(a, b, negate=False, into=None, out=None):
     """List-of-lists product, same ascending-k order as the array kernel.
 
     ``into`` supplies per-element start values (the accumulate case); the
-    result is always a new list of rows.  Inner sums start from 0.0 so the
+    result is always a new list of rows, so ``out`` (an array destination
+    to the array backend) is ignored.  Inner sums start from 0.0 so the
     signed-zero behavior matches the zero-initialized array kernel.  Every
     sum is written out left to right for inner sizes 1 to 5, the only ones
     the list recursions reach; ``sum()`` is not used, since from Python 3.12
@@ -215,51 +350,79 @@ def _mm_rows(a, b, negate=False, into=None):
     raise DimensionMismatch(f"list product over inner size {inner}, not 1 to 5")
 
 
-def _by_a_small(x: list, counters: OpCounters, path: list[str]) -> list:
-    """The pivot-A recursion on Python lists (operation-for-operation the
-    same as the array path, including the counter and audit sequence).
+class _Rows:
+    """The list backend: the array backend's operations on lists of rows,
+    returning new rows where it writes into storage.  A Schur slot is only
+    booked, since the complement is a new list."""
 
-    Counter bookkeeping is inlined: this path exists purely to keep the
-    per-call overhead at tiny orders down.
+    def __init__(self, counters: OpCounters, formula, pool=None):
+        self.counters = counters
+        self.formula = formula
+        self.pool = pool
+        self.alloc = counters.alloc
+        self.release = counters.release
+        # instance attributes: the fastest lookup on this hot path
+        self.mul = self.left = self.right = _mm_rows
+
+    @staticmethod
+    def put(x, out):
+        return x
+
+    def complement(self, base, x, y, start, label):
+        self.pool.claim(start, len(base), label, array=False)
+        return _mm_rows(x, y, into=base)
+
+    def invert(self, x, path, start=0, out=None):
+        n = len(x)
+        if n <= LEAF_ORDER:
+            rows = _inv_rows(x, path)
+            self.counters.inversions += 1
+            return rows
+        self.counters.nodes += 1
+        p = n // 2
+        top, bottom = x[:p], x[p:]
+        oa, ob, oc, od = self.formula(
+            self, [r[:p] for r in top], [r[p:] for r in top],
+            [r[:p] for r in bottom], [r[p:] for r in bottom],
+            None, None, None, None, path, start,
+        )
+        return list(map(add, oa, oc)) + list(map(add, ob, od))  # rows joined side by side
+
+
+class _SchurPool:
+    """Schur workspaces keyed by (diagonal position, order, label).
+
+    A slot is counted once, when first claimed, and reused by every later
+    recursion generation that lands on the same diagonal span, so the total
+    counted equals the preallocated-plan footprint.  The list backend only
+    books its slots (its complements are new lists).
     """
-    n = len(x)
-    counters.alloc(n * n)
-    if n <= LEAF_ORDER:
-        rows = _inv_rows(x, path)
-        counters.inversions += 1
-        return rows
-    counters.nodes += 1
-    p = n // 2
-    q = n - p
-    a = [row[:p] for row in x[:p]]
-    b = [row[p:] for row in x[:p]]
-    c = [row[:p] for row in x[p:]]
-    d = [row[p:] for row in x[p:]]
 
-    a_inv = _by_a_small(a, counters, path + ["A"])
-    n_ab = _mm_rows(a_inv, b, negate=True)  # -A^-1 B
-    ca = _mm_rows(c, a_inv)  # C A^-1
-    s_a = _mm_rows(c, n_ab, into=d)  # S_A = D - C A^-1 B
-    counters.alloc(2 * p * q + q * q)
-    counters.multiplies += 3
-    counters.reductions += 1
-    s_a_inv = _by_a_small(s_a, counters, path + ["SchurA"])
-    counters.release(q * q)
+    def __init__(self, counters: OpCounters):
+        self._slots: dict[tuple[int, int, str], np.ndarray | None] = {}
+        self._counters = counters
 
-    out01 = _mm_rows(n_ab, s_a_inv)  # -A^-1 B S_A^-1
-    out00 = _mm_rows(out01, ca, negate=True, into=a_inv)
-    out10 = _mm_rows(s_a_inv, ca, negate=True)  # -S_A^-1 C A^-1
-    counters.multiplies += 3
-    counters.reductions += 1
-    counters.release(p * q + p * p + q * p + q * q)
-    return [out00[i] + out01[i] for i in range(p)] + [
-        out10[i] + s_a_inv[i] for i in range(q)
-    ]
+    def claim(self, start: int, order: int, side: str, array: bool = True):
+        """The slot's array, allocated on the first claim with ``array``."""
+        key = (start, order, side)
+        if key not in self._slots:
+            self._slots[key] = None
+            self._counters.schur_scratch += order * order
+            self._counters.alloc(order * order)
+        if array and self._slots[key] is None:
+            self._slots[key] = np.empty((order, order))
+        return self._slots[key]
 
 
-# ---------------------------------------------------------------------------
-# invertor_inplace_by_a
-# ---------------------------------------------------------------------------
+def invertor_by_a(x: np.ndarray, counters: OpCounters | None = None):
+    """Invert by recursive pivot-A elimination into new storage.
+
+    Returns ``(inverse, counters)``; the input is left untouched.
+    """
+    x = _check_square(x)
+    counters = counters if counters is not None else OpCounters()
+    counters.alloc(x.size)
+    return _Arrays(counters, formula=_single_pivot).invert(x, []), counters
 
 
 def invertor_inplace_by_a(
@@ -286,99 +449,9 @@ def invertor_inplace_by_a(
         raise ScratchTooSmall(f"need {n} scalars, have {row_scratch.shape[0]}")
     counters = counters if counters is not None else OpCounters()
     counters.alloc(row_scratch.shape[0])
-    _inplace_rec(x, row_scratch, counters, [])
+    _Arrays(counters, formula=_inplace, row=row_scratch).invert(x, [], 0, x)
     counters.release(row_scratch.shape[0])
     return counters
-
-
-def _inplace_rec(x: np.ndarray, scratch: np.ndarray, counters: OpCounters, path) -> None:
-    n = x.shape[0]
-    if n <= _PY_RECURSION_MAX:
-        x[...] = _inplace_small(x.tolist(), counters, path)
-        return
-    counters.nodes += 1
-    p = n // 2
-    a, b, c, d = x[:p, :p], x[:p, p:], x[p:, :p], x[p:, p:]
-
-    _inplace_rec(a, scratch, counters, path + ["A"])  # a <- A^-1
-    multiply_inplace_left(a, b, scratch, negate=True, counters=counters)  # b <- -A^-1 B
-    multiply(c, b, d, accumulate=True, counters=counters)  # d <- S_A = D - C A^-1 B
-    multiply_inplace_right(c, a, scratch, negate=True, counters=counters)  # c <- -C A^-1
-    _inplace_rec(d, scratch, counters, path + ["SchurA"])  # d <- S_A^-1
-    multiply_inplace_left(d, c, scratch, counters=counters)  # c <- -S_A^-1 C A^-1
-    multiply(b, c, a, accumulate=True, counters=counters)  # a <- A^-1 + A^-1 B S_A^-1 C A^-1
-    multiply_inplace_right(b, d, scratch, counters=counters)  # b <- -A^-1 B S_A^-1
-
-
-def _inplace_small(x: list, counters: OpCounters, path) -> list:
-    """The in-place recursion on Python lists, step for step the same as
-    ``_inplace_rec``, counters included (it allocates nothing the row
-    buffer's count does not already cover).
-
-    A right product ``t <- t @ m`` becomes ``_mm_rows(t, m)``: each element
-    sums the same products in the same order, since IEEE products commute
-    and ``(-x) * y == x * (-y)``.
-    """
-    n = len(x)
-    if n <= LEAF_ORDER:
-        rows = _inv_rows(x, path)
-        counters.inversions += 1
-        return rows
-    counters.nodes += 1
-    p = n // 2
-    a = [row[:p] for row in x[:p]]
-    b = [row[p:] for row in x[:p]]
-    c = [row[:p] for row in x[p:]]
-    d = [row[p:] for row in x[p:]]
-
-    a = _inplace_small(a, counters, path + ["A"])  # a <- A^-1
-    b = _mm_rows(a, b, negate=True)  # b <- -A^-1 B
-    d = _mm_rows(c, b, into=d)  # d <- S_A = D - C A^-1 B
-    c = _mm_rows(c, a, negate=True)  # c <- -C A^-1
-    counters.multiplies += 3
-    counters.reductions += 1
-    d = _inplace_small(d, counters, path + ["SchurA"])  # d <- S_A^-1
-    c = _mm_rows(d, c)  # c <- -S_A^-1 C A^-1
-    a = _mm_rows(b, c, into=a)  # a <- A^-1 + A^-1 B S_A^-1 C A^-1
-    b = _mm_rows(b, d)  # b <- -A^-1 B S_A^-1
-    counters.multiplies += 3
-    counters.reductions += 1
-    return [a[i] + b[i] for i in range(p)] + [c[i] + d[i] for i in range(n - p)]
-
-
-# ---------------------------------------------------------------------------
-# invertor_by_ad
-# ---------------------------------------------------------------------------
-
-
-class _SchurPool:
-    """Schur workspaces keyed by (diagonal position, order, side).
-
-    A slot is counted once, when first claimed, and reused by every later
-    recursion generation that lands on the same diagonal span, so the total
-    counted equals the preallocated-plan footprint.  The list path only
-    books its slots (its complements are new lists); an array is allocated
-    when an array node first asks for one.
-    """
-
-    def __init__(self, counters: OpCounters):
-        self._slots: dict[tuple[int, int, str], np.ndarray | None] = {}
-        self._counters = counters
-
-    def book(self, start: int, order: int, side: str) -> None:
-        key = (start, order, side)
-        if key not in self._slots:
-            self._slots[key] = None
-            self._counters.schur_scratch += order * order
-            self._counters.alloc(order * order)
-
-    def get(self, start: int, order: int, side: str) -> np.ndarray:
-        self.book(start, order, side)
-        key = (start, order, side)
-        slot = self._slots[key]
-        if slot is None:
-            slot = self._slots[key] = np.empty((order, order))
-        return slot
 
 
 def invertor_by_ad(x: np.ndarray, counters: OpCounters | None = None):
@@ -388,95 +461,8 @@ def invertor_by_ad(x: np.ndarray, counters: OpCounters | None = None):
     """
     x = _check_square(x)
     counters = counters if counters is not None else OpCounters()
-    out = np.empty_like(x)
-    _by_ad_rec(x, out, 0, _SchurPool(counters), counters, [])
-    return out, counters
-
-
-def _by_ad_rec(x, out, start, pool, counters, path) -> None:
-    n = x.shape[0]
-    if n <= _PY_RECURSION_MAX:
-        out[...] = _by_ad_small(x.tolist(), start, pool, counters, path)
-        return
-    counters.nodes += 1
-    p = n // 2
-    q = n - p
-    a, b, c, d = x[:p, :p], x[:p, p:], x[p:, :p], x[p:, p:]
-
-    a_inv = np.empty((p, p))
-    d_inv = np.empty((q, q))
-    counters.alloc(a_inv.size + d_inv.size)
-    _by_ad_rec(a, a_inv, start, pool, counters, path + ["A"])
-    _by_ad_rec(d, d_inv, start + p, pool, counters, path + ["D"])
-
-    n_ab = np.empty((p, q))
-    n_dc = np.empty((q, p))
-    counters.alloc(n_ab.size + n_dc.size)
-    multiply(a_inv, b, n_ab, negate=True, counters=counters)  # -A^-1 B
-    multiply(d_inv, c, n_dc, negate=True, counters=counters)  # -D^-1 C
-    counters.release(a_inv.size + d_inv.size)
-
-    s_d = pool.get(start, p, "sd")
-    s_d[...] = a
-    schur_accumulate(s_d, b, n_dc, counters)  # S_D = A - B D^-1 C
-    s_a = pool.get(start + p, q, "sa")
-    s_a[...] = d
-    schur_accumulate(s_a, c, n_ab, counters)  # S_A = D - C A^-1 B
-
-    _by_ad_rec(s_d, out[:p, :p], start, pool, counters, path + ["SchurD"])
-    _by_ad_rec(s_a, out[p:, p:], start + p, pool, counters, path + ["SchurA"])
-
-    multiply(n_ab, out[p:, p:], out[:p, p:], counters=counters)  # -A^-1 B S_A^-1
-    multiply(n_dc, out[:p, :p], out[p:, :p], counters=counters)  # -D^-1 C S_D^-1
-    counters.release(n_ab.size + n_dc.size)
-
-
-def _by_ad_small(x: list, start: int, pool: _SchurPool, counters: OpCounters, path) -> list:
-    """The A/D recursion on Python lists (operation-for-operation the same
-    as the array path, including the counter sequence).
-
-    The Schur pool slots are booked, for their bookkeeping only: the
-    complements themselves are new lists.
-    """
-    n = len(x)
-    if n <= LEAF_ORDER:
-        rows = _inv_rows(x, path)
-        counters.inversions += 1
-        return rows
-    counters.nodes += 1
-    p = n // 2
-    q = n - p
-    a = [row[:p] for row in x[:p]]
-    b = [row[p:] for row in x[:p]]
-    c = [row[:p] for row in x[p:]]
-    d = [row[p:] for row in x[p:]]
-
-    counters.alloc(p * p + q * q)
-    a_inv = _by_ad_small(a, start, pool, counters, path + ["A"])
-    d_inv = _by_ad_small(d, start + p, pool, counters, path + ["D"])
-
-    counters.alloc(2 * p * q)
-    n_ab = _mm_rows(a_inv, b, negate=True)  # -A^-1 B
-    n_dc = _mm_rows(d_inv, c, negate=True)  # -D^-1 C
-    counters.multiplies += 2
-    counters.release(p * p + q * q)
-
-    pool.book(start, p, "sd")
-    s_d = _mm_rows(b, n_dc, into=a)  # S_D = A - B D^-1 C
-    pool.book(start + p, q, "sa")
-    s_a = _mm_rows(c, n_ab, into=d)  # S_A = D - C A^-1 B
-    counters.reductions += 2
-
-    s_d_inv = _by_ad_small(s_d, start, pool, counters, path + ["SchurD"])
-    s_a_inv = _by_ad_small(s_a, start + p, pool, counters, path + ["SchurA"])
-
-    out01 = _mm_rows(n_ab, s_a_inv)  # -A^-1 B S_A^-1
-    out10 = _mm_rows(n_dc, s_d_inv)  # -D^-1 C S_D^-1
-    counters.multiplies += 2
-    counters.release(2 * p * q)
-    return [s_d_inv[i] + out01[i] for i in range(p)] + [
-        out10[i] + s_a_inv[i] for i in range(q)
-    ]
+    ops = _Arrays(counters, formula=_combined_pivot, pool=_SchurPool(counters))
+    return ops.invert(x, []), counters
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,16 @@ can be inverted around any invertible pivot block whose Schur complement is
 also invertible: pivot A uses S_A = D - C A^-1 B, pivot D uses
 S_D = A - B D^-1 C, and when B and C are square (counter-diagonal layout)
 the analogous S_B = C - D B^-1 A and S_C = B - A C^-1 D apply.  All four
-are one kernel applied to a permutation of (pivot, row neighbour, column
-neighbour, opposite block): A -> (A, B, C, D), D -> (D, C, B, A),
-B -> (B, A, D, C), C -> (C, D, A, B).  The two combined forms, which share
-a second kernel, invert both diagonal (or both counter-diagonal) pivots and
-place the Schur inverses directly on the output diagonal, which is what the
-recursive and step-scheduled engines build on.
+run the single-pivot body of :mod:`blockinv.recursive` on a permutation of
+(pivot, row neighbour, column neighbour, opposite block): A -> (A, B, C, D),
+D -> (D, C, B, A), B -> (B, A, D, C), C -> (C, D, A, B).  The two combined
+forms run its combined-pivot body: they invert both diagonal (or both
+counter-diagonal) pivots and place the Schur inverses directly on the
+output diagonal.  The recursions run the same bodies.
 
-Sub-inversions are delegated to an injected ``invert_sub(block, out)``
-callback so the same code serves leaf analytic inversion, recursion, and
-oracle-based testing.
+Here the bodies run on numpy arrays with the caller's ``invert_sub(block,
+out)`` doing each sub-inversion, so the same code serves leaf analytic
+inversion, recursion and oracle-based testing; no scratch is counted.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OpCounters, multiply, schur_accumulate
+from .core import OpCounters, invert_small
 from .errors import AllPivotsSingular, DimensionMismatch, SingularBlock
+from .recursive import _Arrays, _combined_pivot, _single_pivot
 
 DIAGONAL = "diagonal-square"
 COUNTERDIAGONAL = "counterdiagonal-square"
@@ -90,44 +91,6 @@ def counterdiagonal_quad(m: np.ndarray, split: int) -> BlockQuad:
     )
 
 
-def _invert_into(invert_sub, block, out, label):
-    # Leaf/base inversions are tallied by the callback itself, not here.
-    try:
-        invert_sub(block, out)
-    except SingularBlock as exc:
-        raise SingularBlock(label, path=exc.path) from None
-
-
-def _sub_inverse(invert_sub, block, label):
-    out = np.empty_like(block)
-    _invert_into(invert_sub, block, out, label)
-    return out
-
-
-def _single_pivot(piv, row, col, opp, o_piv, o_row, o_col, o_opp, piv_label, schur_label,
-                  invert_sub, counters):
-    """Invert around ``piv``: six block products, two reductions.
-
-    ``row`` and ``col`` are the pivot's neighbours in its block row and block
-    column, ``opp`` the block opposite it; ``o_*`` are the output quadrants
-    they map to.  With P the pivot, S = O - K P^-1 R is its Schur complement;
-    -P^-1 R and K P^-1 are formed first and reused for every remaining term.
-    """
-    piv_inv = _sub_inverse(invert_sub, piv, piv_label)
-    n_pr = np.empty_like(row)
-    multiply(piv_inv, row, n_pr, negate=True, counters=counters)  # -P^-1 R
-    kp = np.empty_like(col)
-    multiply(col, piv_inv, kp, counters=counters)  # K P^-1
-    s = opp.copy()
-    multiply(col, n_pr, s, accumulate=True, counters=counters)  # S = O - K P^-1 R
-    s_inv = _sub_inverse(invert_sub, s, schur_label)
-    multiply(n_pr, s_inv, o_col, counters=counters)  # -P^-1 R S^-1
-    o_piv[...] = piv_inv
-    multiply(o_col, kp, o_piv, accumulate=True, negate=True, counters=counters)
-    multiply(s_inv, kp, o_row, negate=True, counters=counters)  # -S^-1 K P^-1
-    o_opp[...] = s_inv
-
-
 def invert_via_a(
     q: BlockQuad,
     invert_sub,
@@ -137,7 +100,7 @@ def invert_via_a(
     """Invert around pivot A with S_A = D - C A^-1 B: six block products,
     two reductions."""
     oa, ob, oc, od = _out_quads(q, DIAGONAL, out)
-    _single_pivot(q.a, q.b, q.c, q.d, oa, ob, oc, od, "A", "SchurA", invert_sub, counters)
+    _single_pivot(_Arrays(counters, invert_sub), q.a, q.b, q.c, q.d, oa, ob, oc, od, [])
 
 
 def invert_via_d(
@@ -148,7 +111,8 @@ def invert_via_d(
 ) -> None:
     """Invert around pivot D with S_D = A - B D^-1 C."""
     oa, ob, oc, od = _out_quads(q, DIAGONAL, out)
-    _single_pivot(q.d, q.c, q.b, q.a, od, oc, ob, oa, "D", "SchurD", invert_sub, counters)
+    _single_pivot(_Arrays(counters, invert_sub), q.d, q.c, q.b, q.a, od, oc, ob, oa, [],
+                  labels=("D", "SchurD"))
 
 
 def invert_via_b(
@@ -159,7 +123,8 @@ def invert_via_b(
 ) -> None:
     """Invert around square off-diagonal pivot B with S_B = C - D B^-1 A."""
     oa, ob, oc, od = _out_quads(q, COUNTERDIAGONAL, out)
-    _single_pivot(q.b, q.a, q.d, q.c, ob, oa, od, oc, "B", "SchurB", invert_sub, counters)
+    _single_pivot(_Arrays(counters, invert_sub), q.b, q.a, q.d, q.c, ob, oa, od, oc, [],
+                  labels=("B", "SchurB"))
 
 
 def invert_via_c(
@@ -170,33 +135,8 @@ def invert_via_c(
 ) -> None:
     """Invert around square off-diagonal pivot C with S_C = B - A C^-1 D."""
     oa, ob, oc, od = _out_quads(q, COUNTERDIAGONAL, out)
-    _single_pivot(q.c, q.d, q.a, q.b, oc, od, oa, ob, "C", "SchurC", invert_sub, counters)
-
-
-def _combined_pivot(first, second, invert_sub, counters):
-    """Both pivots of a pair, with inverses already in hand.
-
-    Each side is (pivot, pivot inverse, row neighbour, pivot output, row
-    neighbour output, Schur label).  A side's complement
-    S = (other pivot) - (other row neighbour) P^-1 R is a fused reduction
-    into a copy of the other pivot, whose inverse lands on the other
-    pivot's output quadrant; the sides' complements are inverted in
-    argument order.  Four products in all.
-    """
-    p1, i1, r1, op1, or1, label1 = first
-    p2, i2, r2, op2, or2, label2 = second
-    n1 = np.empty_like(r1)
-    multiply(i1, r1, n1, negate=True, counters=counters)  # -P1^-1 R1
-    n2 = np.empty_like(r2)
-    multiply(i2, r2, n2, negate=True, counters=counters)  # -P2^-1 R2
-    s1 = p2.copy()
-    schur_accumulate(s1, r2, n1, counters)  # S1 = P2 - R2 P1^-1 R1
-    s2 = p1.copy()
-    schur_accumulate(s2, r1, n2, counters)  # S2 = P1 - R1 P2^-1 R2
-    _invert_into(invert_sub, s1, op2, label1)
-    _invert_into(invert_sub, s2, op1, label2)
-    multiply(n1, op2, or2, counters=counters)  # -P1^-1 R1 S1^-1
-    multiply(n2, op1, or1, counters=counters)  # -P2^-1 R2 S2^-1
+    _single_pivot(_Arrays(counters, invert_sub), q.c, q.d, q.a, q.b, oc, od, oa, ob, [],
+                  labels=("C", "SchurC"))
 
 
 def invert_via_ad(
@@ -214,10 +154,7 @@ def invert_via_ad(
     the two final products.
     """
     oa, ob, oc, od = _out_quads(q, DIAGONAL, out)
-    a_inv = _sub_inverse(invert_sub, q.a, "A")
-    d_inv = _sub_inverse(invert_sub, q.d, "D")
-    _combined_pivot((q.d, d_inv, q.c, od, oc, "SchurD"),
-                    (q.a, a_inv, q.b, oa, ob, "SchurA"), invert_sub, counters)
+    _combined_pivot(_Arrays(counters, invert_sub), q.a, q.b, q.c, q.d, oa, ob, oc, od, [])
 
 
 def invert_via_bc(
@@ -227,12 +164,11 @@ def invert_via_bc(
     counters: OpCounters | None = None,
 ) -> None:
     """Counter-diagonal twin of invert_via_ad: S_B^-1 and S_C^-1 land on the
-    output counter-diagonal; four products beyond the four sub-inversions."""
+    output counter-diagonal; four products beyond the four sub-inversions.
+    Pivots B then C, complements S_B then S_C."""
     oa, ob, oc, od = _out_quads(q, COUNTERDIAGONAL, out)
-    b_inv = _sub_inverse(invert_sub, q.b, "B")
-    c_inv = _sub_inverse(invert_sub, q.c, "C")
-    _combined_pivot((q.b, b_inv, q.a, ob, oa, "SchurB"),
-                    (q.c, c_inv, q.d, oc, od, "SchurC"), invert_sub, counters)
+    _combined_pivot(_Arrays(counters, invert_sub), q.c, q.d, q.a, q.b, oc, od, oa, ob, [],
+                    labels=("C", "B", "SchurB", "SchurC"), d_first=True)
 
 
 # Formulas grouped by the quad layout they need, so each quad is built once.
@@ -256,8 +192,6 @@ def invert_with_fallback(
     raises AllPivotsSingular when none does.
     """
     if invert_sub is None:
-        from .core import invert_small
-
         invert_sub = invert_small
     failures = []
     for make_quad, formulas in _FALLBACK_ORDER:

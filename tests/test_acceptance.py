@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
+import gc
 import time
 from contextlib import contextmanager
 
@@ -196,10 +197,44 @@ def test_singular_pivot_behavior():
         assert invert_with_fallback(perm, 1, out) == "via_b"
 
 
+_CAL_SMALL = np.linspace(1.0, 2.0, 16).reshape(4, 4)
+_CAL_TILE = np.linspace(1.0, 2.0, 256).reshape(16, 16)
+_CAL_BLOCK = np.linspace(1.0, 2.0, 1024).reshape(32, 32)
+
+
+def _fib(n):
+    return 1 if n < 2 else _fib(n - 1) + _fib(n - 2)
+
+
+def _calibrate():
+    """Seconds of a fixed mix of Python calls, small numpy products and
+    inverses, and quadrant slicing (about 9 ms), the same mix as the
+    benchmark's calibration loop, timed with the garbage collector paused
+    as every sample is.  On a shared machine all CPU work runs up to 1.8x
+    slower for stretches of seconds to minutes; the mix slows about as much
+    as the inversions do, so a sample divided by the calibration next to it
+    does not depend on which speed the machine was in."""
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        _fib(21)
+        for _ in range(250):
+            _CAL_BLOCK @ _CAL_BLOCK
+            np.linalg.inv(_CAL_SMALL)
+        for _ in range(800):
+            corner = _CAL_TILE[8:, 8:] @ _CAL_TILE[:8, :8]
+            corner -= _CAL_TILE[:8, 8:]
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
 def test_timing_slopes(tmp_path):
     """Synthetic exponents recovered to 1e-3; measured slopes for
     m in [10, 100] land in the plausibility band [1.5, 4.5]."""
     with criterion("timing slope fits"):
+        from dataclasses import replace
+
         from blockinv.bench import TimingRecord
         from blockinv.core import OpCounters
 
@@ -215,26 +250,38 @@ def test_timing_slopes(tmp_path):
         orders = list(range(10, 101, 10))
         methods = ("a", "inplace", "ad", "parallel")
         records = []
-        best = {}
+        mid = {}
         mats = {order: generate(order, seed=300 + order) for order in orders}
         runs = {(method, order): [] for order in orders for method in methods}
-        # Each pass times every (order, method) once, so every point's six
-        # samples are spread over the whole sweep and its best-of can come
-        # from a fast stretch of the machine.  An untimed call just before
-        # each sample warms the caches the other points' calls evicted;
-        # without it the order-10 end reads cold and lowers every exponent.
-        for _ in range(6):
+        # A sample is the mean of k back-to-back timed calls, k chosen so
+        # that it lasts about as long as one calibration loop, and it is
+        # divided by the mean of the loops run just before and just after
+        # it: sample and divisor then span the same machine conditions, so
+        # orders timed in different speed modes of the machine share one
+        # scale.  Each pass times every (order, method) once, after an
+        # untimed call that warms the caches the other points' calls
+        # evicted; a point is the median of its nine calibrated samples.
+        cal = _calibrate()
+        batch = {}
+        for key in runs:
+            time_inversion(key[0], mats[key[1]])
+            batch[key] = max(1, round(cal / time_inversion(key[0], mats[key[1]]).seconds))
+        for _ in range(9):
             for order in orders:
                 for method in methods:
                     time_inversion(method, mats[order])
-                    runs[(method, order)].append(time_inversion(method, mats[order]))
+                    k = batch[(method, order)]
+                    recs = [time_inversion(method, mats[order]) for _ in range(k)]
+                    before, cal = cal, _calibrate()
+                    seconds = sum(r.seconds for r in recs) / k / ((before + cal) / 2)
+                    runs[(method, order)].append(replace(recs[0], seconds=seconds))
         for key, samples in runs.items():
             records.extend(samples)
-            best[key] = min(samples, key=lambda r: r.seconds)
+            mid[key] = sorted(samples, key=lambda r: r.seconds)[len(samples) // 2]
         write_csv(records, tmp_path / "timing_sweep.csv")
-        print(f"  CSV: {tmp_path / 'timing_sweep.csv'}", end=" ")
+        print(f"  CSV (calibrated times): {tmp_path / 'timing_sweep.csv'}", end=" ")
         exponents = {
-            method: fit_slope([best[(method, order)] for order in orders], 10, 100).exponent
+            method: fit_slope([mid[(method, order)] for order in orders], 10, 100).exponent
             for method in methods
         }
         report = " ".join(f"{method}: n={e:.2f}" for method, e in exponents.items())

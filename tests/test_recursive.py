@@ -1,8 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from blockinv import recursive
 from blockinv.core import OpCounters, _mm_acc, gauss_jordan_oracle, invert_small, residual_norm
 from blockinv.errors import (
     AllPivotsSingular,
@@ -147,12 +149,12 @@ class TestInvertorByAD:
     def test_pool_books_without_allocating_and_counts_once(self):
         c = OpCounters()
         pool = _SchurPool(c)
-        pool.book(4, 3, "sd")  # a list node's claim
-        pool.book(4, 3, "sd")
+        pool.claim(4, 3, "sd", array=False)  # a list node's claim
+        pool.claim(4, 3, "sd", array=False)
         assert pool._slots[(4, 3, "sd")] is None
-        slot = pool.get(4, 3, "sd")  # an array node asking for the same key
-        assert slot.shape == (3, 3) and pool.get(4, 3, "sd") is slot
-        pool.get(0, 2, "sa")
+        slot = pool.claim(4, 3, "sd")  # an array node asking for the same key
+        assert slot.shape == (3, 3) and pool.claim(4, 3, "sd") is slot
+        pool.claim(0, 2, "sa")
         assert (c.schur_scratch, c.peak_scratch) == (9 + 4, 9 + 4)
 
     @pytest.mark.parametrize("k", range(1, 7))
@@ -311,3 +313,42 @@ def test_list_product_bitwise_equals_array_kernel(inner, negate, into):
 def test_list_product_rejects_inner_size_6(into):
     with pytest.raises(DimensionMismatch):
         _mm_rows([[1.0] * 6], [[1.0]] * 6, into=[[0.0]] if into else None)
+
+
+def _backend_outcome(method, m):
+    """Output bytes, or the SingularBlock label and path, plus every
+    OpCounters field (the live scratch count included)."""
+    c = OpCounters()
+    try:
+        if method == "inplace":
+            out = m.copy()
+            invertor_inplace_by_a(out, counters=c)
+        else:
+            out, _ = (invertor_by_a if method == "a" else invertor_by_ad)(m, c)
+        result = out.tobytes()
+    except SingularBlock as exc:
+        result = (exc.block, exc.path)
+    return result, dataclasses.asdict(c)
+
+
+def _backend_inputs(n):
+    yield well_conditioned(n, 4200 + n)
+    yield np.ones((n, n))  # singular leaves or complements along the A path
+    zeroed = well_conditioned(n, 4300 + n)
+    zeroed[: n // 2, : n // 2] = 0.0  # singular top pivot
+    yield zeroed
+    yield np.kron([[1.0, 1.0], [1.0, 1.0]], np.eye(n // 2)) if n > 1 else np.eye(1)
+
+
+@pytest.mark.parametrize("method", ["a", "inplace", "ad"])
+def test_array_backend_matches_list_backend(method, monkeypatch):
+    # order 2 as the list threshold sends arrays down to the leaves
+    expected = {
+        (n, i): _backend_outcome(method, m)
+        for n in range(1, 41)
+        for i, m in enumerate(_backend_inputs(n))
+    }
+    monkeypatch.setattr(recursive, "_PY_RECURSION_MAX", 2)
+    for n in range(1, 41):
+        for i, m in enumerate(_backend_inputs(n)):
+            assert _backend_outcome(method, m) == expected[(n, i)], (n, i)
