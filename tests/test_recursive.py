@@ -337,7 +337,9 @@ def _backend_inputs(n):
     zeroed = well_conditioned(n, 4300 + n)
     zeroed[: n // 2, : n // 2] = 0.0  # singular top pivot
     yield zeroed
-    yield np.kron([[1.0, 1.0], [1.0, 1.0]], np.eye(n // 2)) if n > 1 else np.eye(1)
+    twins = np.eye(n)  # A = B = C = D = I in its leading even part: S_A = 0
+    twins[: n - n % 2, : n - n % 2] = np.kron(np.ones((2, 2)), np.eye(n // 2))
+    yield twins
 
 
 @pytest.mark.parametrize("method", ["a", "inplace", "ad"])
