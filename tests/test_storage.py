@@ -177,3 +177,29 @@ class TestCheckpoint:
         assert meta["blocksize"] == scheme.n_blocks
         assert meta["sizes"] == list(scheme.sizes)
         assert meta["input_hash"] == input_fingerprint(m, scheme)
+
+
+def _checkpoint_files(directory) -> dict:
+    """Relative name -> bytes of every block file and of meta.json."""
+    root = Path(directory)
+    files = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*.blk")}
+    files["meta.json"] = (root / "meta.json").read_bytes()
+    return files
+
+
+class TestCheckpointLayout:
+    """In-memory and file-backed runs leave the same checkpoint behind."""
+
+    @pytest.mark.parametrize("order, sizes", [(16, None), (21, None), (24, [4, 8, 4, 8])],
+                             ids=["order16", "order21", "sizes4848"])
+    def test_memory_and_file_backed_checkpoints_match(self, tmp_path, order, sizes):
+        m = well_conditioned(order, 60 + order)
+        n_blocks = len(sizes) if sizes else make_partition(order).n_blocks
+        for stop in range(1, 2 * n_blocks):
+            dirs = {}
+            for file_backed in (False, True):
+                d = tmp_path / f"{stop}-{file_backed}"
+                run_inversion(m, checkpoint_dir=d, file_backed=file_backed,
+                              sizes=sizes, stop_after_step=stop)
+                dirs[file_backed] = _checkpoint_files(d)
+            assert dirs[False] == dirs[True], stop
