@@ -13,8 +13,13 @@ directory::
     minv/B_<i>_<j>.blk              inverse blocks
     tset/<level>/{L,R,S}_<idx>.blk  provisional blocks
 
-with every ``.blk`` in the binary matrix format.  In file-backed runs the
-engine works directly on this layout, so a checkpoint is just a meta update.
+with every ``.blk`` in the binary matrix format.  Only the file-backed
+stores, :class:`FileBlockStore` and a :class:`ProvisionalSet` with a
+``root``, name, write or read block files.  In file-backed runs the engine
+works directly on them, so a checkpoint is just a meta update; in-memory
+runs copy their stores into the same file stores on save and back out on
+resume, so both modes leave the same files.  A fresh start clears the
+block files and meta.json of any earlier run in both modes.
 """
 
 from __future__ import annotations
@@ -65,12 +70,6 @@ class MemoryBlockStore:
 
     def set_region(self, r0: int, r1: int, c0: int, c1: int, values: np.ndarray) -> None:
         self.scheme.region(self.data, r0, r1, c0, c1)[...] = values
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.region(i, i + 1, j, j + 1)
-
-    def set_block(self, i: int, j: int, values: np.ndarray) -> None:
-        self.set_region(i, i + 1, j, j + 1, values)
 
     def to_dense(self) -> np.ndarray:
         return self.data.copy()
@@ -292,6 +291,9 @@ class ProvisionalSet:
                 self.strided = np.zeros(n * (2 * width - 1)), width - 1, 2 * width - 2
             self._stored = {kind: [False] * self._count(kind) for kind in "LRS"}
 
+    def _path(self, kind: str, idx: int) -> Path:
+        return self.root / f"{kind}_{idx}.blk"
+
     def _count(self, kind: str) -> int:
         return 2 * self.n_quads if kind == "S" else self.n_quads
 
@@ -310,29 +312,9 @@ class ProvisionalSet:
         first, mid, last = self.spans(idx)
         return (mid, last, first, mid) if kind == "L" else (first, mid, mid, last)
 
-    def _expected(self, kind: str, idx: int) -> tuple[int, int]:
-        r0, r1, c0, c1 = self._blocks(kind, idx)
-        off = self.scheme.offsets
-        return off[r1] - off[r0], off[c1] - off[c0]
-
-    def _check(self, kind: str, idx: int, values: np.ndarray) -> None:
-        want = self._expected(kind, idx)
-        if values.shape != want:
-            raise BlockShapeMismatch(
-                f"T_{self.level} {kind}_{idx}: got {values.shape}, scheme says {want}"
-            )
-
-    def _store(self, kind: str, idx: int, values: np.ndarray) -> None:
-        self._check(kind, idx, values)
-        if self.root is not None:
-            save_binary(values, self.root / f"{kind}_{idx}.blk")
-        else:
-            self._view(kind, idx)[...] = values
-            self._stored[kind][idx] = True
-
     def _load(self, kind: str, idx: int) -> np.ndarray:
         if self.root is not None:
-            path = self.root / f"{kind}_{idx}.blk"
+            path = self._path(kind, idx)
             if not path.exists():
                 raise MissingProvisionalData(f"T_{self.level} {kind}_{idx}")
             return load_binary(path)
@@ -382,7 +364,17 @@ class ProvisionalSet:
         kind, idx = self._entry(r0, r1, c0, c1)
         if self._blocks(kind, idx) != (r0, r1, c0, c1):
             raise BlockShapeMismatch(f"T_{self.level}: partial write of {kind}_{idx}")
-        self._store(kind, idx, values)
+        off = self.scheme.offsets
+        want = off[r1] - off[r0], off[c1] - off[c0]
+        if values.shape != want:
+            raise BlockShapeMismatch(
+                f"T_{self.level} {kind}_{idx}: got {values.shape}, scheme says {want}"
+            )
+        if self.root is not None:
+            save_binary(values, self._path(kind, idx))
+        else:
+            self._view(kind, idx)[...] = values
+            self._stored[kind][idx] = True
 
     def require(self, kind: str) -> None:
         """Raise MissingProvisionalData unless every ``kind`` block is stored
@@ -408,30 +400,13 @@ class ProvisionalSet:
         """The pair (R, L) of quads [lo, hi) of a run of this level's quads."""
         return run.read(self, lo, hi, "Y")
 
-    def store_l(self, quad: int, values: np.ndarray) -> None:
-        self._store("L", quad, values)
-
-    def store_r(self, quad: int, values: np.ndarray) -> None:
-        self._store("R", quad, values)
-
-    def store_s(self, idx: int, values: np.ndarray) -> None:
-        self._store("S", idx, values)
-
-    def l_block(self, quad: int) -> np.ndarray:
-        return self._load("L", quad)
-
-    def r_block(self, quad: int) -> np.ndarray:
-        return self._load("R", quad)
-
-    def s_block(self, idx: int) -> np.ndarray:
-        return self._load("S", idx)
-
     def entries(self):
-        """Yield (name, array) for every stored block, in a fixed order."""
-        for kind, count in (("L", self.n_quads), ("R", self.n_quads), ("S", 2 * self.n_quads)):
-            for idx in range(count):
+        """Yield ((r0, r1, c0, c1), array) for every stored block, in a fixed
+        order; ``set_region(r0, r1, c0, c1, array)`` stores it again."""
+        for kind in "LRS":
+            for idx in range(self._count(kind)):
                 try:
-                    yield f"{kind}_{idx}", self._load(kind, idx)
+                    yield self._blocks(kind, idx), self._load(kind, idx)
                 except MissingProvisionalData:
                     continue
 
@@ -463,6 +438,23 @@ def _state_hash(root: Path, stepid: int) -> str:
     return h.hexdigest()
 
 
+def _minv_files(root: Path, scheme: PartitionScheme, data=None) -> FileBlockStore:
+    return FileBlockStore(scheme, root / "minv", data)
+
+
+def _tset_files(root: Path, scheme: PartitionScheme) -> dict[int, ProvisionalSet]:
+    return {
+        level: ProvisionalSet(scheme, level, root=root / "tset" / str(level))
+        for level in range(1, scheme.k + 1)
+    }
+
+
+def _copy_blocks(source: ProvisionalSet, dest: ProvisionalSet) -> ProvisionalSet:
+    for blocks, values in source.entries():
+        dest.set_region(*blocks, values)
+    return dest
+
+
 def checkpoint_save(
     directory,
     scheme: PartitionScheme,
@@ -474,23 +466,15 @@ def checkpoint_save(
     """Persist the engine state after a step boundary.
 
     File-backed stores already live in the directory; memory stores are
-    dumped block by block.  ``meta.json`` is written last so a torn save is
-    detected as corrupt rather than silently resumed.
+    copied into the directory's file stores.  ``meta.json`` is written last
+    so a torn save is detected as corrupt rather than silently resumed.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    if not getattr(minv_store, "file_backed", False):
-        mdir = root / "minv"
-        mdir.mkdir(exist_ok=True)
-        n = scheme.n_blocks
-        for i in range(n):
-            for j in range(n):
-                save_binary(minv_store.block(i, j), mdir / f"B_{i}_{j}.blk")
-        for level, tset in tsets.items():
-            tdir = root / "tset" / str(level)
-            tdir.mkdir(parents=True, exist_ok=True)
-            for name, values in tset.entries():
-                save_binary(values, tdir / f"{name}.blk")
+    if not minv_store.file_backed:
+        _minv_files(root, scheme, minv_store.data)
+        for level, disk in _tset_files(root, scheme).items():
+            _copy_blocks(tsets[level], disk)
     meta = {
         "version": CHECKPOINT_VERSION,
         "stepid": completed_step,
@@ -502,11 +486,16 @@ def checkpoint_save(
     (root / "meta.json").write_text(json.dumps(meta, indent=1))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def checkpoint_load(directory) -> dict:
     """Read and integrity-check checkpoint metadata.
 
-    Raises CheckpointCorrupt when the directory is unreadable or any block
-    file disagrees with the recorded state hash.
+    Raises CheckpointCorrupt when the directory is unreadable, a field of
+    meta.json is missing or of the wrong type, or any block file disagrees
+    with the recorded state hash.
     """
     root = Path(directory)
     meta_path = root / "meta.json"
@@ -516,70 +505,68 @@ def checkpoint_load(directory) -> dict:
         meta = json.loads(meta_path.read_text())
     except (json.JSONDecodeError, OSError) as exc:
         raise CheckpointCorrupt(f"unreadable meta.json: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointCorrupt("meta.json is not an object")
     for key in ("version", "stepid", "blocksize", "sizes", "input_hash", "state_hash"):
         if key not in meta:
             raise CheckpointCorrupt(f"meta.json missing {key!r}")
     if meta["version"] != CHECKPOINT_VERSION:
         raise CheckpointCorrupt(f"checkpoint version {meta['version']} unsupported")
-    if _state_hash(root, meta["stepid"]) != meta["state_hash"]:
+    blocksize, stepid, sizes = meta["blocksize"], meta["stepid"], meta["sizes"]
+    valid = {
+        "blocksize": _is_int(blocksize),
+        "stepid": _is_int(stepid) and _is_int(blocksize) and 0 <= stepid < 2 * blocksize,
+        "sizes": isinstance(sizes, list) and all(_is_int(size) for size in sizes),
+        "input_hash": isinstance(meta["input_hash"], str),
+        "state_hash": isinstance(meta["state_hash"], str),
+    }
+    for key, ok in valid.items():
+        if not ok:
+            raise CheckpointCorrupt(f"meta.json has a malformed {key}: {meta[key]!r}")
+    if _state_hash(root, stepid) != meta["state_hash"]:
         raise CheckpointCorrupt("state hash mismatch")
     return meta
 
 
 def checkpoint_matches(meta: dict, scheme: PartitionScheme, input_hash: str) -> None:
     """Raise SchemeMismatch unless the checkpoint belongs to this input."""
-    if list(scheme.sizes) != list(meta["sizes"]) or scheme.n_blocks != meta["blocksize"]:
+    if list(scheme.sizes) != meta["sizes"] or scheme.n_blocks != meta["blocksize"]:
         raise SchemeMismatch("partition scheme differs from checkpoint")
     if input_hash != meta["input_hash"]:
         raise SchemeMismatch("input matrix differs from checkpoint")
 
 
 def load_minv_store(directory, scheme: PartitionScheme, file_backed: bool):
-    root = Path(directory) / "minv"
-    if file_backed:
-        return FileBlockStore(scheme, root)
-    store = MemoryBlockStore(scheme)
-    n = scheme.n_blocks
-    for i in range(n):
-        for j in range(n):
-            store.set_block(i, j, load_binary(root / f"B_{i}_{j}.blk"))
-    return store
+    store = _minv_files(Path(directory), scheme)
+    return store if file_backed else MemoryBlockStore(scheme, store.to_dense())
 
 
 def load_tsets(directory, scheme: PartitionScheme, file_backed: bool) -> dict[int, ProvisionalSet]:
-    tsets = {}
-    for level in range(1, scheme.k + 1):
-        tdir = Path(directory) / "tset" / str(level)
-        if file_backed:
-            tsets[level] = ProvisionalSet(scheme, level, root=tdir)
-        else:
-            tset = ProvisionalSet(scheme, level)
-            if tdir.is_dir():
-                for path in tdir.glob("*.blk"):
-                    kind, idx = path.stem.split("_")
-                    tset._store(kind, int(idx), load_binary(path))
-            tsets[level] = tset
-    return tsets
+    tsets = _tset_files(Path(directory), scheme)
+    if file_backed:
+        return tsets
+    return {
+        level: _copy_blocks(disk, ProvisionalSet(scheme, level)) for level, disk in tsets.items()
+    }
 
 
 def fresh_state(directory, scheme: PartitionScheme, file_backed: bool):
-    """(minv_store, tsets) for a run starting at step 1; M_inv starts zeroed."""
-    if file_backed:
-        if directory is None:
+    """(minv_store, tsets) for a run starting at step 1; M_inv starts zeroed.
+
+    In both modes a checkpoint directory is first cleared of the block
+    files and the meta.json of any earlier run.
+    """
+    if directory is None:
+        if file_backed:
             raise MissingCheckpointDir("file-backed mode needs a checkpoint directory")
-        root = Path(directory)
-        if root.exists():
-            for stale in _blk_files(root):
-                os.remove(stale)
-            meta = root / "meta.json"
-            if meta.exists():
-                meta.unlink()
-        minv = FileBlockStore(scheme, root / "minv", np.zeros((scheme.m_n, scheme.m_n)))
-        tsets = {
-            level: ProvisionalSet(scheme, level, root=root / "tset" / str(level))
-            for level in range(1, scheme.k + 1)
-        }
     else:
-        minv = MemoryBlockStore(scheme)
-        tsets = {level: ProvisionalSet(scheme, level) for level in range(1, scheme.k + 1)}
-    return minv, tsets
+        root = Path(directory)
+        for stale in _blk_files(root / "minv") + _blk_files(root / "tset"):
+            os.remove(stale)
+        (root / "meta.json").unlink(missing_ok=True)
+    if file_backed:
+        minv = _minv_files(root, scheme, np.zeros((scheme.m_n, scheme.m_n)))
+        return minv, _tset_files(root, scheme)
+    return MemoryBlockStore(scheme), {
+        level: ProvisionalSet(scheme, level) for level in range(1, scheme.k + 1)
+    }

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from blockinv.cli import main
+from blockinv.engine import run_inversion
 from blockinv.core import load_matrix, residual_norm, save_matrix, save_text
 
-from conftest import well_conditioned
+from conftest import BAD_META_FIELDS, rewrite_meta, stopped_over_stale_files, well_conditioned
 
 
 def run(*argv):
@@ -238,6 +239,28 @@ class TestCheckpointCommands:
         assert run("invert", "--in", src, "--method", "parallel",
                    "--checkpoint-dir", ck) == 0
         assert run("resume", "--in", other, "--checkpoint-dir", ck) == 4
+
+    def test_resume_over_stale_files(self, tmp_path):
+        src = tmp_path / "m.blk"
+        out = tmp_path / "inv.blk"
+        m = well_conditioned(16, 68)
+        save_matrix(m, src, binary=True)
+        ck = tmp_path / "ck"
+        stopped_over_stale_files(ck, m)
+        assert run("resume", "--in", src, "--checkpoint-dir", ck, "--out", out,
+                   "--binary") == 0
+        assert load_matrix(out).tobytes() == run_inversion(m).to_dense().tobytes()
+
+    @pytest.mark.parametrize("key, value", BAD_META_FIELDS)
+    def test_resume_mistyped_meta_exit_code(self, tmp_path, key, value, capsys):
+        src = tmp_path / "m.blk"
+        m = well_conditioned(9, 69)
+        save_matrix(m, src, binary=True)
+        ck = tmp_path / "ck"
+        run_inversion(m, checkpoint_dir=ck, stop_after_step=3)
+        rewrite_meta(ck, key, value)
+        assert run("resume", "--in", src, "--checkpoint-dir", ck) == 4
+        assert "error:" in capsys.readouterr().err
 
     def test_file_backed(self, tmp_path):
         src = tmp_path / "m.txt"

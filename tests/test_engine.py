@@ -476,11 +476,11 @@ class TestProvisionalCapacity:
         scheme = make_partition(9)  # sizes 2 2 2 3
         tset = ProvisionalSet(scheme, 1)
         with pytest.raises(BlockShapeMismatch):
-            tset.store_l(1, np.zeros((2, 2)))  # quad 1 wants a 3x2 left block
-        tset.store_l(1, np.zeros((3, 2)))
-        tset.store_r(1, np.zeros((2, 3)))
-        tset.store_s(2, np.zeros((2, 2)))
-        tset.store_s(3, np.zeros((3, 3)))
+            tset.set_region(3, 4, 2, 3, np.zeros((2, 2)))  # quad 1 wants a 3x2 left block
+        tset.set_region(3, 4, 2, 3, np.zeros((3, 2)))  # L
+        tset.set_region(2, 3, 3, 4, np.zeros((2, 3)))  # R
+        tset.set_region(2, 3, 2, 3, np.zeros((2, 2)))  # S_D
+        tset.set_region(3, 4, 3, 4, np.zeros((3, 3)))  # S_A
 
     def test_row_and_column_budgets(self):
         # block-rows across L equal blocksize/2; S rows equal blocksize;

@@ -12,10 +12,11 @@ from blockinv.storage import (
     MemoryBlockStore,
     ProvisionalSet,
     checkpoint_load,
+    checkpoint_save,
     input_fingerprint,
 )
 
-from conftest import well_conditioned
+from conftest import BAD_META_FIELDS, rewrite_meta, stopped_over_stale_files, well_conditioned
 
 
 class TestBlockStores:
@@ -54,13 +55,13 @@ class TestProvisionalSetFiles:
     def test_file_backed_entries(self, tmp_path):
         scheme = make_partition(8)
         tset = ProvisionalSet(scheme, 1, root=tmp_path)
-        tset.store_l(0, np.ones((2, 2)))
-        tset.store_s(0, 2 * np.ones((2, 2)))
+        tset.set_region(1, 2, 0, 1, np.ones((2, 2)))  # L of quad 0
+        tset.set_region(0, 1, 0, 1, 2 * np.ones((2, 2)))  # S_D of quad 0
         assert (tmp_path / "L_0.blk").exists()
         assert (tmp_path / "S_0.blk").exists()
-        assert np.array_equal(tset.l_block(0), np.ones((2, 2)))
-        names = [name for name, _ in tset.entries()]
-        assert names == ["L_0", "S_0"]
+        assert np.array_equal(tset.region(1, 2, 0, 1), np.ones((2, 2)))
+        entries = [(blocks, values[0, 0]) for blocks, values in tset.entries()]
+        assert entries == [((1, 2, 0, 1), 1.0), ((0, 1, 0, 1), 2.0)]
 
 
 class TestProvisionalSetStacks:
@@ -85,12 +86,13 @@ class TestProvisionalSetStacks:
         self._write(files, np.random.default_rng(level))
         for kind in "LRS":
             mem.require(kind)
-        assert [n for n, _ in mem.entries()] == [n for n, _ in files.entries()]
+        assert [b for b, _ in mem.entries()] == [b for b, _ in files.entries()]
         for (_, x), (_, y) in zip(mem.entries(), files.entries()):
             assert x.tobytes() == y.tobytes()
-        assert mem.r_block(0).tobytes() == panels[0, 0].tobytes()
-        assert mem.l_block(0).tobytes() == panels[1, 0].tobytes()
-        assert mem.s_block(1).tobytes() == schur[1, 0].tobytes()
+        first, mid, last = grp.spans[0]
+        assert mem.region(first, mid, mid, last).tobytes() == panels[0, 0].tobytes()  # R
+        assert mem.region(mid, last, first, mid).tobytes() == panels[1, 0].tobytes()  # L
+        assert mem.region(mid, last, mid, last).tobytes() == schur[1, 0].tobytes()  # S_A
         for got in (mem.panels(grp, 0, len(grp)), files.panels(grp, 0, len(grp))):
             assert np.asarray(got).tobytes() == panels.tobytes()
 
@@ -166,6 +168,36 @@ class TestCheckpoint:
         first = run_inversion(m, checkpoint_dir=d).to_dense()
         again = run_inversion(m, checkpoint_dir=d).to_dense()
         assert first.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("file_backed", [False, True], ids=["memory", "files"])
+    def test_fresh_start_clears_stale_files(self, tmp_path, file_backed):
+        m = well_conditioned(16, 61)
+        ref = run_inversion(m).to_dense()
+        d = tmp_path / "ck"
+        stopped_over_stale_files(d, m)
+        out = run_inversion(m, checkpoint_dir=d, file_backed=file_backed).to_dense()
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("key, value", BAD_META_FIELDS)
+    def test_mistyped_meta_is_corrupt(self, tmp_path, key, value):
+        m = well_conditioned(9, 62)
+        d = tmp_path / "ck"
+        run_inversion(m, checkpoint_dir=d, stop_after_step=3)
+        rewrite_meta(d, key, value)
+        with pytest.raises(CheckpointCorrupt):
+            checkpoint_load(d)
+        with pytest.raises(CheckpointCorrupt):
+            run_inversion(m, checkpoint_dir=d)
+
+    @pytest.mark.parametrize("stepid", [-1, 8])
+    def test_stepid_out_of_range_is_corrupt(self, tmp_path, stepid):
+        scheme = make_partition(9)  # 4 blocks: steps 1..7
+        m = well_conditioned(9, 63)
+        minv = MemoryBlockStore(scheme)
+        tsets = {level: ProvisionalSet(scheme, level) for level in (1, 2)}
+        checkpoint_save(tmp_path, scheme, minv, tsets, stepid, input_fingerprint(m, scheme))
+        with pytest.raises(CheckpointCorrupt, match="stepid"):
+            checkpoint_load(tmp_path)
 
     def test_meta_fields(self, tmp_path):
         m = well_conditioned(9, 59)
