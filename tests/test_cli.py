@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from blockinv.cli import main
-from blockinv.engine import run_inversion
 from blockinv.core import load_matrix, residual_norm, save_matrix, save_text
+from blockinv.engine import run_inversion
 
 from conftest import BAD_META_FIELDS, rewrite_meta, stopped_over_stale_files, well_conditioned
 
