@@ -19,7 +19,9 @@ stores, :class:`FileBlockStore` and a :class:`ProvisionalSet` with a
 works directly on them, so a checkpoint is just a meta update; in-memory
 runs copy their stores into the same file stores on save and back out on
 resume, so both modes leave the same files.  A fresh start clears the
-block files and meta.json of any earlier run in both modes.
+block files and meta.json of any earlier run in both modes.  Only the
+block files under ``minv/`` and ``tset/`` belong to a checkpoint; other
+files in the directory are neither hashed nor cleared.
 """
 
 from __future__ import annotations
@@ -424,7 +426,8 @@ def input_fingerprint(m: np.ndarray, scheme: PartitionScheme) -> str:
 
 
 def _blk_files(root: Path) -> list[Path]:
-    return sorted(p for p in root.rglob("*.blk"))
+    """The block files of the inverse and provisional stores under ``root``."""
+    return sorted((root / "minv").rglob("*.blk")) + sorted((root / "tset").rglob("*.blk"))
 
 
 def _state_hash(root: Path, stepid: int) -> str:
@@ -561,7 +564,7 @@ def fresh_state(directory, scheme: PartitionScheme, file_backed: bool):
             raise MissingCheckpointDir("file-backed mode needs a checkpoint directory")
     else:
         root = Path(directory)
-        for stale in _blk_files(root / "minv") + _blk_files(root / "tset"):
+        for stale in _blk_files(root):
             os.remove(stale)
         (root / "meta.json").unlink(missing_ok=True)
     if file_backed:

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blockinv.core import load_binary, save_binary
 from blockinv.engine import run_inversion
 from blockinv.errors import CheckpointCorrupt, SchemeMismatch
 from blockinv.partition import make_partition
@@ -175,6 +176,20 @@ class TestCheckpoint:
         ref = run_inversion(m).to_dense()
         d = tmp_path / "ck"
         stopped_over_stale_files(d, m)
+        out = run_inversion(m, checkpoint_dir=d, file_backed=file_backed).to_dense()
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("file_backed", [False, True], ids=["memory", "files"])
+    def test_other_block_files_are_not_checkpoint_state(self, tmp_path, file_backed):
+        m = well_conditioned(9, 64)
+        ref = run_inversion(m).to_dense()
+        d = tmp_path / "ck"
+        d.mkdir()
+        other = d / "m.blk"  # e.g. the input, saved next to its checkpoint
+        save_binary(m, other)
+        run_inversion(m, checkpoint_dir=d, file_backed=file_backed, stop_after_step=3)
+        assert load_binary(other).tobytes() == m.tobytes()
+        save_binary(2 * m, other)
         out = run_inversion(m, checkpoint_dir=d, file_backed=file_backed).to_dense()
         assert out.tobytes() == ref.tobytes()
 
