@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+
+from blockinv.engine import run_inversion
 
 
 @pytest.fixture
@@ -19,8 +23,6 @@ def stopped_over_stale_files(directory, m):
     """Leave ``directory`` as an order-``len(m)`` run stopped after step 8,
     started over the block files of an order-32 run whose meta.json is gone
     (as a save torn before its last write leaves it)."""
-    from blockinv.engine import run_inversion
-
     run_inversion(well_conditioned(32, 32), checkpoint_dir=directory, stop_after_step=20)
     (directory / "meta.json").unlink()
     run_inversion(m, checkpoint_dir=directory, stop_after_step=8)
@@ -39,8 +41,6 @@ BAD_META_FIELDS = [
 
 
 def rewrite_meta(directory, key, value):
-    import json
-
     path = directory / "meta.json"
     meta = json.loads(path.read_text())
     meta[key] = value
