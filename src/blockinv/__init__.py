@@ -22,7 +22,6 @@ from .engine import (
     BlockedView,
     StepAction,
     StepPlan,
-    assemble_updown,
     decode_step,
     fox_block_multiply,
     loopid_for_step,
@@ -31,13 +30,7 @@ from .engine import (
     total_steps,
     updown_iteration_map,
 )
-from .partition import (
-    PartitionScheme,
-    QuadIndex,
-    make_partition,
-    partition_from_sizes,
-    quad_views,
-)
+from .partition import PartitionScheme, make_partition, partition_from_sizes
 from .recursive import (
     invertor_by_a,
     invertor_by_ad,

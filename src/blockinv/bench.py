@@ -64,7 +64,8 @@ def _inplace(m: np.ndarray, counters: OpCounters) -> np.ndarray:
 
 
 # Method name -> fn(m, counters, **engine_options) returning the inverse;
-# only the step engine takes options (workers, sizes, checkpointing).
+# only the step engine takes options (workers, sizes, checkpointing), and
+# the oracle, which has no blocks, counts nothing.
 METHODS = {
     "a": lambda m, counters, **_: invertor_by_a(m, counters)[0],
     "inplace": lambda m, counters, **_: _inplace(m, counters),
@@ -72,8 +73,17 @@ METHODS = {
     "parallel": lambda m, counters, **engine: run_inversion(
         m, counters=counters, **engine
     ).to_dense(),
-    "oracle": lambda m, counters, **_: gauss_jordan_oracle(m, counters),
+    "oracle": lambda m, counters, **_: gauss_jordan_oracle(m),
 }
+
+
+def run_method(method: str, m: np.ndarray, **engine) -> tuple[np.ndarray, OpCounters]:
+    """(inverse, counters) of one method; ``engine`` options reach the step
+    engine only (see ``METHODS``)."""
+    if method not in METHODS:
+        raise InvalidOrder(f"unknown method {method!r}")
+    counters = OpCounters()
+    return METHODS[method](m, counters, **engine), counters
 
 
 @dataclass
@@ -96,16 +106,6 @@ class SlopeFit:
     n_points: int
 
 
-def _run_method(method: str, m: np.ndarray, workers: int):
-    if method not in METHODS:
-        raise InvalidOrder(f"unknown method {method!r}")
-    counters = OpCounters()
-    inv = METHODS[method](m, counters, workers=workers)
-    if method == "oracle":
-        counters = OpCounters()  # the oracle has no block counters
-    return inv, counters
-
-
 def time_inversion(method: str, m: np.ndarray, workers: int = 1) -> TimingRecord:
     """One timed inversion with the garbage collector paused.
 
@@ -116,7 +116,7 @@ def time_inversion(method: str, m: np.ndarray, workers: int = 1) -> TimingRecord
     gc.disable()
     try:
         start = time.perf_counter()
-        inv, counters = _run_method(method, m, workers)
+        inv, counters = run_method(method, m, workers=workers)
         seconds = time.perf_counter() - start
     finally:
         if gc_was_on:

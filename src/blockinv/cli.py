@@ -7,11 +7,21 @@ Exit codes: 0 success, 2 singular pivot, 3 I/O, format or argument error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-from .bench import KINDS, METHODS, bench as run_bench, fit_slope, generate, records_to_csv, write_csv
+from .bench import (
+    KINDS,
+    METHODS,
+    bench as run_bench,
+    fit_slope,
+    generate,
+    records_to_csv,
+    run_method,
+    write_csv,
+)
 from .core import (
     OpCounters,
     gauss_jordan_oracle,
@@ -80,21 +90,6 @@ def _scheme_for(order, sizes):
     return partition_from_sizes(sizes) if sizes else make_partition(order)
 
 
-def _invert_with_method(m, method, workers, sizes, checkpoint_dir, file_backed, retry):
-    counters = OpCounters()
-    try:
-        inv = METHODS[method](
-            m, counters, workers=workers, sizes=sizes,
-            checkpoint_dir=checkpoint_dir, file_backed=file_backed,
-        )
-    except SingularBlock:
-        if not retry:
-            raise
-        counters = OpCounters()
-        inv, _ = invertor_with_fallback(m, counters)
-    return inv, counters
-
-
 def cmd_gen(args):
     m = generate(args.order, seed=args.seed, kind=args.kind)
     save_matrix(m, args.out, binary=args.binary)
@@ -113,10 +108,16 @@ def cmd_partition(args):
 def cmd_invert(args):
     m = load_matrix(args.infile, binary=args.binary or None)
     workers = resolve_workers(args.workers)
-    inv, counters = _invert_with_method(
-        m, args.method, workers, args.sizes, args.checkpoint_dir, args.file_backed,
-        args.retry,
-    )
+    try:
+        inv, counters = run_method(
+            args.method, m, workers=workers, sizes=args.sizes,
+            checkpoint_dir=args.checkpoint_dir, file_backed=args.file_backed,
+        )
+    except SingularBlock:
+        if not args.retry:
+            raise
+        counters = OpCounters()
+        inv, _ = invertor_with_fallback(m, counters)
     res = residual_norm(m, inv)
     if args.out:
         save_matrix(inv, args.out, binary=args.binary)
@@ -135,7 +136,7 @@ def cmd_verify(args):
         print(f"residual {res:.3e}")
         return EXIT_OK
     workers = resolve_workers(args.workers)
-    inv, _ = _invert_with_method(m, args.method, workers, args.sizes, None, False, False)
+    inv, _ = run_method(args.method, m, workers=workers, sizes=args.sizes)
     oracle = gauss_jordan_oracle(m)
     res = residual_norm(m, inv)
     diff = float(np.max(np.abs(inv - oracle)))
@@ -173,6 +174,8 @@ def cmd_bench(args):
 
 def cmd_resume(args):
     m = load_matrix(args.infile, binary=args.binary or None)
+    if not os.path.exists(os.path.join(args.checkpoint_dir, "meta.json")):
+        raise CheckpointCorrupt(f"no checkpoint in {args.checkpoint_dir}")
     block = run_inversion(
         m,
         workers=resolve_workers(args.workers),
@@ -256,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Options only the step engine reads; other methods would silently drop them.
 _ENGINE_OPTIONS = (("--sizes", "sizes"), ("--checkpoint-dir", "checkpoint_dir"),
-                   ("--file-backed", "file_backed"))
+                   ("--file-backed", "file_backed"), ("--workers", "workers"))
 # Methods whose singular pivot --retry hands to invertor_with_fallback.
 _RETRY_METHODS = ("a", "inplace", "ad")
 

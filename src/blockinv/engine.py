@@ -70,7 +70,6 @@ from .partition import make_partition, partition_from_sizes
 from .storage import (
     BlockMatrix,
     DiagonalRun,
-    ProvisionalSet,
     checkpoint_load,
     checkpoint_matches,
     checkpoint_save,
@@ -376,14 +375,7 @@ def _layout(scheme) -> dict[int, tuple[_Group, ...]]:
     """The groups of every step shape of a partition, built once and shared
     by every run on it: level 0 holds the diagonal blocks, level l >= 1 the
     level-l quads."""
-    n = scheme.n_blocks
-    layout = {0: _groups(scheme, 0, [(p, p + 1, p + 1) for p in range(n)])}
-    for level in range(1, scheme.k + 1):
-        w = 2**level
-        layout[level] = _groups(
-            scheme, level, [(g * w, g * w + w // 2, (g + 1) * w) for g in range(n // w)]
-        )
-    return layout
+    return {level: _groups(scheme, level, scheme.quads(level)) for level in range(scheme.k + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +505,8 @@ class _Engine:
             self._pair_products(grp, off, panels[::-1], schur, grp.fox[2:])  # (A + B L, D + C R)
             tset_out.store_arrows(grp, lo, hi, schur, panels)
 
-        quads = self.scheme.n_blocks // 2**action.sid
-        self.counters.multiplies += 2 * quads
-        self.counters.reductions += 2 * quads
+        self.counters.multiplies += 2 * tset_out.n_quads
+        self.counters.reductions += 2 * tset_out.n_quads
         self._run_batch(self._tasks(self.layout[action.sid], "arrows", run))
 
     def assemble(self, action, stepid: int) -> None:
@@ -575,28 +566,6 @@ def _leaf_invert(block: np.ndarray, out: np.ndarray) -> None:
         from .recursive import invertor_by_a
 
         out[...], _ = invertor_by_a(block)
-
-
-def assemble_updown(
-    level: int,
-    minv,
-    t_sets: dict[int, ProvisionalSet],
-    workers: int = 1,
-    counters: OpCounters | None = None,
-) -> None:
-    """Run one assembly pass directly (the step interpreter's pass ``level``).
-
-    ``minv`` may be a BlockMatrix or a raw block store holding completed
-    diagonal-region inverses of half the quad width; L and R blocks must be
-    present in ``t_sets[level]``.
-    """
-    store = minv.store if isinstance(minv, BlockMatrix) else minv
-    counters = counters if counters is not None else OpCounters()
-    eng = _Engine(store.scheme, store, store, t_sets, resolve_workers(workers), counters)
-    try:
-        eng.updown_pass(level)
-    finally:
-        eng.close()
 
 
 def run_inversion(

@@ -54,10 +54,6 @@ class InvalidWorkers(BlockInvError, ValueError):
     """Worker count is not a positive integer."""
 
 
-class IndexOutOfRange(BlockInvError):
-    """Quad or block index does not exist in the partition scheme."""
-
-
 class BlockShapeMismatch(BlockInvError):
     """Blocked operands do not agree block-by-block."""
 

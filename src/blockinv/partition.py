@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidOrder
+from .errors import InvalidOrder
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,14 @@ class PartitionScheme:
         j0, j1 = self.block_span(c0, c1)
         return m[i0:i1, j0:j1]
 
-
-@dataclass(frozen=True)
-class QuadIndex:
-    """Quad ``pair`` at ``level``: spans diagonal blocks
-    [pair * 2**level, (pair + 1) * 2**level), split evenly into A and D halves.
-    """
-
-    level: int
-    pair: int
+    def quads(self, level: int) -> tuple[tuple[int, int, int], ...]:
+        """``(first, mid, last)`` diagonal blocks of each level-``level``
+        quad, in diagonal order: its A half [first, mid) and its D half
+        [mid, last).  Level 0 gives the diagonal blocks as ``(p, p + 1, p + 1)``."""
+        if level == 0:
+            return tuple((p, p + 1, p + 1) for p in range(self.n_blocks))
+        w = 2**level
+        return tuple((g * w, g * w + w // 2, (g + 1) * w) for g in range(self.n_blocks // w))
 
 
 def _build(m_n: int, sizes: list[int]) -> PartitionScheme:
@@ -97,32 +96,3 @@ def partition_from_sizes(sizes) -> PartitionScheme:
     if n & (n - 1):
         raise InvalidOrder(f"number of diagonal blocks must be a power of two, got {n}")
     return _build(sum(sizes), sizes)
-
-
-def validate_quad(scheme: PartitionScheme, q: QuadIndex) -> None:
-    if q.level < 1 or 2**q.level > scheme.n_blocks:
-        raise IndexOutOfRange(f"level {q.level} with {scheme.n_blocks} blocks")
-    if not 0 <= q.pair < scheme.n_blocks // 2**q.level:
-        raise IndexOutOfRange(f"pair {q.pair} at level {q.level}")
-
-
-def quad_block_ranges(scheme: PartitionScheme, q: QuadIndex) -> tuple[int, int, int]:
-    """(first, mid, last) diagonal-block indices of the quad's A|D split."""
-    validate_quad(scheme, q)
-    half = 2 ** (q.level - 1)
-    first = q.pair * 2**q.level
-    return first, first + half, first + 2 * half
-
-
-def quad_views(
-    scheme: PartitionScheme, q: QuadIndex, m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, C, D) views of ``m`` for the quad, A and D on the diagonal."""
-    if m.shape != (scheme.m_n, scheme.m_n):
-        raise IndexOutOfRange(f"matrix {m.shape} does not match order {scheme.m_n}")
-    first, mid, last = quad_block_ranges(scheme, q)
-    a = scheme.region(m, first, mid, first, mid)
-    b = scheme.region(m, first, mid, mid, last)
-    c = scheme.region(m, mid, last, first, mid)
-    d = scheme.region(m, mid, last, mid, last)
-    return a, b, c, d

@@ -279,14 +279,15 @@ class ProvisionalSet:
             raise BlockShapeMismatch(f"level {level} for {scheme.n_blocks} blocks")
         self.scheme = scheme
         self.level = level
-        self.n_quads = scheme.n_blocks // 2**level
+        self.spans = scheme.quads(level)  # (first, mid, last) of each quad
+        self.n_quads = len(self.spans)
         self.root = None if root is None else Path(root)
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
             self.strided = None
         else:
-            off, w, n = scheme.offsets, 2**level, scheme.m_n
-            width = max(off[(q + 1) * w] - off[q * w] for q in range(self.n_quads))
+            off, n = scheme.offsets, scheme.m_n
+            width = max(off[last] - off[first] for first, _, last in self.spans)
             if 2 * width - 1 >= n:
                 self.strided = np.zeros(n * n), 0, n
             else:
@@ -299,19 +300,13 @@ class ProvisionalSet:
     def _count(self, kind: str) -> int:
         return 2 * self.n_quads if kind == "S" else self.n_quads
 
-    def spans(self, quad: int) -> tuple[int, int, int]:
-        """(first, mid, last) diagonal block indices of the quad."""
-        first = quad * 2**self.level
-        half = 2 ** (self.level - 1)
-        return first, first + half, first + 2 * half
-
     def _blocks(self, kind: str, idx: int) -> tuple[int, int, int, int]:
         """Block rows [r0, r1) and cols [c0, c1) of a stored block."""
         if kind == "S":
-            first, mid, last = self.spans(idx // 2)
+            first, mid, last = self.spans[idx // 2]
             lo, hi = (first, mid) if idx % 2 == 0 else (mid, last)
             return lo, hi, lo, hi
-        first, mid, last = self.spans(idx)
+        first, mid, last = self.spans[idx]
         return (mid, last, first, mid) if kind == "L" else (first, mid, mid, last)
 
     def _load(self, kind: str, idx: int) -> np.ndarray:
@@ -336,21 +331,17 @@ class ProvisionalSet:
 
     def _entry(self, r0: int, r1: int, c0: int, c1: int) -> tuple[str, int]:
         """(kind, idx) of the stored block holding rows [r0, r1) x cols [c0, c1)."""
-        quad = r0 // 2**self.level
-        first, mid, last = self.spans(quad)
-        top, left = r1 <= mid, c1 <= mid
-        if (
-            not first <= c0
-            or max(r1, c1) > last
-            or not (top or r0 >= mid)
-            or not (left or c0 >= mid)
-        ):
-            raise BlockShapeMismatch(
-                f"T_{self.level}: blocks [{r0}, {r1}) x [{c0}, {c1}) straddle stored blocks"
-            )
-        if top:
-            return ("S", 2 * quad) if left else ("R", quad)
-        return ("L", quad) if left else ("S", 2 * quad + 1)
+        quad = r0 >> self.level
+        if 0 <= quad < self.n_quads:
+            first, mid, last = self.spans[quad]
+            top, left = r1 <= mid, c1 <= mid
+            if first <= c0 and max(r1, c1) <= last and (top or r0 >= mid) and (left or c0 >= mid):
+                if top:
+                    return ("S", 2 * quad) if left else ("R", quad)
+                return ("L", quad) if left else ("S", 2 * quad + 1)
+        raise BlockShapeMismatch(
+            f"T_{self.level}: blocks [{r0}, {r1}) x [{c0}, {c1}) are not in one stored block"
+        )
 
     def region(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """Block rows [r0, r1) x cols [c0, c1), which must lie in one stored block."""

@@ -53,6 +53,14 @@ class TestInvert:
         assert run("invert", "--in", src, "--out", dst, "--method", method) == 0
         assert residual_norm(m, load_matrix(dst)) <= 1e-8 * 9
 
+    @pytest.mark.parametrize("method, inversions", [("a", 5), ("oracle", 0)])
+    def test_block_counters(self, tmp_path, capsys, method, inversions):
+        # the oracle has no blocks, so it reports no block operations
+        src = tmp_path / "m.txt"
+        save_matrix(well_conditioned(9, 60), src)
+        assert run("invert", "--in", src, "--method", method) == 0
+        assert f"  inversions {inversions}  " in capsys.readouterr().out
+
     def test_singular_exit_code(self, tmp_path):
         src = tmp_path / "sing.txt"
         save_text(np.ones((4, 4)), src)
@@ -141,7 +149,8 @@ class TestInvert:
         ("--sizes", "4,4"),
         ("--checkpoint-dir", "ck"),
         ("--checkpoint-dir", "ck", "--file-backed"),
-    ], ids=["sizes", "checkpoint-dir", "file-backed"])
+        ("--workers", "2"),
+    ], ids=["sizes", "checkpoint-dir", "file-backed", "workers"])
     @pytest.mark.parametrize("method", ["a", "inplace", "ad", "oracle"])
     def test_engine_option_with_other_method_exit_code(self, tmp_path, capsys, option, method):
         src = tmp_path / "m.txt"
@@ -261,6 +270,17 @@ class TestCheckpointCommands:
         rewrite_meta(ck, key, value)
         assert run("resume", "--in", src, "--checkpoint-dir", ck) == 4
         assert "error:" in capsys.readouterr().err
+
+    def test_resume_without_checkpoint_exit_code(self, tmp_path, capsys):
+        src = tmp_path / "m.txt"
+        save_matrix(well_conditioned(9, 70), src)
+        ck = tmp_path / "nosuch"
+        assert run("resume", "--in", src, "--checkpoint-dir", ck) == 4
+        assert f"no checkpoint in {ck}" in capsys.readouterr().err
+        assert not ck.exists()
+        ck.mkdir()
+        assert run("resume", "--in", src, "--checkpoint-dir", ck) == 4
+        assert list(ck.iterdir()) == []
 
     def test_file_backed(self, tmp_path):
         src = tmp_path / "m.txt"

@@ -18,7 +18,7 @@ from blockinv.engine import (
     INVERT_DIAGONALS,
     SCHUR_DIAG_AND_ASSEMBLE,
     BlockedView,
-    assemble_updown,
+    _Engine,
     decode_step,
     fox_block_multiply,
     loopid_for_step,
@@ -41,7 +41,7 @@ from blockinv.errors import (
 from blockinv.partition import make_partition
 from blockinv.recursive import invertor_by_ad
 from blockinv.schur import diagonal_quad, invert_via_ad
-from blockinv.storage import BlockMatrix, ProvisionalSet
+from blockinv.storage import BlockMatrix, MemoryBlockStore, ProvisionalSet
 
 from conftest import well_conditioned
 
@@ -454,12 +454,11 @@ class TestRunBatch:
 
 class TestAssembleUpdown:
     def test_missing_provisional_data(self):
-        m = well_conditioned(4, 46)
         scheme = make_partition(4)
-        minv = BlockMatrix.from_dense(np.zeros((4, 4)), scheme)
-        tsets = {1: ProvisionalSet(scheme, 1)}
+        store = MemoryBlockStore(scheme)
+        eng = _Engine(scheme, store, store, {1: ProvisionalSet(scheme, 1)}, 1, OpCounters())
         with pytest.raises(MissingProvisionalData):
-            assemble_updown(1, minv, tsets)
+            eng.updown_pass(1)
 
     def test_pass_reproduces_combined_pivot_offdiagonals(self):
         # run to the step before the final assembly, then assemble by hand

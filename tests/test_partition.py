@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from blockinv.errors import IndexOutOfRange, InvalidOrder
-from blockinv.partition import (
-    QuadIndex,
-    make_partition,
-    partition_from_sizes,
-    quad_views,
-)
+from blockinv.errors import InvalidOrder
+from blockinv.partition import make_partition, partition_from_sizes
 
 # Explicit blocking table: order -> diagonal block sizes
 TABLE_ROWS = {
@@ -70,11 +65,18 @@ class TestFromSizes:
             partition_from_sizes([2, 0])
 
 
+def quad_views(scheme, level, quad, m):
+    """(A, B, C, D) regions of ``m`` for one quad of ``scheme.quads(level)``."""
+    first, mid, last = scheme.quads(level)[quad]
+    halves = ((first, mid), (mid, last))
+    return tuple(scheme.region(m, *rows, *cols) for rows in halves for cols in halves)
+
+
 class TestQuadViews:
     def test_order_8_level1_pair0(self):
         scheme = make_partition(8)
         m = np.arange(64, dtype=float).reshape(8, 8)
-        a, b, c, d = quad_views(scheme, QuadIndex(1, 0), m)
+        a, b, c, d = quad_views(scheme, 1, 0, m)
         assert np.array_equal(a, m[0:2, 0:2])
         assert np.array_equal(b, m[0:2, 2:4])
         assert np.array_equal(c, m[2:4, 0:2])
@@ -83,15 +85,16 @@ class TestQuadViews:
     def test_order_8_level2(self):
         scheme = make_partition(8)
         m = np.arange(64, dtype=float).reshape(8, 8)
-        a, b, c, d = quad_views(scheme, QuadIndex(2, 0), m)
+        a, b, c, d = quad_views(scheme, 2, 0, m)
         assert np.array_equal(a, m[0:4, 0:4])
         assert np.array_equal(d, m[4:8, 4:8])
 
     def test_order_9_level1_pair1_mixed_sizes(self):
         # sizes [2, 2, 2, 3]: pair 1 covers blocks 2 and 3
         scheme = make_partition(9)
+        assert scheme.quads(1) == ((0, 1, 2), (2, 3, 4))
         m = np.arange(81, dtype=float).reshape(9, 9)
-        a, b, c, d = quad_views(scheme, QuadIndex(1, 1), m)
+        a, b, c, d = quad_views(scheme, 1, 1, m)
         assert a.shape == (2, 2) and np.array_equal(a, m[4:6, 4:6])
         assert d.shape == (3, 3) and np.array_equal(d, m[6:9, 6:9])
         assert b.shape == (2, 3) and c.shape == (3, 2)
@@ -99,34 +102,29 @@ class TestQuadViews:
     def test_views_not_copies(self):
         scheme = make_partition(8)
         m = np.zeros((8, 8))
-        a, _, _, _ = quad_views(scheme, QuadIndex(1, 0), m)
+        a, _, _, _ = quad_views(scheme, 1, 0, m)
         a[0, 0] = 7.0
         assert m[0, 0] == 7.0
+
+    def test_level_0_is_the_diagonal_blocks(self):
+        assert make_partition(8).quads(0) == ((0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4))
+        assert make_partition(8).quads(3) == ()
 
     @pytest.mark.parametrize("order", [8, 9, 21, 33, 100])
     def test_quads_tile_their_regions(self, order):
         scheme = make_partition(order)
         k = scheme.k
         for level in range(1, k + 1):
+            quads = scheme.quads(level)
+            assert len(quads) == scheme.n_blocks // 2**level
             cover = np.zeros((order, order), dtype=int)
-            for pair in range(scheme.n_blocks // 2**level):
-                q = QuadIndex(level, pair)
-                first = pair * 2**level
-                last = (pair + 1) * 2**level
+            w = 2**level
+            for pair, (first, mid, last) in enumerate(quads):
+                assert (first, mid, last) == (pair * w, pair * w + w // 2, (pair + 1) * w)
                 lo, hi = scheme.block_span(first, last)
-                for view in quad_views(scheme, q, cover):
+                for view in quad_views(scheme, level, pair, cover):
                     view += 1
                 # the quad's four windows exactly tile its square region
                 assert np.all(cover[lo:hi, lo:hi] == 1)
             # and nothing outside any quad region was touched twice
             assert cover.max() == 1
-
-    def test_out_of_range(self):
-        scheme = make_partition(8)
-        m = np.zeros((8, 8))
-        with pytest.raises(IndexOutOfRange):
-            quad_views(scheme, QuadIndex(1, 2), m)
-        with pytest.raises(IndexOutOfRange):
-            quad_views(scheme, QuadIndex(3, 0), m)
-        with pytest.raises(IndexOutOfRange):
-            quad_views(scheme, QuadIndex(0, 0), m)

@@ -5,7 +5,7 @@ import pytest
 
 from blockinv.core import load_binary, save_binary
 from blockinv.engine import run_inversion
-from blockinv.errors import CheckpointCorrupt, SchemeMismatch
+from blockinv.errors import BlockShapeMismatch, CheckpointCorrupt, SchemeMismatch
 from blockinv.partition import make_partition
 from blockinv.storage import (
     BlockMatrix,
@@ -63,6 +63,17 @@ class TestProvisionalSetFiles:
         assert np.array_equal(tset.region(1, 2, 0, 1), np.ones((2, 2)))
         entries = [(blocks, values[0, 0]) for blocks, values in tset.entries()]
         assert entries == [((1, 2, 0, 1), 1.0), ((0, 1, 0, 1), 2.0)]
+
+
+    @pytest.mark.parametrize("root", [None, "files"])
+    @pytest.mark.parametrize("blocks", [(4, 5, 4, 5), (-2, -1, 2, 3)])
+    def test_block_past_the_last_quad(self, tmp_path, root, blocks):
+        # order 8: 4 blocks, so level 1 has quads over blocks 0..1 and 2..3
+        tset = ProvisionalSet(make_partition(8), 1, root=root and tmp_path)
+        with pytest.raises(BlockShapeMismatch):
+            tset.region(*blocks)
+        with pytest.raises(BlockShapeMismatch):
+            tset.set_region(*blocks, np.zeros((2, 2)))
 
 
 class TestProvisionalSetStacks:
