@@ -64,12 +64,11 @@ class TestProvisionalSetFiles:
         entries = [(blocks, values[0, 0]) for blocks, values in tset.entries()]
         assert entries == [((1, 2, 0, 1), 1.0), ((0, 1, 0, 1), 2.0)]
 
-
-    @pytest.mark.parametrize("root", [None, "files"])
+    @pytest.mark.parametrize("file_backed", [False, True])
     @pytest.mark.parametrize("blocks", [(4, 5, 4, 5), (-2, -1, 2, 3)])
-    def test_block_past_the_last_quad(self, tmp_path, root, blocks):
+    def test_block_past_the_last_quad(self, tmp_path, file_backed, blocks):
         # order 8: 4 blocks, so level 1 has quads over blocks 0..1 and 2..3
-        tset = ProvisionalSet(make_partition(8), 1, root=root and tmp_path)
+        tset = ProvisionalSet(make_partition(8), 1, root=tmp_path if file_backed else None)
         with pytest.raises(BlockShapeMismatch):
             tset.region(*blocks)
         with pytest.raises(BlockShapeMismatch):
