@@ -49,6 +49,6 @@ from .schur import (
     invert_via_d,
     invert_with_fallback,
 )
-from .storage import BlockMatrix, ProvisionalSet, checkpoint_load, checkpoint_save
+from .storage import ProvisionalSet, checkpoint_load, checkpoint_save
 
 __version__ = "0.1.0"

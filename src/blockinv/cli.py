@@ -105,13 +105,18 @@ def cmd_partition(args):
     return EXIT_OK
 
 
+def _workers(args) -> int:
+    """The engine's worker count; every other method runs on one thread,
+    whatever INVERTOR_WORKERS says."""
+    return resolve_workers(args.workers) if args.method == "parallel" else 1
+
+
 def cmd_invert(args):
     m = load_matrix(args.infile, binary=args.binary or None)
-    workers = resolve_workers(args.workers)
+    workers = _workers(args)
     try:
         inv, counters = run_method(
-            args.method, m, workers=workers, sizes=args.sizes,
-            checkpoint_dir=args.checkpoint_dir, file_backed=args.file_backed,
+            args.method, m, workers=workers, sizes=args.sizes, checkpoint_dir=args.checkpoint_dir
         )
     except SingularBlock:
         if not args.retry:
@@ -135,8 +140,7 @@ def cmd_verify(args):
         res = residual_norm(m, inv)
         print(f"residual {res:.3e}")
         return EXIT_OK
-    workers = resolve_workers(args.workers)
-    inv, _ = run_method(args.method, m, workers=workers, sizes=args.sizes)
+    inv, _ = run_method(args.method, m, workers=_workers(args), sizes=args.sizes)
     oracle = gauss_jordan_oracle(m)
     res = residual_norm(m, inv)
     diff = float(np.max(np.abs(inv - oracle)))
@@ -181,7 +185,6 @@ def cmd_resume(args):
         workers=resolve_workers(args.workers),
         sizes=args.sizes,
         checkpoint_dir=args.checkpoint_dir,
-        file_backed=args.file_backed,
     )
     inv = block.to_dense()
     if args.out:
@@ -216,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--sizes", type=_parse_ints, default=None)
     p.add_argument("--checkpoint-dir", default=None)
-    p.add_argument("--file-backed", action="store_true")
     p.add_argument("--retry", action="store_true",
                    help="on a singular pivot of methods a, inplace and ad, retry "
                         "with per-node pivot fallback")
@@ -250,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--sizes", type=_parse_ints, default=None)
-    p.add_argument("--file-backed", action="store_true")
     p.add_argument("--binary", action="store_true")
     p.set_defaults(fn=cmd_resume)
 
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Options only the step engine reads; other methods would silently drop them.
 _ENGINE_OPTIONS = (("--sizes", "sizes"), ("--checkpoint-dir", "checkpoint_dir"),
-                   ("--file-backed", "file_backed"), ("--workers", "workers"))
+                   ("--workers", "workers"))
 # Methods whose singular pivot --retry hands to invertor_with_fallback.
 _RETRY_METHODS = ("a", "inplace", "ad")
 
@@ -270,7 +271,7 @@ def main(argv=None) -> int:
     method = getattr(args, "method", "parallel")
     command = getattr(args, "parser", parser)  # usage errors show the subcommand's usage
     for flag, dest in _ENGINE_OPTIONS:
-        if method != "parallel" and getattr(args, dest, None) not in (None, False):
+        if method != "parallel" and getattr(args, dest, None) is not None:
             command.error(f"{flag} applies to --method parallel only, not {method}")
     if getattr(args, "retry", False) and method not in _RETRY_METHODS:
         command.error(f"--retry applies to --method {', '.join(_RETRY_METHODS)} only, "

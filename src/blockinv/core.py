@@ -104,6 +104,16 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
+def check_square(data) -> np.ndarray:
+    """The input check of every inversion: a finite, non-empty, square
+    real matrix, as float64 without copying when already one."""
+    m = as_matrix(data)
+    if m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise DimensionMismatch(f"need a non-empty square matrix, got {m.shape}")
+    check_finite(m)
+    return m
+
+
 def _mm_acc(a: np.ndarray, b: np.ndarray, out: np.ndarray, negate: bool = False) -> None:
     """out += (+-1) * a @ b, inner index ascending, sign folded into a.
 
@@ -376,16 +386,14 @@ def invert_small(m: np.ndarray, out: np.ndarray, counters: OpCounters | None = N
         counters.inversions += 1
 
 
-def gauss_jordan_oracle(m: np.ndarray, counters: OpCounters | None = None) -> np.ndarray:
+def gauss_jordan_oracle(m: np.ndarray) -> np.ndarray:
     """Invert by Gauss-Jordan elimination with partial pivoting.
 
     Verification oracle only: the blockwise algorithms never call this.
     """
-    m = as_matrix(m)
+    m = check_square(m)
     n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"oracle needs a square matrix, got {m.shape}")
-    tol = 1e-12 * n * (float(np.max(np.abs(m))) if m.size else 0.0)
+    tol = 1e-12 * n * float(np.max(np.abs(m)))
     aug = np.hstack([m.astype(np.float64, copy=True), np.eye(n)])
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
@@ -397,8 +405,6 @@ def gauss_jordan_oracle(m: np.ndarray, counters: OpCounters | None = None) -> np
         factors = aug[:, col].copy()
         factors[col] = 0.0
         aug -= np.outer(factors, aug[col, :])
-    if counters is not None:
-        counters.inversions += 1
     return np.ascontiguousarray(aug[:, n:])
 
 

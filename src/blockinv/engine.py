@@ -36,8 +36,11 @@ product per quad, so the stacking changes no bit of the result.
 Within a step every task - a group, or a contiguous chunk of one when
 there are several workers - writes a pre-assigned disjoint set of blocks,
 so the result is bitwise identical for any worker count; ``stepid`` is the
-only synchronization key.  Checkpoints at step boundaries make a run fully
-resumable, including when all blocks live in files.
+only synchronization key.  A run without a checkpoint directory keeps every
+store in memory.  A checkpointed run keeps the inverse and the provisional
+sets in the checkpoint's block files and works on them there, so a save at
+a step boundary only records a hash and the step, and the run resumes from
+any boundary.
 """
 
 from __future__ import annotations
@@ -53,23 +56,23 @@ from .core import (
     OpCounters,
     _inv2_stack,
     _mm_acc_ordered,
-    as_matrix,
-    check_finite,
+    check_square,
     invert_small,
 )
 from .errors import (
     BlockShapeMismatch,
     InvalidWorkers,
     MalformedLoopid,
+    MissingCheckpointDir,
     OutOfRange,
     OverlappingWriteTargets,
-    SchemeMismatch,
     SingularBlock,
 )
 from .partition import make_partition, partition_from_sizes
 from .storage import (
-    BlockMatrix,
     DiagonalRun,
+    MemoryBlockStore,
+    ProvisionalSet,
     checkpoint_load,
     checkpoint_matches,
     checkpoint_save,
@@ -576,59 +579,58 @@ def run_inversion(
     sizes=None,
     stop_after_step: int | None = None,
     counters: OpCounters | None = None,
-) -> BlockMatrix:
-    """Invert a partitioned matrix through the full step schedule.
+):
+    """Invert a square matrix through the full step schedule; returns the
+    inverse's block store, which carries ``scheme`` and ``to_dense()``.
 
-    ``m`` is a square ndarray or a BlockMatrix.  With ``checkpoint_dir`` the
-    state is saved after every step and an existing checkpoint for the same
-    input is resumed; ``file_backed`` keeps all blocks in files under that
-    directory instead of in memory.  ``stop_after_step`` ends the run early
-    at a step boundary (for staged execution across sessions).
+    Without ``checkpoint_dir`` every store is in memory and the result is a
+    ``MemoryBlockStore``.  With it the run works in the directory's block
+    files, records a checkpoint after every step and resumes an existing
+    checkpoint for the same input; the result is the ``FileBlockStore``
+    under ``<checkpoint_dir>/minv``.  ``file_backed`` is accepted for older
+    callers and changes nothing; without a directory it raises
+    MissingCheckpointDir.  ``stop_after_step`` ends the run early at a step
+    boundary (for staged execution across sessions).
 
     Counter semantics are per logical block operation: one inversion per
     diagonal block, two products and two Schur reductions per quad, and two
     products per quad per assembly pass.
     """
     workers = resolve_workers(workers)
-    if isinstance(m, BlockMatrix):
-        source = m
-        scheme = m.scheme
-        if sizes is not None and tuple(int(s) for s in sizes) != scheme.sizes:
-            raise SchemeMismatch("explicit sizes differ from the BlockMatrix scheme")
-    else:
-        m = as_matrix(m)
-        if sizes is None and m.shape[0] == 1:
-            sizes = [1]  # the default partition starts at order 2
-        scheme = partition_from_sizes(sizes) if sizes is not None else make_partition(m.shape[0])
-        source = BlockMatrix.from_dense(m, scheme)
+    m = check_square(m)
+    if sizes is None and m.shape[0] == 1:
+        sizes = [1]  # the default partition starts at order 2
+    scheme = partition_from_sizes(sizes) if sizes is not None else make_partition(m.shape[0])
+    source = MemoryBlockStore(scheme, m)
     counters = counters if counters is not None else OpCounters()
-
-    dense_input = source.store.data if source.store.data is not None else source.to_dense()
-    check_finite(dense_input)
-    # only checkpoints are keyed by the input
-    input_hash = input_fingerprint(dense_input, scheme) if checkpoint_dir is not None else None
     n_steps = total_steps(scheme.n_blocks)
 
     start = 1
-    if checkpoint_dir is not None and (os.path.isdir(checkpoint_dir)) and os.path.exists(
-        os.path.join(checkpoint_dir, "meta.json")
-    ):
-        meta = checkpoint_load(checkpoint_dir)
-        checkpoint_matches(meta, scheme, input_hash)
-        minv = load_minv_store(checkpoint_dir, scheme, file_backed)
-        tsets = load_tsets(checkpoint_dir, scheme, file_backed)
-        start = meta["stepid"] + 1
+    if checkpoint_dir is None:
+        if file_backed:
+            raise MissingCheckpointDir("file-backed mode needs a checkpoint directory")
+        minv = MemoryBlockStore(scheme)
+        tsets = {level: ProvisionalSet(scheme, level) for level in range(1, scheme.k + 1)}
     else:
-        minv, tsets = fresh_state(checkpoint_dir, scheme, file_backed)
+        # only checkpoints are keyed by the input
+        input_hash = input_fingerprint(source.data, scheme)
+        if os.path.exists(os.path.join(checkpoint_dir, "meta.json")):
+            meta = checkpoint_load(checkpoint_dir)
+            checkpoint_matches(meta, scheme, input_hash)
+            minv = load_minv_store(checkpoint_dir, scheme)
+            tsets = load_tsets(checkpoint_dir, scheme)
+            start = meta["stepid"] + 1
+        else:
+            minv, tsets = fresh_state(checkpoint_dir, scheme)
 
-    eng = _Engine(scheme, source.store, minv, tsets, workers, counters)
+    eng = _Engine(scheme, source, minv, tsets, workers, counters)
     try:
         for stepid in range(start, n_steps + 1):
             eng.execute(step_plan(stepid, scheme.n_blocks))
             if checkpoint_dir is not None:
-                checkpoint_save(checkpoint_dir, scheme, minv, tsets, stepid, input_hash)
+                checkpoint_save(checkpoint_dir, scheme, stepid, input_hash)
             if stop_after_step is not None and stepid >= stop_after_step:
                 break
     finally:
         eng.close()
-    return BlockMatrix(scheme, minv)
+    return minv

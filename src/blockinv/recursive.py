@@ -54,8 +54,7 @@ import numpy as np
 from .core import (
     OpCounters,
     _inv_rows,
-    as_matrix,
-    check_finite,
+    check_square,
     invert_small,
     multiply,
     multiply_inplace_left,
@@ -71,14 +70,6 @@ from .errors import (
 )
 
 LEAF_ORDER = 2
-
-
-def _check_square(x: np.ndarray) -> np.ndarray:
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1] or x.shape[0] == 0:
-        raise DimensionMismatch(f"need a non-empty square matrix, got {x.shape}")
-    check_finite(x)
-    return x
 
 
 # Nodes up to this order run on the list backend: the numpy round trips
@@ -419,7 +410,7 @@ def invertor_by_a(x: np.ndarray, counters: OpCounters | None = None):
 
     Returns ``(inverse, counters)``; the input is left untouched.
     """
-    x = _check_square(x)
+    x = check_square(x)
     counters = counters if counters is not None else OpCounters()
     counters.alloc(x.size)
     return _Arrays(counters, formula=_single_pivot).invert(x, []), counters
@@ -441,7 +432,7 @@ def invertor_inplace_by_a(
         raise FormatError("in-place inversion needs a float64 ndarray")
     if not x.flags.writeable:
         raise FormatError("in-place inversion needs a writeable array")
-    x = _check_square(x)
+    x = check_square(x)
     n = x.shape[0]
     if row_scratch is None:
         row_scratch = np.empty(n)
@@ -459,7 +450,7 @@ def invertor_by_ad(x: np.ndarray, counters: OpCounters | None = None):
 
     Returns ``(inverse, counters)``.
     """
-    x = _check_square(x)
+    x = check_square(x)
     counters = counters if counters is not None else OpCounters()
     ops = _Arrays(counters, formula=_combined_pivot, pool=_SchurPool(counters))
     return ops.invert(x, []), counters
@@ -501,7 +492,7 @@ def invertor_with_fallback(x: np.ndarray, counters: OpCounters | None = None):
     """
     from .schur import invert_with_fallback
 
-    x = _check_square(x)
+    x = check_square(x)
     counters = counters if counters is not None else OpCounters()
 
     def sub(block, out):

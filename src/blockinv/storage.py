@@ -1,27 +1,28 @@
 """Block-structured storage for the step engine.
 
-A :class:`BlockMatrix` holds the source matrix or the inverse under
-construction, either in memory (one dense array, block reads are views) or
-file-backed (one ``.blk`` file per block, named by block coordinates).
-Provisional sets hold the per-level L / R / S scratch blocks with the same
-two backends (in memory, one band array per level).  A
-:class:`DiagonalRun` reads and writes evenly spaced diagonal blocks or
-quads of any of these stores as one stack.  Checkpoints live in a
-directory::
+A block store holds the source matrix or the inverse under construction,
+either in memory (:class:`MemoryBlockStore`, one dense array, block reads
+are views) or in files (:class:`FileBlockStore`, one ``.blk`` file per
+block, named by block coordinates).  Provisional sets hold the per-level
+L / R / S scratch blocks with the same two backends (in memory, one band
+array per level).  A :class:`DiagonalRun` reads and writes evenly spaced
+diagonal blocks or quads of any of these stores as one stack.
+
+A run without a checkpoint directory keeps its inverse and provisional
+sets in memory.  A checkpointed run keeps them in files in its checkpoint
+directory and works on them there::
 
     meta.json                       stepid, blocksize, sizes, hashes, version
     minv/B_<i>_<j>.blk              inverse blocks
     tset/<level>/{L,R,S}_<idx>.blk  provisional blocks
 
-with every ``.blk`` in the binary matrix format.  Only the file-backed
-stores, :class:`FileBlockStore` and a :class:`ProvisionalSet` with a
-``root``, name, write or read block files.  In file-backed runs the engine
-works directly on them, so a checkpoint is just a meta update; in-memory
-runs copy their stores into the same file stores on save and back out on
-resume, so both modes leave the same files.  A fresh start clears the
-block files and meta.json of any earlier run in both modes.  Only the
-block files under ``minv/`` and ``tset/`` belong to a checkpoint; other
-files in the directory are neither hashed nor cleared.
+with every ``.blk`` in the binary matrix format.  Only
+:class:`FileBlockStore` and a :class:`ProvisionalSet` with a ``root`` name,
+write or read block files, so a checkpoint save writes no block: it hashes
+the block files and writes ``meta.json``.  A fresh start clears the block
+files and meta.json of any earlier run.  Only the block files under
+``minv/`` and ``tset/`` belong to a checkpoint; other files in the
+directory are neither hashed nor cleared.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ from .errors import (
     BlockShapeMismatch,
     CheckpointCorrupt,
     DimensionMismatch,
-    MissingCheckpointDir,
     MissingProvisionalData,
     SchemeMismatch,
 )
-from .partition import PartitionScheme, make_partition
+from .partition import PartitionScheme
 
 CHECKPOINT_VERSION = 1
 
@@ -54,8 +54,6 @@ CHECKPOINT_VERSION = 1
 
 class MemoryBlockStore:
     """Dense in-memory backing; region reads are views."""
-
-    file_backed = False
 
     def __init__(self, scheme: PartitionScheme, data: np.ndarray | None = None):
         self.scheme = scheme
@@ -80,9 +78,7 @@ class MemoryBlockStore:
 class FileBlockStore:
     """One file per block under ``root``, named ``B_<i>_<j>.blk``."""
 
-    file_backed = True
-    data = None  # no dense array to take views of
-    strided = None
+    strided = None  # no dense array to take views of
 
     def __init__(self, scheme: PartitionScheme, root, data: np.ndarray | None = None):
         self.scheme = scheme
@@ -132,37 +128,6 @@ class FileBlockStore:
     def to_dense(self) -> np.ndarray:
         n = self.scheme.n_blocks
         return self.region(0, n, 0, n)
-
-
-class BlockMatrix:
-    """A matrix in diagonal-block partitioned form (source or destination)."""
-
-    def __init__(self, scheme: PartitionScheme, store):
-        self.scheme = scheme
-        self.store = store
-
-    @classmethod
-    def from_dense(
-        cls,
-        m: np.ndarray,
-        scheme: PartitionScheme | None = None,
-        directory=None,
-    ) -> "BlockMatrix":
-        m = np.ascontiguousarray(m, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"square matrix required, got {m.shape}")
-        if scheme is None:
-            scheme = make_partition(m.shape[0])
-        if m.shape[0] != scheme.m_n:
-            raise DimensionMismatch(f"matrix order {m.shape[0]} vs scheme {scheme.m_n}")
-        if directory is None:
-            store = MemoryBlockStore(scheme, m)
-        else:
-            store = FileBlockStore(scheme, directory, m)
-        return cls(scheme, store)
-
-    def to_dense(self) -> np.ndarray:
-        return self.store.to_dense()
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +358,6 @@ class ProvisionalSet:
         """The pair (R, L) of quads [lo, hi) of a run of this level's quads."""
         return run.read(self, lo, hi, "Y")
 
-    def entries(self):
-        """Yield ((r0, r1, c0, c1), array) for every stored block, in a fixed
-        order; ``set_region(r0, r1, c0, c1, array)`` stores it again."""
-        for kind in "LRS":
-            for idx in range(self._count(kind)):
-                try:
-                    yield self._blocks(kind, idx), self._load(kind, idx)
-                except MissingProvisionalData:
-                    continue
-
 
 # ---------------------------------------------------------------------------
 # Checkpointing
@@ -432,43 +387,15 @@ def _state_hash(root: Path, stepid: int) -> str:
     return h.hexdigest()
 
 
-def _minv_files(root: Path, scheme: PartitionScheme, data=None) -> FileBlockStore:
-    return FileBlockStore(scheme, root / "minv", data)
+def checkpoint_save(directory, scheme: PartitionScheme, completed_step: int, input_hash: str) -> None:
+    """Record the engine state after a step boundary.
 
-
-def _tset_files(root: Path, scheme: PartitionScheme) -> dict[int, ProvisionalSet]:
-    return {
-        level: ProvisionalSet(scheme, level, root=root / "tset" / str(level))
-        for level in range(1, scheme.k + 1)
-    }
-
-
-def _copy_blocks(source: ProvisionalSet, dest: ProvisionalSet) -> ProvisionalSet:
-    for blocks, values in source.entries():
-        dest.set_region(*blocks, values)
-    return dest
-
-
-def checkpoint_save(
-    directory,
-    scheme: PartitionScheme,
-    minv_store,
-    tsets: dict[int, ProvisionalSet],
-    completed_step: int,
-    input_hash: str,
-) -> None:
-    """Persist the engine state after a step boundary.
-
-    File-backed stores already live in the directory; memory stores are
-    copied into the directory's file stores.  ``meta.json`` is written last
-    so a torn save is detected as corrupt rather than silently resumed.
+    The run's stores already live in the directory's block files, so this
+    hashes them and writes ``meta.json``; it writes no block.  A run torn
+    during a step leaves block files that disagree with the last hash, so
+    the next load reports the checkpoint as corrupt.
     """
     root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    if not minv_store.file_backed:
-        _minv_files(root, scheme, minv_store.data)
-        for level, disk in _tset_files(root, scheme).items():
-            _copy_blocks(tsets[level], disk)
     meta = {
         "version": CHECKPOINT_VERSION,
         "stepid": completed_step,
@@ -530,37 +457,33 @@ def checkpoint_matches(meta: dict, scheme: PartitionScheme, input_hash: str) -> 
         raise SchemeMismatch("input matrix differs from checkpoint")
 
 
-def load_minv_store(directory, scheme: PartitionScheme, file_backed: bool):
-    store = _minv_files(Path(directory), scheme)
-    return store if file_backed else MemoryBlockStore(scheme, store.to_dense())
+def load_minv_store(directory, scheme: PartitionScheme) -> FileBlockStore:
+    """The inverse's block files of the checkpoint in ``directory``."""
+    return FileBlockStore(scheme, Path(directory) / "minv")
 
 
-def load_tsets(directory, scheme: PartitionScheme, file_backed: bool) -> dict[int, ProvisionalSet]:
-    tsets = _tset_files(Path(directory), scheme)
-    if file_backed:
-        return tsets
+def _tset_files(root: Path, scheme: PartitionScheme) -> dict[int, ProvisionalSet]:
     return {
-        level: _copy_blocks(disk, ProvisionalSet(scheme, level)) for level, disk in tsets.items()
+        level: ProvisionalSet(scheme, level, root=root / "tset" / str(level))
+        for level in range(1, scheme.k + 1)
     }
 
 
-def fresh_state(directory, scheme: PartitionScheme, file_backed: bool):
-    """(minv_store, tsets) for a run starting at step 1; M_inv starts zeroed.
+def load_tsets(directory, scheme: PartitionScheme) -> dict[int, ProvisionalSet]:
+    """The provisional sets' block files of the checkpoint in ``directory``."""
+    return _tset_files(Path(directory), scheme)
 
-    In both modes a checkpoint directory is first cleared of the block
-    files and the meta.json of any earlier run.
+
+def fresh_state(directory, scheme: PartitionScheme):
+    """(minv_store, tsets) in the files of ``directory`` for a checkpointed
+    run starting at step 1; M_inv starts zeroed.
+
+    The directory is first cleared of the block files and the meta.json of
+    any earlier run.
     """
-    if directory is None:
-        if file_backed:
-            raise MissingCheckpointDir("file-backed mode needs a checkpoint directory")
-    else:
-        root = Path(directory)
-        for stale in _blk_files(root):
-            os.remove(stale)
-        (root / "meta.json").unlink(missing_ok=True)
-    if file_backed:
-        minv = _minv_files(root, scheme, np.zeros((scheme.m_n, scheme.m_n)))
-        return minv, _tset_files(root, scheme)
-    return MemoryBlockStore(scheme), {
-        level: ProvisionalSet(scheme, level) for level in range(1, scheme.k + 1)
-    }
+    root = Path(directory)
+    for stale in _blk_files(root):
+        os.remove(stale)
+    (root / "meta.json").unlink(missing_ok=True)
+    minv = FileBlockStore(scheme, root / "minv", np.zeros((scheme.m_n, scheme.m_n)))
+    return minv, _tset_files(root, scheme)

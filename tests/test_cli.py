@@ -116,6 +116,19 @@ class TestInvert:
         assert run("invert", "--in", src, "--method", "parallel", "--workers", "4") == 0
         assert "workers 4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["a", "inplace", "ad", "oracle"])
+    def test_workers_env_ignored_by_other_methods(self, tmp_path, capsys, monkeypatch, method):
+        # only the step engine runs workers, so only it reads INVERTOR_WORKERS
+        src = tmp_path / "m.txt"
+        save_matrix(well_conditioned(9, 72), src)
+        monkeypatch.setenv("INVERTOR_WORKERS", "4")
+        assert run("invert", "--in", src, "--method", method) == 0
+        assert f"method {method}  order 9  workers 1" in capsys.readouterr().out
+        monkeypatch.setenv("INVERTOR_WORKERS", "x")
+        assert run("invert", "--in", src, "--method", method) == 0
+        assert run("verify", "--in", src, "--method", method) == 0
+        assert run("verify", "--in", src, "--method", "parallel") == 3
+
     def test_bad_worker_counts_exit_code(self, tmp_path, monkeypatch):
         src = tmp_path / "m.txt"
         save_matrix(well_conditioned(8, 68), src)
@@ -134,12 +147,6 @@ class TestInvert:
         save_matrix(well_conditioned(8, 69), src)
         assert exit_code("invert", "--in", src, "--workers", "abc") == 3
 
-    def test_file_backed_without_checkpoint_dir_exit_code(self, tmp_path, capsys):
-        src = tmp_path / "m.txt"
-        save_matrix(well_conditioned(8, 70), src)
-        assert exit_code("invert", "--in", src, "--file-backed") == 3
-        assert "checkpoint directory" in capsys.readouterr().err
-
     def test_explicit_sizes(self, tmp_path):
         src = tmp_path / "m.txt"
         save_matrix(well_conditioned(12, 62), src)
@@ -148,9 +155,8 @@ class TestInvert:
     @pytest.mark.parametrize("option", [
         ("--sizes", "4,4"),
         ("--checkpoint-dir", "ck"),
-        ("--checkpoint-dir", "ck", "--file-backed"),
         ("--workers", "2"),
-    ], ids=["sizes", "checkpoint-dir", "file-backed", "workers"])
+    ], ids=["sizes", "checkpoint-dir", "workers"])
     @pytest.mark.parametrize("method", ["a", "inplace", "ad", "oracle"])
     def test_engine_option_with_other_method_exit_code(self, tmp_path, capsys, option, method):
         src = tmp_path / "m.txt"
@@ -286,6 +292,5 @@ class TestCheckpointCommands:
         src = tmp_path / "m.txt"
         save_matrix(well_conditioned(9, 67), src)
         ck = tmp_path / "ck"
-        assert run("invert", "--in", src, "--method", "parallel",
-                   "--checkpoint-dir", ck, "--file-backed") == 0
+        assert run("invert", "--in", src, "--method", "parallel", "--checkpoint-dir", ck) == 0
         assert (ck / "minv" / "B_0_0.blk").exists()

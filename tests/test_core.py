@@ -392,6 +392,22 @@ class TestOracle:
         with pytest.raises(DimensionMismatch):
             gauss_jordan_oracle(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # the same input check as every blockwise method
+        from blockinv.bench import run_method
+
+        m = well_conditioned(4, 12)
+        m[1, 2] = bad
+        with pytest.raises(FormatError):
+            gauss_jordan_oracle(m)
+        with pytest.raises(FormatError):
+            run_method("oracle", m)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            gauss_jordan_oracle(np.zeros((0, 0)))
+
 
 class TestResidualNorm:
     def test_identity(self):

@@ -30,6 +30,7 @@ from blockinv.engine import (
 )
 from blockinv.errors import (
     BlockShapeMismatch,
+    DimensionMismatch,
     FormatError,
     InvalidWorkers,
     MalformedLoopid,
@@ -41,7 +42,7 @@ from blockinv.errors import (
 from blockinv.partition import make_partition
 from blockinv.recursive import invertor_by_ad
 from blockinv.schur import diagonal_quad, invert_via_ad
-from blockinv.storage import BlockMatrix, MemoryBlockStore, ProvisionalSet
+from blockinv.storage import MemoryBlockStore, ProvisionalSet
 
 from conftest import well_conditioned
 
@@ -305,12 +306,6 @@ class TestRunInversion:
         assert (info.value.block, info.value.path) == ("A", [])
         assert (info.value.step, info.value.quad) == (1, 0)
 
-    def test_block_matrix_input(self):
-        m = well_conditioned(9, 44)
-        bm = BlockMatrix.from_dense(m)
-        inv = run_inversion(bm).to_dense()
-        assert residual_norm(m, inv) <= 1e-8
-
     def test_counters_reported(self):
         from blockinv.core import OpCounters
 
@@ -330,6 +325,10 @@ class TestRunInversion:
     def test_complex_input_rejected(self):
         with pytest.raises(FormatError):
             run_inversion(well_conditioned(8, 48) + 1j * np.eye(8))
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            run_inversion(np.zeros((0, 0)))
 
     def test_file_backed_needs_checkpoint_dir(self):
         with pytest.raises(MissingCheckpointDir) as info:

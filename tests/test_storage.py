@@ -5,10 +5,14 @@ import pytest
 
 from blockinv.core import load_binary, save_binary
 from blockinv.engine import run_inversion
-from blockinv.errors import BlockShapeMismatch, CheckpointCorrupt, SchemeMismatch
+from blockinv.errors import (
+    BlockShapeMismatch,
+    CheckpointCorrupt,
+    MissingProvisionalData,
+    SchemeMismatch,
+)
 from blockinv.partition import make_partition
 from blockinv.storage import (
-    BlockMatrix,
     FileBlockStore,
     MemoryBlockStore,
     ProvisionalSet,
@@ -47,8 +51,9 @@ class TestBlockStores:
 
     def test_block_matrix_from_dense(self, tmp_path):
         m = well_conditioned(8, 51)
-        mem = BlockMatrix.from_dense(m)
-        fil = BlockMatrix.from_dense(m, directory=tmp_path)
+        scheme = make_partition(8)
+        mem = MemoryBlockStore(scheme, m)
+        fil = FileBlockStore(scheme, tmp_path, m)
         assert np.array_equal(mem.to_dense(), fil.to_dense())
 
 
@@ -60,9 +65,13 @@ class TestProvisionalSetFiles:
         tset.set_region(0, 1, 0, 1, 2 * np.ones((2, 2)))  # S_D of quad 0
         assert (tmp_path / "L_0.blk").exists()
         assert (tmp_path / "S_0.blk").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["L_0.blk", "S_0.blk"]
         assert np.array_equal(tset.region(1, 2, 0, 1), np.ones((2, 2)))
-        entries = [(blocks, values[0, 0]) for blocks, values in tset.entries()]
-        assert entries == [((1, 2, 0, 1), 1.0), ((0, 1, 0, 1), 2.0)]
+        assert np.array_equal(tset.region(0, 1, 0, 1), 2 * np.ones((2, 2)))
+        with pytest.raises(BlockShapeMismatch):
+            tset.set_region(1, 2, 0, 1, np.ones((2, 3)))
+        with pytest.raises(MissingProvisionalData):
+            tset.region(0, 1, 1, 2)  # R of quad 0 was never stored
 
     @pytest.mark.parametrize("file_backed", [False, True])
     @pytest.mark.parametrize("blocks", [(4, 5, 4, 5), (-2, -1, 2, 3)])
@@ -97,9 +106,12 @@ class TestProvisionalSetStacks:
         self._write(files, np.random.default_rng(level))
         for kind in "LRS":
             mem.require(kind)
-        assert [b for b, _ in mem.entries()] == [b for b, _ in files.entries()]
-        for (_, x), (_, y) in zip(mem.entries(), files.entries()):
-            assert x.tobytes() == y.tobytes()
+        assert len(list(tmp_path.glob("*.blk"))) == 4 * len(grp)
+        for first, mid, last in grp.spans:
+            for rows in ((first, mid), (mid, last)):
+                for cols in ((first, mid), (mid, last)):
+                    x, y = mem.region(*rows, *cols), files.region(*rows, *cols)
+                    assert x.tobytes() == y.tobytes()
         first, mid, last = grp.spans[0]
         assert mem.region(first, mid, mid, last).tobytes() == panels[0, 0].tobytes()  # R
         assert mem.region(mid, last, first, mid).tobytes() == panels[1, 0].tobytes()  # L
@@ -131,6 +143,48 @@ class TestCheckpoint:
         d = tmp_path / "ck"
         run_inversion(m, checkpoint_dir=d, file_backed=True, stop_after_step=8)
         out = run_inversion(m, checkpoint_dir=d, file_backed=True).to_dense()
+        assert out.tobytes() == ref.tobytes()
+
+    def test_save_writes_no_block(self, tmp_path, monkeypatch):
+        """A checkpointed run works in its checkpoint's files: a save only
+        hashes them and writes meta.json, and the result is the inverse's
+        file store in the directory."""
+        import blockinv.engine
+        import blockinv.storage
+
+        real_save, real_write = blockinv.storage.checkpoint_save, blockinv.storage.save_binary
+        saves, writes, saving = [], [], []
+
+        def save(*args):
+            saves.append(args[2])
+            saving.append(True)
+            try:
+                real_save(*args)
+            finally:
+                saving.pop()
+
+        def write(values, path):
+            if saving:
+                writes.append(path)
+            real_write(values, path)
+
+        monkeypatch.setattr(blockinv.engine, "checkpoint_save", save)
+        monkeypatch.setattr(blockinv.storage, "save_binary", write)
+        m = well_conditioned(16, 65)
+        d = tmp_path / "ck"
+        out = run_inversion(m, checkpoint_dir=d)
+        assert saves == list(range(1, 16)) and writes == []
+        assert isinstance(out, FileBlockStore) and out.root == d / "minv"
+        assert out.to_dense().tobytes() == run_inversion(m).to_dense().tobytes()
+
+    @pytest.mark.parametrize("order, sizes", [(21, None), (24, [4, 8, 4, 8])],
+                             ids=["order21", "sizes4848"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_checkpointed_run_matches_plain_run(self, tmp_path, order, sizes, workers):
+        m = well_conditioned(order, 66)
+        ref = run_inversion(m, sizes=sizes).to_dense()
+        d = tmp_path / "ck"
+        out = run_inversion(m, workers=workers, sizes=sizes, checkpoint_dir=d).to_dense()
         assert out.tobytes() == ref.tobytes()
 
     def test_wrong_input_hash(self, tmp_path):
@@ -218,9 +272,7 @@ class TestCheckpoint:
     def test_stepid_out_of_range_is_corrupt(self, tmp_path, stepid):
         scheme = make_partition(9)  # 4 blocks: steps 1..7
         m = well_conditioned(9, 63)
-        minv = MemoryBlockStore(scheme)
-        tsets = {level: ProvisionalSet(scheme, level) for level in (1, 2)}
-        checkpoint_save(tmp_path, scheme, minv, tsets, stepid, input_fingerprint(m, scheme))
+        checkpoint_save(tmp_path, scheme, stepid, input_fingerprint(m, scheme))
         with pytest.raises(CheckpointCorrupt, match="stepid"):
             checkpoint_load(tmp_path)
 
