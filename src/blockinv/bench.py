@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import OpCounters, gauss_jordan_oracle, residual_norm
-from .engine import run_inversion
+from .engine import resolve_workers, run_inversion
 from .errors import InsufficientData, InvalidOrder
 from .partition import make_partition
 from .recursive import invertor_by_a, invertor_by_ad, invertor_inplace_by_a
@@ -134,10 +134,14 @@ def bench(
 ) -> list[TimingRecord]:
     """One record per (method, order, workers, repeat); the per-configuration
     median (by seconds) is appended as an extra flagged record when
-    repeats > 1.  A residual above 1e-8 * order fails the sweep.
+    repeats > 1.  Only ``parallel`` runs once per worker count; the other
+    methods run on one thread, once per order with workers 1.  A worker
+    count below 1 raises InvalidWorkers before anything runs, and a
+    residual above 1e-8 * order fails the sweep.
     """
     if repeats < 1:
         raise InvalidOrder(f"repeats must be >= 1, got {repeats}")
+    workers_list = [resolve_workers(w) for w in workers_list]
     orders = list(orders)
     if orders != sorted(orders):
         raise InvalidOrder("orders must be ascending")
@@ -145,7 +149,7 @@ def bench(
     for order in orders:
         m = generate(order, seed=seed + order)
         for method in methods:
-            for workers in workers_list:
+            for workers in workers_list if method == "parallel" else [1]:
                 samples = []
                 for _ in range(repeats):
                     rec = time_inversion(method, m, workers)

@@ -20,12 +20,11 @@ A step runs its diagonal blocks or quads in groups: items with the same
 block sizes at evenly spaced diagonal offsets, one group per step for
 power-of-two orders under the default partition.  Each group is a
 ``storage.DiagonalRun``: it reads its operands as (items, rows, cols)
-stacks - strided views of the in-memory stores, block-by-block copies of
-file-backed ones - and runs every Fox product and every assembly half as
-one stacked ``core._mm_acc_ordered`` call; when a quad's two halves have
-the same block sizes, the A-half and D-half products (R and L, S_D and
-S_A, the up and down halves) share one call.  Provisional sets are
-written only through their own ``store_arrows``.  The 2x2 leaf inverses
+stacks - strided views of the stores' arrays - and runs every Fox product
+and every assembly half as one stacked ``core._mm_acc_ordered`` call;
+when a quad's two halves have the same block sizes, the A-half and D-half
+products (R and L, S_D and S_A, the up and down halves) share one call.
+Provisional sets are written only through their own ``store_arrows``.  The 2x2 leaf inverses
 of a group are one stacked ``core._inv2_stack`` call; larger leaves are
 inverted one by one inside the group's task.  The groups, with the row
 starts of their Fox orders, are built once per partition (``_layout``);
@@ -37,15 +36,16 @@ Within a step every task - a group, or a contiguous chunk of one when
 there are several workers - writes a pre-assigned disjoint set of blocks,
 so the result is bitwise identical for any worker count; ``stepid`` is the
 only synchronization key.  A run without a checkpoint directory keeps every
-store in memory.  A checkpointed run keeps the inverse and the provisional
-sets in the checkpoint's block files and works on them there, so a save at
-a step boundary only records a hash and the step, and the run resumes from
-any boundary.
+store in memory.  A checkpointed run maps the inverse and the provisional
+sets onto its checkpoint's store files and works on them through the same
+views, so a save at a step boundary only records a hash and the step, and
+the run resumes from any boundary.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,9 +90,11 @@ SCHUR_DIAG_AND_ASSEMBLE = "schur_diag_and_assemble"
 def resolve_workers(explicit: int | None = None) -> int:
     """Explicit argument beats the INVERTOR_WORKERS environment variable."""
     if explicit is not None:
+        if isinstance(explicit, bool) or not isinstance(explicit, numbers.Integral):
+            raise InvalidWorkers(f"workers must be an integer, got {explicit!r}")
         if explicit < 1:
             raise InvalidWorkers(f"workers must be >= 1, got {explicit}")
-        return explicit
+        return int(explicit)
     env = os.environ.get("INVERTOR_WORKERS", "").strip()
     if not env:
         return 1
@@ -583,14 +585,16 @@ def run_inversion(
     """Invert a square matrix through the full step schedule; returns the
     inverse's block store, which carries ``scheme`` and ``to_dense()``.
 
-    Without ``checkpoint_dir`` every store is in memory and the result is a
-    ``MemoryBlockStore``.  With it the run works in the directory's block
-    files, records a checkpoint after every step and resumes an existing
-    checkpoint for the same input; the result is the ``FileBlockStore``
-    under ``<checkpoint_dir>/minv``.  ``file_backed`` is accepted for older
-    callers and changes nothing; without a directory it raises
-    MissingCheckpointDir.  ``stop_after_step`` ends the run early at a step
-    boundary (for staged execution across sessions).
+    The result is a ``MemoryBlockStore``.  Without ``checkpoint_dir`` every
+    store is in memory.  With it every store but the source is mapped onto
+    the directory's store files, a checkpoint is recorded after every step,
+    and an existing checkpoint for the same input is resumed; the result's
+    array is then mapped on ``<checkpoint_dir>/minv/inverse.f64``, which a
+    later resume in the directory writes through and a fresh start replaces.
+    ``file_backed`` is accepted for older callers and changes nothing;
+    without a directory it raises MissingCheckpointDir.  ``stop_after_step``
+    ends the run early at a step boundary (for staged execution across
+    sessions).
 
     Counter semantics are per logical block operation: one inversion per
     diagonal block, two products and two Schur reductions per quad, and two

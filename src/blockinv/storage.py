@@ -1,28 +1,25 @@
 """Block-structured storage for the step engine.
 
-A block store holds the source matrix or the inverse under construction,
-either in memory (:class:`MemoryBlockStore`, one dense array, block reads
-are views) or in files (:class:`FileBlockStore`, one ``.blk`` file per
-block, named by block coordinates).  Provisional sets hold the per-level
-L / R / S scratch blocks with the same two backends (in memory, one band
-array per level).  A :class:`DiagonalRun` reads and writes evenly spaced
-diagonal blocks or quads of any of these stores as one stack.
+A block store (:class:`MemoryBlockStore`) holds the source matrix or the
+inverse under construction as one dense array; block reads are views.  A
+provisional set holds the per-level L / R / S scratch blocks in one band
+array.  A :class:`DiagonalRun` reads and writes evenly spaced diagonal
+blocks or quads of either as one stack of strided views.
 
-A run without a checkpoint directory keeps its inverse and provisional
-sets in memory.  A checkpointed run keeps them in files in its checkpoint
-directory and works on them there::
+A run without a checkpoint directory allocates its arrays in memory.  A
+checkpointed run maps them onto files of its checkpoint directory and
+works on them there, so the operating system pages blocks in and out::
 
-    meta.json                       stepid, blocksize, sizes, hashes, version
-    minv/B_<i>_<j>.blk              inverse blocks
-    tset/<level>/{L,R,S}_<idx>.blk  provisional blocks
+    meta.json          stepid, blocksize, sizes, state hash, version
+    minv/inverse.f64   the inverse, n x n
+    tset/<level>.f64   the band array of provisional set <level>
 
-with every ``.blk`` in the binary matrix format.  Only
-:class:`FileBlockStore` and a :class:`ProvisionalSet` with a ``root`` name,
-write or read block files, so a checkpoint save writes no block: it hashes
-the block files and writes ``meta.json``.  A fresh start clears the block
-files and meta.json of any earlier run.  Only the block files under
-``minv/`` and ``tset/`` belong to a checkpoint; other files in the
-directory are neither hashed nor cleared.
+with every store file raw float64 in the machine's byte order, row-major,
+with no header.  A checkpoint save therefore writes no block: it hashes the store
+files and writes ``meta.json``.  A fresh start clears the store files and
+meta.json of any earlier run.  Only the store files under ``minv/`` and
+``tset/`` belong to a checkpoint; other files in the directory are neither
+hashed nor cleared.
 """
 
 from __future__ import annotations
@@ -34,17 +31,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import load_binary, matrix_to_bytes, save_binary
+from .core import matrix_to_bytes
 from .errors import (
+    BlockInvError,
     BlockShapeMismatch,
     CheckpointCorrupt,
     DimensionMismatch,
     MissingProvisionalData,
     SchemeMismatch,
 )
-from .partition import PartitionScheme
+from .partition import PartitionScheme, partition_from_sizes
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +51,8 @@ CHECKPOINT_VERSION = 1
 
 
 class MemoryBlockStore:
-    """Dense in-memory backing; region reads are views."""
+    """One dense array, or a mapped file, holding a whole matrix; strided
+    views of it are written through."""
 
     def __init__(self, scheme: PartitionScheme, data: np.ndarray | None = None):
         self.scheme = scheme
@@ -65,69 +64,8 @@ class MemoryBlockStore:
         # (buffer, base, ld): element (i, j) is buffer.flat[base + i * ld + j]
         self.strided = self.data, 0, scheme.m_n
 
-    def region(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        return self.scheme.region(self.data, r0, r1, c0, c1)
-
-    def set_region(self, r0: int, r1: int, c0: int, c1: int, values: np.ndarray) -> None:
-        self.scheme.region(self.data, r0, r1, c0, c1)[...] = values
-
     def to_dense(self) -> np.ndarray:
         return self.data.copy()
-
-
-class FileBlockStore:
-    """One file per block under ``root``, named ``B_<i>_<j>.blk``."""
-
-    strided = None  # no dense array to take views of
-
-    def __init__(self, scheme: PartitionScheme, root, data: np.ndarray | None = None):
-        self.scheme = scheme
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        if data is not None:
-            if data.shape != (scheme.m_n, scheme.m_n):
-                raise DimensionMismatch(f"data {data.shape} vs order {scheme.m_n}")
-            n = scheme.n_blocks
-            for i in range(n):
-                for j in range(n):
-                    self.set_block(i, j, scheme.region(data, i, i + 1, j, j + 1))
-
-    def _path(self, i: int, j: int) -> Path:
-        return self.root / f"B_{i}_{j}.blk"
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return load_binary(self._path(i, j))
-
-    def set_block(self, i: int, j: int, values: np.ndarray) -> None:
-        save_binary(np.ascontiguousarray(values, dtype=np.float64), self._path(i, j))
-
-    def region(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        off = self.scheme.offsets
-        out = np.empty((off[r1] - off[r0], off[c1] - off[c0]))
-        for i in range(r0, r1):
-            for j in range(c0, c1):
-                out[
-                    off[i] - off[r0] : off[i + 1] - off[r0],
-                    off[j] - off[c0] : off[j + 1] - off[c0],
-                ] = self.block(i, j)
-        return out
-
-    def set_region(self, r0: int, r1: int, c0: int, c1: int, values: np.ndarray) -> None:
-        off = self.scheme.offsets
-        for i in range(r0, r1):
-            for j in range(c0, c1):
-                self.set_block(
-                    i,
-                    j,
-                    values[
-                        off[i] - off[r0] : off[i + 1] - off[r0],
-                        off[j] - off[c0] : off[j + 1] - off[c0],
-                    ],
-                )
-
-    def to_dense(self) -> np.ndarray:
-        n = self.scheme.n_blocks
-        return self.region(0, n, 0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +87,9 @@ class DiagonalRun:
     "D" or "Q" (the whole item).  The pairs "X" = (AA, DD) and "Y" =
     (AD, DA) are the diagonal and the off-diagonal halves of the quad
     layout [[A, B], [C, D]]: one (2, q, h, h) stack when both halves have
-    the same block sizes (``paired``), else a list of two stacks.  A store
-    in memory gives strided views, which may be written through; a
-    file-backed one gives block-by-block copies.
+    the same block sizes (``paired``), else a list of two stacks.  Every
+    stack is a strided view of the store's ``strided`` buffer, which may be
+    written through.
     """
 
     PAIRS = {"X": ("AA", "DD"), "Y": ("AD", "DA")}
@@ -186,29 +124,16 @@ class DiagonalRun:
         spec = self._specs.get(part)
         if spec is None:  # a pair of halves with different block sizes
             return [self.read(store, lo, hi, half) for half in self.PAIRS[part]]
-        if store.strided is not None:
-            return self._view(store.strided, lo, hi, spec)
-        if spec[3] is not None:
-            return np.stack([self.read(store, lo, hi, half) for half in self.PAIRS[part]])
-        return np.stack([store.region(*self._blocks(i, part)) for i in range(lo, hi)])
+        return self._view(store.strided, lo, hi, spec)
 
     def write(self, store, lo: int, hi: int, part: str, values) -> None:
         """Store a stack, or a pair of them, as a part of items [lo, hi)."""
         spec = self._specs.get(part)
-        if spec is not None and store.strided is not None:
-            self._view(store.strided, lo, hi, spec)[...] = values
-        elif part in self.PAIRS:
+        if spec is None:
             for half, half_values in zip(self.PAIRS[part], values):
                 self.write(store, lo, hi, half, half_values)
         else:
-            for i in range(lo, hi):
-                store.set_region(*self._blocks(i, part), values[i - lo])
-
-    def _blocks(self, i: int, part: str) -> tuple[int, int, int, int]:
-        """Block rows and cols of a part of item i, for ``region``."""
-        first, mid, last = self.spans[i]
-        bounds = {"A": (first, mid), "D": (mid, last), "Q": (first, last)}
-        return (*bounds[part[0]], *bounds[part[1]])
+            self._view(store.strided, lo, hi, spec)[...] = values
 
     def _view(self, strided, lo: int, hi: int, spec) -> np.ndarray:
         buf, base, ld = strided
@@ -222,6 +147,16 @@ class DiagonalRun:
         )
 
 
+def _band(scheme: PartitionScheme, level: int) -> tuple[int, int, int]:
+    """(scalars, base, ld) of level ``level``'s band array: matrix element
+    (i, j) sits at ``base + i * ld + j``."""
+    off, n = scheme.offsets, scheme.m_n
+    width = max(off[last] - off[first] for first, _, last in scheme.quads(level))
+    if 2 * width - 1 >= n:
+        return n * n, 0, n
+    return n * (2 * width - 1), width - 1, 2 * width - 2
+
+
 class ProvisionalSet:
     """Level-``level`` scratch: per quad the left product L = -D^-1 C, the
     right product R = -A^-1 B, and the Schur complements S_D, S_A.
@@ -229,115 +164,38 @@ class ProvisionalSet:
     S blocks are indexed 2*quad (S_D) and 2*quad + 1 (S_A).  Each block
     sits where the quad layout puts it in the matrix: S_D over the A half's
     diagonal, S_A over the D half's, R above and L below them, so the S
-    blocks read through ``region`` (or a :class:`DiagonalRun`) are the
-    Schur complement matrix of the next steps.  In memory all blocks share
-    one band array: matrix element (i, j) sits at ``base + i * ld + j``
-    with ``ld = 2W - 2`` and ``base = W - 1`` for the widest quad span W
-    (a dense array when that is no larger), about ``2 * W`` scalars per
-    row, and any run of quads is one strided view.  File-backed sets keep
-    one file per block.  Shapes are validated against the partition
-    scheme on every single-block store.
+    blocks read through a :class:`DiagonalRun` are the Schur complement
+    matrix of the next steps.  All blocks share one band array: matrix
+    element (i, j) sits at ``base + i * ld + j`` with ``ld = 2W - 2`` and
+    ``base = W - 1`` for the widest quad span W (a dense array when that is
+    no larger), about ``2 * W`` scalars per row, and any run of quads is one
+    strided view.
+
+    ``band`` is a one-dimensional float64 buffer of the band's size, such
+    as a checkpoint's mapped file, whose blocks all count as stored; without
+    it the band is new zeros and a block counts as stored once
+    :meth:`store_arrows` writes it.
     """
 
-    def __init__(self, scheme: PartitionScheme, level: int, root=None):
+    def __init__(self, scheme: PartitionScheme, level: int, band: np.ndarray | None = None):
         if not 1 <= level <= scheme.k:
             raise BlockShapeMismatch(f"level {level} for {scheme.n_blocks} blocks")
         self.scheme = scheme
         self.level = level
-        self.spans = scheme.quads(level)  # (first, mid, last) of each quad
-        self.n_quads = len(self.spans)
-        self.root = None if root is None else Path(root)
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self.strided = None
-        else:
-            off, n = scheme.offsets, scheme.m_n
-            width = max(off[last] - off[first] for first, _, last in self.spans)
-            if 2 * width - 1 >= n:
-                self.strided = np.zeros(n * n), 0, n
-            else:
-                self.strided = np.zeros(n * (2 * width - 1)), width - 1, 2 * width - 2
-            self._stored = {kind: [False] * self._count(kind) for kind in "LRS"}
-
-    def _path(self, kind: str, idx: int) -> Path:
-        return self.root / f"{kind}_{idx}.blk"
-
-    def _count(self, kind: str) -> int:
-        return 2 * self.n_quads if kind == "S" else self.n_quads
-
-    def _blocks(self, kind: str, idx: int) -> tuple[int, int, int, int]:
-        """Block rows [r0, r1) and cols [c0, c1) of a stored block."""
-        if kind == "S":
-            first, mid, last = self.spans[idx // 2]
-            lo, hi = (first, mid) if idx % 2 == 0 else (mid, last)
-            return lo, hi, lo, hi
-        first, mid, last = self.spans[idx]
-        return (mid, last, first, mid) if kind == "L" else (first, mid, mid, last)
-
-    def _load(self, kind: str, idx: int) -> np.ndarray:
-        if self.root is not None:
-            path = self._path(kind, idx)
-            if not path.exists():
-                raise MissingProvisionalData(f"T_{self.level} {kind}_{idx}")
-            return load_binary(path)
-        if not self._stored[kind][idx]:
-            raise MissingProvisionalData(f"T_{self.level} {kind}_{idx}")
-        return self._view(kind, idx)
-
-    def _view(self, kind: str, idx: int) -> np.ndarray:
-        """A stored block of an in-memory set, as a view of its band."""
-        buf, base, ld = self.strided
-        r0, r1, c0, c1 = self._blocks(kind, idx)
-        off = self.scheme.offsets
-        return np.ndarray(
-            (off[r1] - off[r0], off[c1] - off[c0]), np.float64, buf,
-            (base + off[r0] * ld + off[c0]) * 8, (ld * 8, 8),
-        )
-
-    def _entry(self, r0: int, r1: int, c0: int, c1: int) -> tuple[str, int]:
-        """(kind, idx) of the stored block holding rows [r0, r1) x cols [c0, c1)."""
-        quad = r0 >> self.level
-        if 0 <= quad < self.n_quads:
-            first, mid, last = self.spans[quad]
-            top, left = r1 <= mid, c1 <= mid
-            if first <= c0 and max(r1, c1) <= last and (top or r0 >= mid) and (left or c0 >= mid):
-                if top:
-                    return ("S", 2 * quad) if left else ("R", quad)
-                return ("L", quad) if left else ("S", 2 * quad + 1)
-        raise BlockShapeMismatch(
-            f"T_{self.level}: blocks [{r0}, {r1}) x [{c0}, {c1}) are not in one stored block"
-        )
-
-    def region(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """Block rows [r0, r1) x cols [c0, c1), which must lie in one stored block."""
-        kind, idx = self._entry(r0, r1, c0, c1)
-        br0, _, bc0, _ = self._blocks(kind, idx)
-        off = self.scheme.offsets
-        return self._load(kind, idx)[
-            off[r0] - off[br0] : off[r1] - off[br0], off[c0] - off[bc0] : off[c1] - off[bc0]
-        ]
-
-    def set_region(self, r0: int, r1: int, c0: int, c1: int, values: np.ndarray) -> None:
-        """Store one whole block given by its block rows and cols."""
-        kind, idx = self._entry(r0, r1, c0, c1)
-        if self._blocks(kind, idx) != (r0, r1, c0, c1):
-            raise BlockShapeMismatch(f"T_{self.level}: partial write of {kind}_{idx}")
-        off = self.scheme.offsets
-        want = off[r1] - off[r0], off[c1] - off[c0]
-        if values.shape != want:
-            raise BlockShapeMismatch(
-                f"T_{self.level} {kind}_{idx}: got {values.shape}, scheme says {want}"
-            )
-        if self.root is not None:
-            save_binary(values, self._path(kind, idx))
-        else:
-            self._view(kind, idx)[...] = values
-            self._stored[kind][idx] = True
+        self.n_quads = scheme.n_blocks >> level
+        size, base, ld = _band(scheme, level)
+        stored = band is not None
+        if band is None:
+            band = np.zeros(size)
+        elif band.shape != (size,):
+            raise BlockShapeMismatch(f"T_{level}: band of {band.shape}, scheme needs ({size},)")
+        self.strided = band, base, ld
+        counts = {"L": self.n_quads, "R": self.n_quads, "S": 2 * self.n_quads}
+        self._stored = {kind: [stored] * count for kind, count in counts.items()}
 
     def require(self, kind: str) -> None:
-        """Raise MissingProvisionalData unless every ``kind`` block is stored
-        (file-backed sets raise on the first read of a missing block)."""
-        if self.root is None and not all(self._stored[kind]):
+        """Raise MissingProvisionalData unless every ``kind`` block is stored."""
+        if not all(self._stored[kind]):
             idx = self._stored[kind].index(False)
             raise MissingProvisionalData(f"T_{self.level} {kind}_{idx}")
 
@@ -347,12 +205,11 @@ class ProvisionalSet:
         as :meth:`DiagonalRun.read` gives pairs."""
         run.write(self, lo, hi, "X", schur)
         run.write(self, lo, hi, "Y", panels)
-        if self.root is None:
-            stored_l, stored_r, stored_s = (self._stored[kind] for kind in "LRS")
-            for first, _, _ in run.spans[lo:hi]:
-                quad = first >> self.level
-                stored_l[quad] = stored_r[quad] = True
-                stored_s[2 * quad] = stored_s[2 * quad + 1] = True
+        stored_l, stored_r, stored_s = (self._stored[kind] for kind in "LRS")
+        for first, _, _ in run.spans[lo:hi]:
+            quad = first >> self.level
+            stored_l[quad] = stored_r[quad] = True
+            stored_s[2 * quad] = stored_s[2 * quad + 1] = True
 
     def panels(self, run: DiagonalRun, lo: int, hi: int):
         """The pair (R, L) of quads [lo, hi) of a run of this level's quads."""
@@ -371,15 +228,19 @@ def input_fingerprint(m: np.ndarray, scheme: PartitionScheme) -> str:
     return h.hexdigest()
 
 
-def _blk_files(root: Path) -> list[Path]:
-    """The block files of the inverse and provisional stores under ``root``."""
-    return sorted((root / "minv").rglob("*.blk")) + sorted((root / "tset").rglob("*.blk"))
+def _store_files(root: Path, scheme: PartitionScheme) -> list[tuple[Path, int]]:
+    """(path, scalars) of each store file of a checkpoint on ``scheme``:
+    the inverse, then the band of every level."""
+    files = [(root / "minv" / "inverse.f64", scheme.m_n * scheme.m_n)]
+    for level in range(1, scheme.k + 1):
+        files.append((root / "tset" / f"{level}.f64", _band(scheme, level)[0]))
+    return files
 
 
-def _state_hash(root: Path, stepid: int) -> str:
+def _state_hash(root: Path, scheme: PartitionScheme, stepid: int) -> str:
     h = hashlib.sha256()
     h.update(f"stepid={stepid}\n".encode())
-    for path in _blk_files(root):
+    for path, _ in _store_files(root, scheme):
         h.update(str(path.relative_to(root)).encode())
         h.update(b":")
         h.update(hashlib.sha256(path.read_bytes()).hexdigest().encode())
@@ -390,10 +251,12 @@ def _state_hash(root: Path, stepid: int) -> str:
 def checkpoint_save(directory, scheme: PartitionScheme, completed_step: int, input_hash: str) -> None:
     """Record the engine state after a step boundary.
 
-    The run's stores already live in the directory's block files, so this
-    hashes them and writes ``meta.json``; it writes no block.  A run torn
-    during a step leaves block files that disagree with the last hash, so
-    the next load reports the checkpoint as corrupt.
+    The run's stores are already mapped onto the directory's store files,
+    so this hashes them and writes ``meta.json``; it writes no block.  The
+    mapped writes are not flushed to disk: the hash reads them back through
+    the page cache.  A run torn during a step leaves store files that
+    disagree with the last hash, so the next load reports the checkpoint as
+    corrupt.
     """
     root = Path(directory)
     meta = {
@@ -402,7 +265,7 @@ def checkpoint_save(directory, scheme: PartitionScheme, completed_step: int, inp
         "blocksize": scheme.n_blocks,
         "sizes": list(scheme.sizes),
         "input_hash": input_hash,
-        "state_hash": _state_hash(root, completed_step),
+        "state_hash": _state_hash(root, scheme, completed_step),
     }
     (root / "meta.json").write_text(json.dumps(meta, indent=1))
 
@@ -415,8 +278,9 @@ def checkpoint_load(directory) -> dict:
     """Read and integrity-check checkpoint metadata.
 
     Raises CheckpointCorrupt when the directory is unreadable, a field of
-    meta.json is missing or of the wrong type, or any block file disagrees
-    with the recorded state hash.
+    meta.json is missing or of the wrong type, the sizes make no partition,
+    a store file is missing or not the length the sizes give it, or any
+    store file disagrees with the recorded state hash.
     """
     root = Path(directory)
     meta_path = root / "meta.json"
@@ -444,7 +308,14 @@ def checkpoint_load(directory) -> dict:
     for key, ok in valid.items():
         if not ok:
             raise CheckpointCorrupt(f"meta.json has a malformed {key}: {meta[key]!r}")
-    if _state_hash(root, stepid) != meta["state_hash"]:
+    try:
+        scheme = partition_from_sizes(sizes)
+    except BlockInvError as exc:
+        raise CheckpointCorrupt(f"meta.json has unusable sizes: {exc}") from exc
+    for path, scalars in _store_files(root, scheme):
+        if not path.is_file() or path.stat().st_size != 8 * scalars:
+            raise CheckpointCorrupt(f"{path.relative_to(root)} is missing or not {8 * scalars} bytes")
+    if _state_hash(root, scheme, stepid) != meta["state_hash"]:
         raise CheckpointCorrupt("state hash mismatch")
     return meta
 
@@ -457,33 +328,45 @@ def checkpoint_matches(meta: dict, scheme: PartitionScheme, input_hash: str) -> 
         raise SchemeMismatch("input matrix differs from checkpoint")
 
 
-def load_minv_store(directory, scheme: PartitionScheme) -> FileBlockStore:
-    """The inverse's block files of the checkpoint in ``directory``."""
-    return FileBlockStore(scheme, Path(directory) / "minv")
+def _map(path: Path, scalars: int, mode: str) -> np.memmap:
+    """A store file mapped as a flat array: "w+" creates it zeroed, "r+" opens it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return np.memmap(path, np.float64, mode, shape=(scalars,))
 
 
-def _tset_files(root: Path, scheme: PartitionScheme) -> dict[int, ProvisionalSet]:
+def _minv(root: Path, scheme: PartitionScheme, mode: str) -> MemoryBlockStore:
+    path, scalars = _store_files(root, scheme)[0]
+    return MemoryBlockStore(scheme, _map(path, scalars, mode).reshape(scheme.m_n, scheme.m_n))
+
+
+def _tsets(root: Path, scheme: PartitionScheme, mode: str) -> dict[int, ProvisionalSet]:
     return {
-        level: ProvisionalSet(scheme, level, root=root / "tset" / str(level))
-        for level in range(1, scheme.k + 1)
+        level: ProvisionalSet(scheme, level, _map(path, scalars, mode))
+        for level, (path, scalars) in enumerate(_store_files(root, scheme)[1:], 1)
     }
 
 
+def load_minv_store(directory, scheme: PartitionScheme) -> MemoryBlockStore:
+    """The inverse of the checkpoint in ``directory``, mapped from ``minv/``."""
+    return _minv(Path(directory), scheme, "r+")
+
+
 def load_tsets(directory, scheme: PartitionScheme) -> dict[int, ProvisionalSet]:
-    """The provisional sets' block files of the checkpoint in ``directory``."""
-    return _tset_files(Path(directory), scheme)
+    """The provisional sets of the checkpoint in ``directory``, mapped from
+    ``tset/``; every block of them counts as stored."""
+    return _tsets(Path(directory), scheme, "r+")
 
 
 def fresh_state(directory, scheme: PartitionScheme):
-    """(minv_store, tsets) in the files of ``directory`` for a checkpointed
-    run starting at step 1; M_inv starts zeroed.
+    """(minv_store, tsets) mapped onto new zeroed store files of
+    ``directory`` for a checkpointed run starting at step 1.
 
-    The directory is first cleared of the block files and the meta.json of
-    any earlier run.
+    The directory is first cleared of the store files and the meta.json of
+    any earlier run.  The old files are removed, not truncated, so an
+    inverse an earlier run returned stays mapped on its own file.
     """
     root = Path(directory)
-    for stale in _blk_files(root):
+    for stale in sorted(root.glob("minv/*.f64")) + sorted(root.glob("tset/*.f64")):
         os.remove(stale)
     (root / "meta.json").unlink(missing_ok=True)
-    minv = FileBlockStore(scheme, root / "minv", np.zeros((scheme.m_n, scheme.m_n)))
-    return minv, _tset_files(root, scheme)
+    return _minv(root, scheme, "w+"), _tsets(root, scheme, "w+")

@@ -230,6 +230,22 @@ class TestBenchCommand:
         assert exit_code("bench", "--methods", "a", *bad) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_workers_apply_to_parallel_only(self, tmp_path):
+        csv = tmp_path / "b.csv"
+        assert run("bench", "--methods", "a,parallel", "--orders", "8", "--workers", "1,2",
+                   "--csv", csv) == 0
+        rows = [line.split(",")[:3] for line in csv.read_text().splitlines()[1:]]
+        assert rows == [["a", "8", "1"], ["parallel", "8", "1"], ["parallel", "8", "2"]]
+
+    @pytest.mark.parametrize("methods", ["a", "parallel"])
+    @pytest.mark.parametrize("workers", ["0", "1,-1"])
+    def test_workers_below_one_exit_code(self, tmp_path, methods, workers, capsys):
+        csv = tmp_path / "b.csv"
+        assert exit_code("bench", "--methods", methods, "--orders", "8", "--workers", workers,
+                         "--csv", csv) == 3
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not csv.exists()
+
 
 class TestCheckpointCommands:
     def test_invert_with_checkpoint_then_resume(self, tmp_path):
@@ -293,4 +309,15 @@ class TestCheckpointCommands:
         save_matrix(well_conditioned(9, 67), src)
         ck = tmp_path / "ck"
         assert run("invert", "--in", src, "--method", "parallel", "--checkpoint-dir", ck) == 0
-        assert (ck / "minv" / "B_0_0.blk").exists()
+        assert (ck / "minv" / "inverse.f64").stat().st_size == 9 * 9 * 8
+        assert not list(ck.rglob("*.blk"))
+
+    def test_resume_version_1_exit_code(self, tmp_path, capsys):
+        src = tmp_path / "m.txt"
+        m = well_conditioned(9, 71)
+        save_matrix(m, src)
+        ck = tmp_path / "ck"
+        run_inversion(m, checkpoint_dir=ck, stop_after_step=3)
+        rewrite_meta(ck, "version", 1)
+        assert run("resume", "--in", src, "--checkpoint-dir", ck) == 4
+        assert "checkpoint version 1 unsupported" in capsys.readouterr().err

@@ -352,6 +352,19 @@ class TestRunInversion:
                 resolve_workers()
             assert resolve_workers(2) == 2  # an explicit count still wins
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+    def test_non_integer_workers_rejected(self, bad):
+        with pytest.raises(InvalidWorkers):
+            resolve_workers(bad)
+        with pytest.raises(InvalidWorkers):
+            run_inversion(well_conditioned(8, 50), workers=bad)
+
+    def test_numpy_integer_workers_accepted(self):
+        m = well_conditioned(8, 51)
+        assert resolve_workers(np.int64(2)) == 2
+        out = run_inversion(m, workers=np.int64(2)).to_dense()
+        assert out.tobytes() == run_inversion(m).to_dense().tobytes()
+
 
 # Two tasks both claim block (1, 0): the batch must refuse before running either.
 _OVERLAP = """
@@ -472,13 +485,17 @@ class TestAssembleUpdown:
 class TestProvisionalCapacity:
     def test_store_shapes_validated(self):
         scheme = make_partition(9)  # sizes 2 2 2 3
-        tset = ProvisionalSet(scheme, 1)
+        size = ProvisionalSet(scheme, 1).strided[0].size
         with pytest.raises(BlockShapeMismatch):
-            tset.set_region(3, 4, 2, 3, np.zeros((2, 2)))  # quad 1 wants a 3x2 left block
-        tset.set_region(3, 4, 2, 3, np.zeros((3, 2)))  # L
-        tset.set_region(2, 3, 3, 4, np.zeros((2, 3)))  # R
-        tset.set_region(2, 3, 2, 3, np.zeros((2, 2)))  # S_D
-        tset.set_region(3, 4, 3, 4, np.zeros((3, 3)))  # S_A
+            ProvisionalSet(scheme, 1, np.zeros(size - 1))
+        with pytest.raises(BlockShapeMismatch):
+            ProvisionalSet(scheme, 1, np.zeros((size, 1)))
+        with pytest.raises(BlockShapeMismatch):
+            ProvisionalSet(scheme, 3)  # 4 blocks: levels 1 and 2 only
+        # a given band (a loaded checkpoint's) holds every block; new zeros hold none
+        ProvisionalSet(scheme, 1, np.zeros(size)).require("S")
+        with pytest.raises(MissingProvisionalData):
+            ProvisionalSet(scheme, 1).require("S")
 
     def test_row_and_column_budgets(self):
         # block-rows across L equal blocksize/2; S rows equal blocksize;

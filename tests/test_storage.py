@@ -5,87 +5,74 @@ import pytest
 
 from blockinv.core import load_binary, save_binary
 from blockinv.engine import run_inversion
-from blockinv.errors import (
-    BlockShapeMismatch,
-    CheckpointCorrupt,
-    MissingProvisionalData,
-    SchemeMismatch,
-)
-from blockinv.partition import make_partition
+from blockinv.errors import CheckpointCorrupt, SchemeMismatch
+from blockinv.partition import make_partition, partition_from_sizes
 from blockinv.storage import (
-    FileBlockStore,
     MemoryBlockStore,
     ProvisionalSet,
     checkpoint_load,
     checkpoint_save,
+    fresh_state,
     input_fingerprint,
 )
 
 from conftest import BAD_META_FIELDS, rewrite_meta, stopped_over_stale_files, well_conditioned
 
 
+def _mapped_zeros(path, scalars):
+    return np.memmap(path, np.float64, "w+", shape=(scalars,))
+
+
 class TestBlockStores:
     def test_memory_region_is_view(self):
         scheme = make_partition(8)
         store = MemoryBlockStore(scheme)
-        region = store.region(0, 1, 0, 1)
+        region = scheme.region(store.data, 0, 1, 0, 1)
         region[0, 0] = 5.0
         assert store.data[0, 0] == 5.0
+        buf, base, ld = store.strided
+        assert buf is store.data and (base, ld) == (0, 8)
 
     def test_file_store_roundtrip(self, tmp_path):
+        """A store on a mapped file writes through to the file, and its
+        diagonal runs are views of the file's pages."""
+        from blockinv.engine import _layout
+
         scheme = make_partition(9)
         m = well_conditioned(9, 50)
-        store = FileBlockStore(scheme, tmp_path, m)
-        assert np.array_equal(store.to_dense(), m)
-        assert np.array_equal(store.block(3, 3), m[6:9, 6:9])
-        assert np.array_equal(store.region(1, 3, 0, 2), m[2:6, 0:4])
-        store.set_region(0, 2, 0, 2, np.zeros((4, 4)))
-        assert np.all(store.to_dense()[:4, :4] == 0.0)
-        assert (tmp_path / "B_0_0.blk").exists()
-
-    def test_one_file_per_block(self, tmp_path):
-        scheme = make_partition(8)
-        FileBlockStore(scheme, tmp_path, np.eye(8))
-        blocks = sorted(p.name for p in tmp_path.glob("B_*.blk"))
-        assert len(blocks) == scheme.n_blocks**2
+        path = tmp_path / "inverse.f64"
+        store = MemoryBlockStore(scheme, _mapped_zeros(path, 81).reshape(9, 9))
+        store.data[...] = m
+        assert np.fromfile(path).tobytes() == m.tobytes()
+        (grp,) = _layout(scheme)[2]  # the one level-2 quad: the whole matrix
+        grp.write(store, 0, 1, "QQ", np.zeros((1, 9, 9)))
+        assert not np.fromfile(path).any()
+        assert np.array_equal(store.to_dense(), np.zeros((9, 9)))
 
     def test_block_matrix_from_dense(self, tmp_path):
         m = well_conditioned(8, 51)
         scheme = make_partition(8)
         mem = MemoryBlockStore(scheme, m)
-        fil = FileBlockStore(scheme, tmp_path, m)
-        assert np.array_equal(mem.to_dense(), fil.to_dense())
+        mapped = _mapped_zeros(tmp_path / "m.f64", 64).reshape(8, 8)
+        mapped[...] = m
+        fil = MemoryBlockStore(scheme, mapped)
+        assert mem.to_dense().tobytes() == fil.to_dense().tobytes() == m.tobytes()
 
 
-class TestProvisionalSetFiles:
-    def test_file_backed_entries(self, tmp_path):
-        scheme = make_partition(8)
-        tset = ProvisionalSet(scheme, 1, root=tmp_path)
-        tset.set_region(1, 2, 0, 1, np.ones((2, 2)))  # L of quad 0
-        tset.set_region(0, 1, 0, 1, 2 * np.ones((2, 2)))  # S_D of quad 0
-        assert (tmp_path / "L_0.blk").exists()
-        assert (tmp_path / "S_0.blk").exists()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["L_0.blk", "S_0.blk"]
-        assert np.array_equal(tset.region(1, 2, 0, 1), np.ones((2, 2)))
-        assert np.array_equal(tset.region(0, 1, 0, 1), 2 * np.ones((2, 2)))
-        with pytest.raises(BlockShapeMismatch):
-            tset.set_region(1, 2, 0, 1, np.ones((2, 3)))
-        with pytest.raises(MissingProvisionalData):
-            tset.region(0, 1, 1, 2)  # R of quad 0 was never stored
-
-    @pytest.mark.parametrize("file_backed", [False, True])
-    @pytest.mark.parametrize("blocks", [(4, 5, 4, 5), (-2, -1, 2, 3)])
-    def test_block_past_the_last_quad(self, tmp_path, file_backed, blocks):
-        # order 8: 4 blocks, so level 1 has quads over blocks 0..1 and 2..3
-        tset = ProvisionalSet(make_partition(8), 1, root=tmp_path if file_backed else None)
-        with pytest.raises(BlockShapeMismatch):
-            tset.region(*blocks)
-        with pytest.raises(BlockShapeMismatch):
-            tset.set_region(*blocks, np.zeros((2, 2)))
+def _band_region(tset, r0, r1, c0, c1):
+    """Block rows [r0, r1) x cols [c0, c1) of a provisional set, read from
+    its band as matrix element (i, j) at ``base + i * ld + j``."""
+    buf, base, ld = tset.strided
+    off = tset.scheme.offsets
+    return np.ndarray(
+        (off[r1] - off[r0], off[c1] - off[c0]), np.float64, buf,
+        (base + off[r0] * ld + off[c0]) * 8, (ld * 8, 8),
+    )
 
 
 class TestProvisionalSetStacks:
-    """store_arrows and panels keep the quad layout for both backends."""
+    """store_arrows and panels keep the quad layout in memory and on a
+    mapped band."""
 
     def _write(self, tset, rng):
         from blockinv.engine import _layout
@@ -101,21 +88,18 @@ class TestProvisionalSetStacks:
     def test_memory_and_files_agree(self, tmp_path, level):
         scheme = make_partition(16)  # 8 blocks of 2
         mem = ProvisionalSet(scheme, level)
-        files = ProvisionalSet(scheme, level, root=tmp_path)
+        path = tmp_path / f"{level}.f64"
+        files = ProvisionalSet(scheme, level, _mapped_zeros(path, mem.strided[0].size))
         grp, schur, panels = self._write(mem, np.random.default_rng(level))
         self._write(files, np.random.default_rng(level))
         for kind in "LRS":
             mem.require(kind)
-        assert len(list(tmp_path.glob("*.blk"))) == 4 * len(grp)
-        for first, mid, last in grp.spans:
-            for rows in ((first, mid), (mid, last)):
-                for cols in ((first, mid), (mid, last)):
-                    x, y = mem.region(*rows, *cols), files.region(*rows, *cols)
-                    assert x.tobytes() == y.tobytes()
+        assert np.fromfile(path).tobytes() == mem.strided[0].tobytes()
         first, mid, last = grp.spans[0]
-        assert mem.region(first, mid, mid, last).tobytes() == panels[0, 0].tobytes()  # R
-        assert mem.region(mid, last, first, mid).tobytes() == panels[1, 0].tobytes()  # L
-        assert mem.region(mid, last, mid, last).tobytes() == schur[1, 0].tobytes()  # S_A
+        assert _band_region(mem, first, mid, mid, last).tobytes() == panels[0, 0].tobytes()  # R
+        assert _band_region(mem, mid, last, first, mid).tobytes() == panels[1, 0].tobytes()  # L
+        assert _band_region(mem, first, mid, first, mid).tobytes() == schur[0, 0].tobytes()  # S_D
+        assert _band_region(mem, mid, last, mid, last).tobytes() == schur[1, 0].tobytes()  # S_A
         for got in (mem.panels(grp, 0, len(grp)), files.panels(grp, 0, len(grp))):
             assert np.asarray(got).tobytes() == panels.tobytes()
 
@@ -146,36 +130,24 @@ class TestCheckpoint:
         assert out.tobytes() == ref.tobytes()
 
     def test_save_writes_no_block(self, tmp_path, monkeypatch):
-        """A checkpointed run works in its checkpoint's files: a save only
-        hashes them and writes meta.json, and the result is the inverse's
-        file store in the directory."""
-        import blockinv.engine
-        import blockinv.storage
+        """A checkpointed run works on its checkpoint's mapped store files:
+        neither a run, its saves nor a resume reads or writes a block file,
+        and the result is mapped on ``<dir>/minv``."""
+        import blockinv.core
 
-        real_save, real_write = blockinv.storage.checkpoint_save, blockinv.storage.save_binary
-        saves, writes, saving = [], [], []
-
-        def save(*args):
-            saves.append(args[2])
-            saving.append(True)
-            try:
-                real_save(*args)
-            finally:
-                saving.pop()
-
-        def write(values, path):
-            if saving:
-                writes.append(path)
-            real_write(values, path)
-
-        monkeypatch.setattr(blockinv.engine, "checkpoint_save", save)
-        monkeypatch.setattr(blockinv.storage, "save_binary", write)
+        calls = []
+        for name in ("save_binary", "load_binary"):
+            monkeypatch.setattr(blockinv.core, name, lambda *args, name=name: calls.append(name))
         m = well_conditioned(16, 65)
         d = tmp_path / "ck"
+        run_inversion(m, checkpoint_dir=d, stop_after_step=5)
         out = run_inversion(m, checkpoint_dir=d)
-        assert saves == list(range(1, 16)) and writes == []
-        assert isinstance(out, FileBlockStore) and out.root == d / "minv"
+        assert calls == []
         assert out.to_dense().tobytes() == run_inversion(m).to_dense().tobytes()
+        assert np.fromfile(d / "minv" / "inverse.f64").tobytes() == out.data.tobytes()
+        out.data[0, 0] = 42.0
+        assert np.fromfile(d / "minv" / "inverse.f64")[0] == 42.0
+        assert not list(Path(d).rglob("*.blk"))
 
     @pytest.mark.parametrize("order, sizes", [(21, None), (24, [4, 8, 4, 8])],
                              ids=["order21", "sizes4848"])
@@ -207,11 +179,57 @@ class TestCheckpoint:
         m = well_conditioned(9, 56)
         d = tmp_path / "ck"
         run_inversion(m, checkpoint_dir=d, stop_after_step=2)
-        victim = sorted(Path(d).rglob("*.blk"))[0]
+        victim = d / "minv" / "inverse.f64"
         raw = bytearray(victim.read_bytes())
         raw[-1] ^= 0xFF
         victim.write_bytes(bytes(raw))
         with pytest.raises(CheckpointCorrupt):
+            run_inversion(m, checkpoint_dir=d)
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "delete"])
+    def test_damaged_store_file_is_corrupt(self, tmp_path, damage):
+        m = well_conditioned(9, 56)  # 4 blocks: minv plus tset levels 1 and 2
+        for name in ("minv/inverse.f64", "tset/1.f64", "tset/2.f64"):
+            d = tmp_path / name.replace("/", "-")
+            run_inversion(m, checkpoint_dir=d, stop_after_step=5)
+            victim = d / name
+            raw = bytearray(victim.read_bytes())
+            if damage == "flip":
+                raw[len(raw) // 2] ^= 0x01
+                victim.write_bytes(bytes(raw))
+            elif damage == "truncate":
+                victim.write_bytes(bytes(raw[:-8]))
+            else:
+                victim.unlink()
+            with pytest.raises(CheckpointCorrupt):
+                checkpoint_load(d)
+            with pytest.raises(CheckpointCorrupt):
+                run_inversion(m, checkpoint_dir=d)
+
+    @pytest.mark.parametrize("extra", [-8, 8])
+    def test_wrong_length_with_matching_hash_is_corrupt(self, tmp_path, extra):
+        """A store file of the wrong length is corrupt even when the state
+        hash was recomputed over it: it would not map onto the scheme."""
+        from blockinv.storage import _state_hash
+
+        m = well_conditioned(9, 57)
+        d = tmp_path / "ck"
+        run_inversion(m, checkpoint_dir=d, stop_after_step=3)
+        victim = d / "tset" / "1.f64"
+        raw = victim.read_bytes()
+        victim.write_bytes(raw[:extra] if extra < 0 else raw + bytes(extra))
+        rewrite_meta(d, "state_hash", _state_hash(d, make_partition(9), 3))
+        with pytest.raises(CheckpointCorrupt, match="tset/1.f64"):
+            checkpoint_load(d)
+        with pytest.raises(CheckpointCorrupt):
+            run_inversion(m, checkpoint_dir=d)
+
+    def test_version_1_is_corrupt(self, tmp_path):
+        m = well_conditioned(9, 58)
+        d = tmp_path / "ck"
+        run_inversion(m, checkpoint_dir=d, stop_after_step=3)
+        rewrite_meta(d, "version", 1)
+        with pytest.raises(CheckpointCorrupt, match="version 1"):
             run_inversion(m, checkpoint_dir=d)
 
     def test_missing_meta(self, tmp_path):
@@ -221,10 +239,11 @@ class TestCheckpoint:
     def test_block_files_identical_across_load(self, tmp_path):
         m = well_conditioned(21, 57)
         d = tmp_path / "ck"
-        run_inversion(m, checkpoint_dir=d, file_backed=True, stop_after_step=7)
-        before = {p: p.read_bytes() for p in sorted(Path(d).rglob("*.blk"))}
+        run_inversion(m, checkpoint_dir=d, stop_after_step=7)
+        before = {p: p.read_bytes() for p in sorted(Path(d).rglob("*.f64"))}
+        assert len(before) == 4  # minv and tset levels 1..3
         checkpoint_load(d)
-        after = {p: p.read_bytes() for p in sorted(Path(d).rglob("*.blk"))}
+        after = {p: p.read_bytes() for p in sorted(Path(d).rglob("*.f64"))}
         assert before == after
 
     def test_completed_checkpoint_returns_final_state(self, tmp_path):
@@ -234,27 +253,37 @@ class TestCheckpoint:
         again = run_inversion(m, checkpoint_dir=d).to_dense()
         assert first.tobytes() == again.tobytes()
 
-    @pytest.mark.parametrize("file_backed", [False, True], ids=["memory", "files"])
-    def test_fresh_start_clears_stale_files(self, tmp_path, file_backed):
+    def test_fresh_start_clears_stale_files(self, tmp_path):
         m = well_conditioned(16, 61)
         ref = run_inversion(m).to_dense()
         d = tmp_path / "ck"
         stopped_over_stale_files(d, m)
-        out = run_inversion(m, checkpoint_dir=d, file_backed=file_backed).to_dense()
+        assert sorted(p.name for p in (d / "tset").iterdir()) == ["1.f64", "2.f64", "3.f64"]
+        out = run_inversion(m, checkpoint_dir=d).to_dense()
         assert out.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("file_backed", [False, True], ids=["memory", "files"])
-    def test_other_block_files_are_not_checkpoint_state(self, tmp_path, file_backed):
+    def test_fresh_start_keeps_an_earlier_result(self, tmp_path):
+        """A fresh start replaces the store files, so an inverse that an
+        earlier run returned, still mapped on its file, keeps its values."""
+        m = well_conditioned(16, 63)
+        d = tmp_path / "ck"
+        first = run_inversion(m, checkpoint_dir=d)
+        expected = first.to_dense()
+        (d / "meta.json").unlink()
+        run_inversion(well_conditioned(16, 64), checkpoint_dir=d)
+        assert first.to_dense().tobytes() == expected.tobytes()
+
+    def test_other_block_files_are_not_checkpoint_state(self, tmp_path):
         m = well_conditioned(9, 64)
         ref = run_inversion(m).to_dense()
         d = tmp_path / "ck"
         d.mkdir()
         other = d / "m.blk"  # e.g. the input, saved next to its checkpoint
         save_binary(m, other)
-        run_inversion(m, checkpoint_dir=d, file_backed=file_backed, stop_after_step=3)
+        run_inversion(m, checkpoint_dir=d, stop_after_step=3)
         assert load_binary(other).tobytes() == m.tobytes()
         save_binary(2 * m, other)
-        out = run_inversion(m, checkpoint_dir=d, file_backed=file_backed).to_dense()
+        out = run_inversion(m, checkpoint_dir=d).to_dense()
         assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("key, value", BAD_META_FIELDS)
@@ -272,6 +301,7 @@ class TestCheckpoint:
     def test_stepid_out_of_range_is_corrupt(self, tmp_path, stepid):
         scheme = make_partition(9)  # 4 blocks: steps 1..7
         m = well_conditioned(9, 63)
+        fresh_state(tmp_path, scheme)  # the store files a save hashes
         checkpoint_save(tmp_path, scheme, stepid, input_fingerprint(m, scheme))
         with pytest.raises(CheckpointCorrupt, match="stepid"):
             checkpoint_load(tmp_path)
@@ -288,27 +318,21 @@ class TestCheckpoint:
         assert meta["input_hash"] == input_fingerprint(m, scheme)
 
 
-def _checkpoint_files(directory) -> dict:
-    """Relative name -> bytes of every block file and of meta.json."""
-    root = Path(directory)
-    files = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*.blk")}
-    files["meta.json"] = (root / "meta.json").read_bytes()
-    return files
-
-
 class TestCheckpointLayout:
-    """In-memory and file-backed runs leave the same checkpoint behind."""
+    """A checkpoint is meta.json plus one store file per store, and its
+    inverse holds what an in-memory run stopped at the same step holds."""
 
     @pytest.mark.parametrize("order, sizes", [(16, None), (21, None), (24, [4, 8, 4, 8])],
                              ids=["order16", "order21", "sizes4848"])
     def test_memory_and_file_backed_checkpoints_match(self, tmp_path, order, sizes):
         m = well_conditioned(order, 60 + order)
-        n_blocks = len(sizes) if sizes else make_partition(order).n_blocks
-        for stop in range(1, 2 * n_blocks):
-            dirs = {}
-            for file_backed in (False, True):
-                d = tmp_path / f"{stop}-{file_backed}"
-                run_inversion(m, checkpoint_dir=d, file_backed=file_backed,
-                              sizes=sizes, stop_after_step=stop)
-                dirs[file_backed] = _checkpoint_files(d)
-            assert dirs[False] == dirs[True], stop
+        scheme = make_partition(order) if sizes is None else partition_from_sizes(sizes)
+        names = ["meta.json", "minv/inverse.f64"]
+        names += [f"tset/{level}.f64" for level in range(1, scheme.k + 1)]
+        for stop in range(1, 2 * scheme.n_blocks):
+            d = tmp_path / str(stop)
+            run_inversion(m, checkpoint_dir=d, sizes=sizes, stop_after_step=stop)
+            files = sorted(str(p.relative_to(d)) for p in d.rglob("*") if p.is_file())
+            assert files == sorted(names), stop
+            memory = run_inversion(m, sizes=sizes, stop_after_step=stop).to_dense()
+            assert (d / "minv" / "inverse.f64").read_bytes() == memory.tobytes(), stop
