@@ -15,11 +15,11 @@ works on them there, so the operating system pages blocks in and out::
     tset/<level>.f64   the band array of provisional set <level>
 
 with every store file raw float64 in the machine's byte order, row-major,
-with no header.  A checkpoint save therefore writes no block: it hashes the store
-files and writes ``meta.json``.  A fresh start clears the store files and
-meta.json of any earlier run.  Only the store files under ``minv/`` and
-``tset/`` belong to a checkpoint; other files in the directory are neither
-hashed nor cleared.
+with no header.  A checkpoint save therefore writes no block: it hashes
+the store files and writes ``meta.json``.  A fresh start clears the store
+files and meta.json of any earlier run.  Only the store files under
+``minv/`` and ``tset/`` belong to a checkpoint; other files in the
+directory are neither hashed nor cleared.
 """
 
 from __future__ import annotations
