@@ -253,13 +253,14 @@ class TestCheckpoint:
         again = run_inversion(m, checkpoint_dir=d).to_dense()
         assert first.tobytes() == again.tobytes()
 
-    def test_fresh_start_clears_stale_files(self, tmp_path):
+    @pytest.mark.parametrize("file_backed", [False, True], ids=["memory", "files"])
+    def test_fresh_start_clears_stale_files(self, tmp_path, file_backed):
         m = well_conditioned(16, 61)
         ref = run_inversion(m).to_dense()
         d = tmp_path / "ck"
         stopped_over_stale_files(d, m)
         assert sorted(p.name for p in (d / "tset").iterdir()) == ["1.f64", "2.f64", "3.f64"]
-        out = run_inversion(m, checkpoint_dir=d).to_dense()
+        out = run_inversion(m, checkpoint_dir=d, file_backed=file_backed).to_dense()
         assert out.tobytes() == ref.tobytes()
 
     def test_fresh_start_keeps_an_earlier_result(self, tmp_path):
@@ -273,17 +274,18 @@ class TestCheckpoint:
         run_inversion(well_conditioned(16, 64), checkpoint_dir=d)
         assert first.to_dense().tobytes() == expected.tobytes()
 
-    def test_other_block_files_are_not_checkpoint_state(self, tmp_path):
+    @pytest.mark.parametrize("file_backed", [False, True], ids=["memory", "files"])
+    def test_other_block_files_are_not_checkpoint_state(self, tmp_path, file_backed):
         m = well_conditioned(9, 64)
         ref = run_inversion(m).to_dense()
         d = tmp_path / "ck"
         d.mkdir()
         other = d / "m.blk"  # e.g. the input, saved next to its checkpoint
         save_binary(m, other)
-        run_inversion(m, checkpoint_dir=d, stop_after_step=3)
+        run_inversion(m, checkpoint_dir=d, file_backed=file_backed, stop_after_step=3)
         assert load_binary(other).tobytes() == m.tobytes()
         save_binary(2 * m, other)
-        out = run_inversion(m, checkpoint_dir=d).to_dense()
+        out = run_inversion(m, checkpoint_dir=d, file_backed=file_backed).to_dense()
         assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("key, value", BAD_META_FIELDS)
