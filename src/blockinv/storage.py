@@ -10,7 +10,7 @@ A run without a checkpoint directory allocates its arrays in memory.  A
 checkpointed run maps them onto files of its checkpoint directory and
 works on them there, so the operating system pages blocks in and out::
 
-    meta.json          stepid, blocksize, sizes, state hash, version
+    meta.json          stepid, blocksize, sizes, byte order, state hash, version
     minv/inverse.f64   the inverse, n x n
     tset/<level>.f64   the band array of provisional set <level>
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -241,10 +242,11 @@ def _state_hash(root: Path, scheme: PartitionScheme, stepid: int) -> str:
     h = hashlib.sha256()
     h.update(f"stepid={stepid}\n".encode())
     for path, _ in _store_files(root, scheme):
-        h.update(str(path.relative_to(root)).encode())
-        h.update(b":")
-        h.update(hashlib.sha256(path.read_bytes()).hexdigest().encode())
-        h.update(b"\n")
+        digest = hashlib.sha256()
+        with path.open("rb") as f:
+            while chunk := f.read(1 << 20):  # in chunks, never one copy of a whole store
+                digest.update(chunk)
+        h.update(f"{path.relative_to(root)}:{digest.hexdigest()}\n".encode())
     return h.hexdigest()
 
 
@@ -264,6 +266,7 @@ def checkpoint_save(directory, scheme: PartitionScheme, completed_step: int, inp
         "stepid": completed_step,
         "blocksize": scheme.n_blocks,
         "sizes": list(scheme.sizes),
+        "byteorder": sys.byteorder,
         "input_hash": input_hash,
         "state_hash": _state_hash(root, scheme, completed_step),
     }
@@ -278,9 +281,9 @@ def checkpoint_load(directory) -> dict:
     """Read and integrity-check checkpoint metadata.
 
     Raises CheckpointCorrupt when the directory is unreadable, a field of
-    meta.json is missing or of the wrong type, the sizes make no partition,
-    a store file is missing or not the length the sizes give it, or any
-    store file disagrees with the recorded state hash.
+    meta.json is missing or of the wrong type or names another byte order,
+    the sizes make no partition, a store file is missing or not the length
+    the sizes give it, or any store file disagrees with the recorded hash.
     """
     root = Path(directory)
     meta_path = root / "meta.json"
@@ -292,11 +295,13 @@ def checkpoint_load(directory) -> dict:
         raise CheckpointCorrupt(f"unreadable meta.json: {exc}") from exc
     if not isinstance(meta, dict):
         raise CheckpointCorrupt("meta.json is not an object")
-    for key in ("version", "stepid", "blocksize", "sizes", "input_hash", "state_hash"):
+    for key in ("version", "stepid", "blocksize", "sizes", "byteorder", "input_hash", "state_hash"):
         if key not in meta:
             raise CheckpointCorrupt(f"meta.json missing {key!r}")
     if meta["version"] != CHECKPOINT_VERSION:
         raise CheckpointCorrupt(f"checkpoint version {meta['version']} unsupported")
+    if meta["byteorder"] != sys.byteorder:  # the store files are raw native float64
+        raise CheckpointCorrupt(f"checkpoint byte order {meta['byteorder']!r} is not {sys.byteorder!r}")
     blocksize, stepid, sizes = meta["blocksize"], meta["stepid"], meta["sizes"]
     valid = {
         "blocksize": _is_int(blocksize),

@@ -1,3 +1,5 @@
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,17 +133,28 @@ class TestCheckpoint:
 
     def test_save_writes_no_block(self, tmp_path, monkeypatch):
         """A checkpointed run works on its checkpoint's mapped store files:
-        neither a run, its saves nor a resume reads or writes a block file,
-        and the result is mapped on ``<dir>/minv``."""
+        it saves a checkpoint after every step, neither a run, its saves nor
+        a resume reads or writes a block file, and the result is mapped on
+        ``<dir>/minv``."""
         import blockinv.core
+        import blockinv.engine
 
-        calls = []
+        calls, saves = [], []
         for name in ("save_binary", "load_binary"):
             monkeypatch.setattr(blockinv.core, name, lambda *args, name=name: calls.append(name))
-        m = well_conditioned(16, 65)
+        real_save = blockinv.engine.checkpoint_save
+
+        def save(*args):
+            saves.append(args[2])
+            real_save(*args)
+
+        monkeypatch.setattr(blockinv.engine, "checkpoint_save", save)
+        m = well_conditioned(16, 65)  # 15 steps
         d = tmp_path / "ck"
         run_inversion(m, checkpoint_dir=d, stop_after_step=5)
+        assert saves == [1, 2, 3, 4, 5]
         out = run_inversion(m, checkpoint_dir=d)
+        assert saves == list(range(1, 16))
         assert calls == []
         assert out.to_dense().tobytes() == run_inversion(m).to_dense().tobytes()
         assert np.fromfile(d / "minv" / "inverse.f64").tobytes() == out.data.tobytes()
@@ -222,6 +235,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointCorrupt, match="tset/1.f64"):
             checkpoint_load(d)
         with pytest.raises(CheckpointCorrupt):
+            run_inversion(m, checkpoint_dir=d)
+
+    def test_other_byte_order_is_corrupt(self, tmp_path):
+        """Store files are raw native float64: a checkpoint written on a
+        machine of the other byte order would resume from wrong values."""
+        m = well_conditioned(9, 58)
+        d = tmp_path / "ck"
+        run_inversion(m, checkpoint_dir=d, stop_after_step=3)
+        assert json.loads((d / "meta.json").read_text())["byteorder"] == sys.byteorder
+        rewrite_meta(d, "byteorder", "big" if sys.byteorder == "little" else "little")
+        with pytest.raises(CheckpointCorrupt, match="byte order"):
+            checkpoint_load(d)
+        with pytest.raises(CheckpointCorrupt, match="byte order"):
             run_inversion(m, checkpoint_dir=d)
 
     def test_version_1_is_corrupt(self, tmp_path):
