@@ -167,6 +167,18 @@ def _mm_acc_ordered(
         np.add(out, tmp, out=out)
 
 
+def _check_product(name: str, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Raise DimensionMismatch unless ``out`` fits ``a @ b`` over the last
+    two axes and all three carry the same leading stack axes."""
+    if not (
+        a.ndim == b.ndim == out.ndim >= 2
+        and a.shape[-1] == b.shape[-2]
+        and out.shape == a.shape[:-1] + b.shape[-1:]
+        and a.shape[:-2] == b.shape[:-2]
+    ):
+        raise DimensionMismatch(f"{name} {a.shape} x {b.shape} -> {out.shape}")
+
+
 def multiply(
     a: np.ndarray,
     b: np.ndarray,
@@ -178,14 +190,10 @@ def multiply(
     """out = (+-1) * a @ b, or out += ... when ``accumulate``.
 
     ``out`` overlapping ``a`` or ``b`` raises AliasedOperands.  Accumulation
-    over the inner dimension runs in fixed ascending index order.
+    over the inner dimension runs in fixed ascending index order.  The three
+    may carry the same leading stack axes (see :func:`_mm_acc`).
     """
-    if (
-        a.shape[1] != b.shape[0]
-        or out.shape[0] != a.shape[0]
-        or out.shape[1] != b.shape[1]
-    ):
-        raise DimensionMismatch(f"multiply {a.shape} x {b.shape} -> {out.shape}")
+    _check_product("multiply", a, b, out)
     _check_disjoint(out, a, b)
     if not accumulate:
         out[...] = 0.0
@@ -204,12 +212,12 @@ def schur_accumulate(
 ) -> None:
     """dest += x @ y as a single reduction (Schur-complement formation).
 
-    Same summation order as :func:`multiply`; counted as a reduction only,
-    because the combined-pivot paths and the step engine treat complement
-    formation as its own operation class, not as one of their products.
+    Same summation order and stack axes as :func:`multiply`; counted as a
+    reduction only, because the combined-pivot paths and the step engine
+    treat complement formation as its own operation class, not as one of
+    their products.
     """
-    if x.shape[1] != y.shape[0] or dest.shape != (x.shape[0], y.shape[1]):
-        raise DimensionMismatch(f"schur_accumulate {x.shape} x {y.shape} -> {dest.shape}")
+    _check_product("schur_accumulate", x, y, dest)
     _check_disjoint(dest, x, y)
     _mm_acc(x, y, dest)
     if counters is not None:

@@ -12,7 +12,9 @@ Three procedures share the same algebra but differ in how they treat memory:
   :func:`blockinv.core.multiply_inplace_left`).
 * ``invertor_by_ad`` - inverts both diagonal pivots per node (four products,
   two Schur reductions).  The (A, D) and (S_D, S_A) inversions of a node
-  are independent of each other but run one after the other; Schur
+  are independent of each other, and so are its two products of each
+  kind and its two complements; the stack backend runs each such pair as
+  one call.  Its counters are those of the node-by-node run, whose Schur
   workspaces are pooled per (position, size) and reused across recursion
   generations, the way a preallocated scratch plan would.
 
@@ -30,6 +32,15 @@ or schur's relabelling of its ``invert_sub``), the scratch counting (on in
 the recursions, off in schur) and where a Schur complement lives (a copy,
 or a ``_SchurPool`` slot in ``invertor_by_ad``).
 
+``_combined_pivot`` issues its steps in pairs, and ``_Stacks`` runs
+``invertor_by_ad`` on (k, h, h) stacks: a pair of same-shaped operations
+is one call over 2k members, so order 256 makes 255 stacked
+sub-inversions and 381 kernel calls where the node-by-node run visits
+5,461 nodes.  It counts nothing; ``_Count`` runs the formula on
+placeholders for the node-by-node counts, once per order.  A singular
+block anywhere sends the input back through ``_Arrays``, so failures are
+labelled in node-by-node order.
+
 ``invertor_with_fallback`` is the retry path: at every node it tries the
 pivot formulas of :mod:`blockinv.schur` in the order A, D, B, C, on the
 fixed ``n // 2`` split, so inputs that need another split or a row
@@ -39,7 +50,8 @@ the search it skips (every pivot of an all-zero block is all-zero, so each
 formula fails before any product).
 
 Odd orders split floor/ceil; recursion bottoms out at order <= 2, which is
-inverted by the one analytic 1x1/2x2 leaf in :mod:`blockinv.core`.
+inverted by the analytic 1x1/2x2 leaf in :mod:`blockinv.core` (its stacked
+form on stacks).
 Failures raise SingularBlock carrying the recursion path, e.g.
 "A.SchurA.A".  Nothing here starts a thread.
 """
@@ -53,6 +65,7 @@ import numpy as np
 
 from .core import (
     OpCounters,
+    _inv2_stack,
     _inv_rows,
     check_square,
     invert_small,
@@ -121,32 +134,33 @@ def _combined_pivot(ops, a, b, c, d, oa, ob, oc, od, path, start=0,
     S_A = D - C A^-1 B straight onto the output diagonal: four products
     beyond the four sub-inversions.
 
-    A is inverted before D unless ``d_first``, and S_D before S_A.  Each
-    complement is a fused reduction in its pivot's place (``complement``).
-    ``labels`` name A, D, S_D and S_A in the sub-inversions' path; schur's
+    Each step is a pair of independent operations, one per pivot, issued
+    together: the sequential backends run A's before D's (D's first when
+    ``d_first``), the stack backend runs both as one call.  Each complement
+    is a fused reduction in its pivot's place (``complement``).  ``labels``
+    name A, D, S_D and S_A in the sub-inversions' path; schur's
     counter-diagonal pair runs this with C, D, A, B in the roles of A, B,
     C, D.  The pivot inverses' scratch is released as soon as they are used.
     """
     cnt = ops.counters
-    p, q = len(a), len(d)
+    p, q = ops.order(a), ops.order(d)
     ops.alloc(p * p + q * q)
-    if d_first:
-        d_inv = ops.invert(d, path + [labels[1]], start + p)
-    a_inv = ops.invert(a, path + [labels[0]], start)
-    if not d_first:
-        d_inv = ops.invert(d, path + [labels[1]], start + p)
+    a_inv, d_inv = ops.invert_pair((a, path + [labels[0]], start, None),
+                                   (d, path + [labels[1]], start + p, None), d_first)
     ops.alloc(2 * p * q)
-    n_ab = ops.mul(a_inv, b, True)  # -A^-1 B
-    n_dc = ops.mul(d_inv, c, True)  # -D^-1 C
+    n_ab, n_dc = ops.mul_pair((a_inv, b, None), (d_inv, c, None), True)  # -A^-1 B, -D^-1 C
     cnt.multiplies += 2
+    del a_inv, d_inv
     ops.release(p * p + q * q)
-    s_d = ops.complement(a, b, n_dc, start, labels[2])  # S_D = A - B D^-1 C
-    s_a = ops.complement(d, c, n_ab, start + p, labels[3])  # S_A = D - C A^-1 B
+    s_d, s_a = ops.complement_pair(
+        (a, b, n_dc, start, labels[2]),  # S_D = A - B D^-1 C
+        (d, c, n_ab, start + p, labels[3]),  # S_A = D - C A^-1 B
+    )
     cnt.reductions += 2
-    oa = ops.invert(s_d, path + [labels[2]], start, oa)
-    od = ops.invert(s_a, path + [labels[3]], start + p, od)
-    oc = ops.mul(n_ab, od, out=oc)  # -A^-1 B S_A^-1
-    ob = ops.mul(n_dc, oa, out=ob)  # -D^-1 C S_D^-1
+    oa, od = ops.invert_pair((s_d, path + [labels[2]], start, oa),
+                             (s_a, path + [labels[3]], start + p, od))
+    del s_d, s_a
+    oc, ob = ops.mul_pair((n_ab, od, oc), (n_dc, oa, ob))  # -A^-1 B S_A^-1, -D^-1 C S_D^-1
     cnt.multiplies += 2
     ops.release(2 * p * q)
     return oa, ob, oc, od
@@ -175,7 +189,28 @@ def _inplace(ops, a, b, c, d, oa, ob, oc, od, path, start=0):
     return a, c, b, d
 
 
-class _Arrays:
+class _Pairs:
+    """A pair step of ``_combined_pivot`` as two calls, the first operand
+    tuple's before the second's (the second's first with ``swap``)."""
+
+    order = staticmethod(len)
+
+    def invert_pair(self, first, second, swap=False):
+        if swap:
+            y = self.invert(*second)
+            return self.invert(*first), y
+        x = self.invert(*first)
+        return x, self.invert(*second)
+
+    def mul_pair(self, first, second, negate=False):
+        (a, b, out), (a2, b2, out2) = first, second
+        return self.mul(a, b, negate, None, out), self.mul(a2, b2, negate, None, out2)
+
+    def complement_pair(self, first, second):
+        return self.complement(*first), self.complement(*second)
+
+
+class _Arrays(_Pairs):
     """The array backend.  Each product is one call of this module's
     ``multiply``, ``schur_accumulate`` or in-place products, looked up by
     name at the call, so a wrapper installed on those names sees them all.
@@ -225,7 +260,7 @@ class _Arrays:
         """(+-1) a @ b, added to the values of ``into`` when given, in
         ``out``: new storage when None, ``into`` itself to update it."""
         if out is None:
-            out = np.empty((a.shape[0], b.shape[1])) if into is None else into.copy()
+            out = np.empty(a.shape[:-1] + b.shape[-1:]) if into is None else into.copy()
         elif into is not None and into is not out:
             out[...] = into
         multiply(a, b, out, into is not None, negate)
@@ -341,7 +376,7 @@ def _mm_rows(a, b, negate=False, into=None, out=None):
     raise DimensionMismatch(f"list product over inner size {inner}, not 1 to 5")
 
 
-class _Rows:
+class _Rows(_Pairs):
     """The list backend: the array backend's operations on lists of rows,
     returning new rows where it writes into storage.  A Schur slot is only
     booked, since the complement is a new list."""
@@ -378,6 +413,115 @@ class _Rows:
             None, None, None, None, path, start,
         )
         return list(map(add, oa, oc)) + list(map(add, ob, od))  # rows joined side by side
+
+
+def _put(x, out):
+    """``x``, copied into ``out`` when one is given."""
+    if out is None:
+        return x
+    out[...] = x
+    return out
+
+
+class _Stacks(_Arrays):
+    """The stack backend: a block is a (k, rows, cols) stack of k members,
+    nodes the sequential backends visit one after the other.  A pair step
+    on two same-shaped stacks runs as one call over both, 2k members, and
+    a sub-inversion of k > 1 members recurses on the whole stack down to
+    stacked 1x1 and 2x2 leaves; a stack of one member at order
+    ``_PY_RECURSION_MAX`` or below runs on ``_Rows``.  Each member gets the
+    operations it gets alone (``_mm_acc``, ``_inv2_stack``), so the results
+    are bitwise those of the sequential backends.
+
+    Nothing is counted, since a lockstep run cannot reproduce the sequential
+    scratch stream, and a singular block anywhere raises SingularBlock with
+    a label and path of lockstep order, which callers must not report.
+    """
+
+    def __init__(self, formula):
+        super().__init__(OpCounters())
+        self.formula = formula
+        self.rows = _Rows(OpCounters(), formula, _SchurPool(OpCounters()))
+
+    @staticmethod
+    def order(x):
+        return x.shape[-1]
+
+    def invert(self, x, path, start=0, out=None):
+        k, n = x.shape[0], x.shape[-1]
+        if out is None:
+            out = np.empty(x.shape)
+        if k == 1 and n <= _PY_RECURSION_MAX:
+            out[0] = self.rows.invert(x[0].tolist(), path, start)
+        elif n == 1:
+            if not x.all():
+                raise SingularBlock("A", path=path)
+            with np.errstate(over="ignore"):  # Python floats do not warn
+                np.divide(1.0, x, out=out)
+        elif n == LEAF_ORDER:
+            if _inv2_stack(x, out).any():
+                raise SingularBlock("A", path=path)
+        else:
+            p = n // 2
+            self.formula(self, x[:, :p, :p], x[:, :p, p:], x[:, p:, :p], x[:, p:, p:],
+                         out[:, :p, :p], out[:, p:, :p], out[:, :p, p:], out[:, p:, p:],
+                         path, start)
+        return out
+
+    def invert_pair(self, first, second, swap=False):
+        (x, path, start, out), (y, _, _, out2) = first, second
+        if x.shape != y.shape:
+            return super().invert_pair(first, second)
+        both = self.invert(np.concatenate((x, y)), path, start)
+        return _put(both[: len(x)], out), _put(both[len(x) :], out2)
+
+    def mul_pair(self, first, second, negate=False):
+        (a, b, out), (a2, b2, out2) = first, second
+        if a.shape != a2.shape or b.shape != b2.shape:
+            return super().mul_pair(first, second, negate)
+        both = self.mul(np.concatenate((a, a2)), np.concatenate((b, b2)), negate)
+        return _put(both[: len(a)], out), _put(both[len(a) :], out2)
+
+    def complement_pair(self, first, second):
+        (base, x, y, _, _), (base2, x2, y2, _, _) = first, second
+        if base.shape != base2.shape or x.shape != x2.shape:
+            return super().complement_pair(first, second)
+        both = np.concatenate((base, base2))
+        schur_accumulate(both, np.concatenate((x, x2)), np.concatenate((y, y2)))
+        return both[: len(base)], both[len(base) :]
+
+
+class _Count(_Pairs):
+    """The sequential backends' counts without their arithmetic: a formula
+    run on ``range(n)`` placeholders, where a product is its left operand
+    and a complement its base.  Nodes, leaves, products, reductions, the
+    scratch stream and the Schur slots are counted as ``_Rows`` counts them.
+    """
+
+    def __init__(self, counters: OpCounters, formula):
+        self.counters = counters
+        self.formula = formula
+        self.pool = _SchurPool(counters)
+        self.alloc = counters.alloc
+        self.release = counters.release
+
+    @staticmethod
+    def mul(a, b, negate=False, into=None, out=None):
+        return a
+
+    def complement(self, base, x, y, start, label):
+        self.pool.claim(start, len(base), label, array=False)
+        return base
+
+    def invert(self, x, path, start=0, out=None):
+        n = len(x)
+        if n <= LEAF_ORDER:
+            self.counters.inversions += 1
+            return x
+        self.counters.nodes += 1
+        p = n // 2
+        self.formula(self, x[:p], x[:p], x[p:], x[p:], None, None, None, None, path, start)
+        return x
 
 
 class _SchurPool:
@@ -448,12 +592,49 @@ def invertor_inplace_by_a(
 def invertor_by_ad(x: np.ndarray, counters: OpCounters | None = None):
     """Invert with both diagonal pivots per node.
 
+    Runs on the stack backend and adds the counts of the sequential run of
+    the same order.  If some block is singular, the input is inverted again
+    on the sequential backends, which raise the label and path of the first
+    failure in sequential order and leave their partial counts.
     Returns ``(inverse, counters)``.
     """
     x = check_square(x)
     counters = counters if counters is not None else OpCounters()
-    ops = _Arrays(counters, formula=_combined_pivot, pool=_SchurPool(counters))
-    return ops.invert(x, []), counters
+    try:
+        inv = _Stacks(_combined_pivot).invert(x[None], [])[0]
+    except SingularBlock:
+        pass  # rerun below, outside the handler: its failure has no lockstep context
+    else:
+        _fold(counters, _by_ad_counts(x.shape[0]))
+        return inv, counters
+    return _by_ad_sequential(x, counters), counters
+
+
+def _by_ad_sequential(x: np.ndarray, counters: OpCounters) -> np.ndarray:
+    """``invertor_by_ad`` one node after the other, counting as it goes."""
+    return _Arrays(counters, formula=_combined_pivot, pool=_SchurPool(counters)).invert(x, [])
+
+
+@functools.lru_cache(maxsize=None)
+def _by_ad_counts(n: int) -> OpCounters:
+    """What a sequential ``invertor_by_ad`` of order n counts, from zero.
+    The memoised result is shared by every caller, so it is only read."""
+    counters = OpCounters()
+    _Count(counters, _combined_pivot).invert(range(n), [])
+    return counters
+
+
+def _fold(counters: OpCounters, run: OpCounters) -> None:
+    """Add ``run``, counted from zero, to ``counters`` as if it had run on
+    them: its scratch peak sits on top of their live scratch."""
+    counters.peak_scratch = max(counters.peak_scratch,
+                                counters._current_scratch + run.peak_scratch)
+    counters._current_scratch += run._current_scratch
+    counters.multiplies += run.multiplies
+    counters.inversions += run.inversions
+    counters.reductions += run.reductions
+    counters.schur_scratch += run.schur_scratch
+    counters.nodes += run.nodes
 
 
 # ---------------------------------------------------------------------------

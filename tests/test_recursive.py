@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockinv import recursive
+from blockinv.bench import KINDS, generate
 from blockinv.core import OpCounters, _mm_acc, gauss_jordan_oracle, invert_small, residual_norm
 from blockinv.errors import (
     AllPivotsSingular,
@@ -25,6 +28,7 @@ from blockinv.recursive import (
 from blockinv.schur import invert_with_fallback
 
 from conftest import well_conditioned
+from test_pinned_bits import _kron_schur_a
 
 
 def schur_scratch_series(k):
@@ -315,14 +319,18 @@ def test_list_product_rejects_inner_size_6(into):
         _mm_rows([[1.0] * 6], [[1.0]] * 6, into=[[0.0]] if into else None)
 
 
-def _backend_outcome(method, m):
+def _backend_outcome(method, m, counters=None):
     """Output bytes, or the SingularBlock label and path, plus every
-    OpCounters field (the live scratch count included)."""
-    c = OpCounters()
+    OpCounters field (the live scratch count included).  ``ad_sequential``
+    is ``invertor_by_ad`` one node after the other, without the stack
+    backend."""
+    c = counters if counters is not None else OpCounters()
     try:
         if method == "inplace":
             out = m.copy()
             invertor_inplace_by_a(out, counters=c)
+        elif method == "ad_sequential":
+            out = recursive._by_ad_sequential(m, c)
         else:
             out, _ = (invertor_by_a if method == "a" else invertor_by_ad)(m, c)
         result = out.tobytes()
@@ -344,13 +352,79 @@ def _backend_inputs(n):
 
 @pytest.mark.parametrize("method", ["a", "inplace", "ad"])
 def test_array_backend_matches_list_backend(method, monkeypatch):
-    # order 2 as the list threshold sends arrays down to the leaves
+    # order 2 as the list threshold sends arrays down to the leaves; ad's
+    # stack backend must match its sequential run at both thresholds
+    reference = "ad_sequential" if method == "ad" else method
     expected = {
-        (n, i): _backend_outcome(method, m)
+        (n, i): _backend_outcome(reference, m)
         for n in range(1, 41)
         for i, m in enumerate(_backend_inputs(n))
     }
-    monkeypatch.setattr(recursive, "_PY_RECURSION_MAX", 2)
-    for n in range(1, 41):
-        for i, m in enumerate(_backend_inputs(n)):
-            assert _backend_outcome(method, m) == expected[(n, i)], (n, i)
+    checks = [(2, reference)]
+    if method == "ad":
+        checks += [(recursive._PY_RECURSION_MAX, "ad"), (2, "ad")]
+    for threshold, run in checks:
+        monkeypatch.setattr(recursive, "_PY_RECURSION_MAX", threshold)
+        for n in range(1, 41):
+            for i, m in enumerate(_backend_inputs(n)):
+                assert _backend_outcome(run, m) == expected[(n, i)], (run, threshold, n, i)
+
+
+def test_ad_reports_the_first_failure_in_sequential_order():
+    # A's subtree fails only at its SchurA; D's fails at its first leaf,
+    # which the stacked run, inverting A and D in lockstep, meets first
+    m = np.zeros((48, 48))
+    m[:24, :24] = _kron_schur_a()
+    m[24:, 24:] = 1.0
+    got = _backend_outcome("ad", m)
+    assert got == _backend_outcome("ad_sequential", m)
+    assert got[0] == ("A", ["A", "SchurA", "A", "A", "A"])
+    with pytest.raises(SingularBlock) as info:
+        invertor_by_ad(m)
+    assert info.value.__context__ is None  # no lockstep failure chained onto it
+
+
+@pytest.mark.parametrize("live, peak", [(20, 500), (20, 10**9)], ids=["run-peak", "caller-peak"])
+def test_ad_adds_its_counts_to_a_callers_counters(live, peak):
+    # the run's scratch peak sits on the caller's live scratch, unless an
+    # earlier peak of the caller's is higher
+    for m in (well_conditioned(40, 4400), well_conditioned(64, 4401), np.ones((40, 40))):
+        outcomes = []
+        for method in ("ad", "ad_sequential"):
+            c = OpCounters(multiplies=3, inversions=2, reductions=1, schur_scratch=5, nodes=4)
+            c.alloc(peak)
+            c.release(peak - live)
+            outcomes.append(_backend_outcome(method, m, c))
+        assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    order=st.integers(1, 48),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(KINDS),
+    zero=st.one_of(st.none(), st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))),
+)
+def test_ad_stacked_matches_sequential(order, seed, kind, zero):
+    # output bits, every counter and the failure label and path, with an
+    # optional zero block planted at a generated corner and size
+    m = generate(order, seed=seed, kind=kind)
+    if zero is not None:
+        row, col, size = (int(f * order) for f in zero)
+        m[row : row + size + 1, col : col + size + 1] = 0.0
+    assert _backend_outcome("ad", m) == _backend_outcome("ad_sequential", m)
+
+
+def test_ad_peak_memory_at_order_256():
+    # measured 5.04x the matrix (2.52 MiB), against 3.56x (1.78 MiB) for
+    # the node-by-node run before the stack backend: the stacks hold each
+    # level's pair operands side by side
+    m = well_conditioned(256, 4402)
+    invertor_by_ad(m)  # the count of order 256 is memoised before the traced call
+    tracemalloc.start()
+    try:
+        invertor_by_ad(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * m.nbytes, peak / m.nbytes
