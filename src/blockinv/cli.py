@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 singular pivot, 3 I/O, format or argument error,
-4 checkpoint mismatch.
+Exit codes: 0 success, 2 singular pivot or an inverse with NaN or Inf
+entries, 3 I/O, format or argument error, 4 checkpoint mismatch.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import (
     CheckpointCorrupt,
     FormatError,
     InvalidOrder,
+    NonFiniteResult,
     SchemeMismatch,
     SingularBlock,
     SingularMatrix,
@@ -278,7 +279,7 @@ def main(argv=None) -> int:
                      f"not {method}")
     try:
         return args.fn(args)
-    except (SingularBlock, SingularMatrix, AllPivotsSingular) as exc:
+    except (SingularBlock, SingularMatrix, AllPivotsSingular, NonFiniteResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except (CheckpointCorrupt, SchemeMismatch) as exc:

@@ -30,6 +30,7 @@ from .errors import (
     AliasedOperands,
     DimensionMismatch,
     FormatError,
+    NonFiniteResult,
     ScratchTooSmall,
     SingularBlock,
     SingularMatrix,
@@ -84,6 +85,15 @@ def check_finite(m: np.ndarray) -> None:
     inversion path as an all-NaN "inverse"."""
     if not np.isfinite(m).all():
         raise FormatError("matrix contains NaN or Inf entries")
+
+
+def check_result(m: np.ndarray) -> np.ndarray:
+    """``m``, the result of an inversion, unless it holds NaN or Inf
+    entries (NonFiniteResult): a finite input whose intermediates
+    over- or underflow comes out of every path that way."""
+    if not np.isfinite(m).all():
+        raise NonFiniteResult("the inverse has NaN or Inf entries")
+    return m
 
 
 def as_matrix(data) -> np.ndarray:
@@ -293,7 +303,10 @@ def singularity_tolerance(rows) -> float:
     """Scale-aware determinant threshold for the analytic inverses."""
     n = len(rows)
     amax = max(abs(v) for row in rows for v in row) if n else 0.0
-    return 1e-12 * n * n * amax**n
+    try:
+        return 1e-12 * n * n * amax**n
+    except OverflowError:  # a float power raises where a product is inf
+        return float("inf")
 
 
 def _inv_rows(rows: list, path=None) -> list:

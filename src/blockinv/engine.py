@@ -25,8 +25,10 @@ and every assembly half as one stacked ``core._mm_acc_ordered`` call;
 when a quad's two halves have the same block sizes, the A-half and D-half
 products (R and L, S_D and S_A, the up and down halves) share one call.
 Provisional sets are written only through their own ``store_arrows``.  The 2x2 leaf inverses
-of a group are one stacked ``core._inv2_stack`` call; larger leaves are
-inverted one by one inside the group's task.  The groups, with the row
+of a group are one stacked ``core._inv2_stack`` call, and leaves larger
+than 4 one run of the pivot-A recursion on the group's stack
+(``recursive._Stacks``); 3x3 and 4x4 leaves, and a stack with a singular
+member, are inverted one block at a time.  The groups, with the row
 starts of their Fox orders, are built once per partition (``_layout``);
 the decoded steps are cached too (``step_plan``).  Each element still
 receives the same IEEE-754 operations in the same order as with one
@@ -56,6 +58,7 @@ from .core import (
     OpCounters,
     _inv2_stack,
     _mm_acc_ordered,
+    check_result,
     check_square,
     invert_small,
 )
@@ -69,6 +72,7 @@ from .errors import (
     SingularBlock,
 )
 from .partition import make_partition, partition_from_sizes
+from .recursive import _Arrays, _invert_stacked, _single_pivot
 from .storage import (
     DiagonalRun,
     MemoryBlockStore,
@@ -479,7 +483,8 @@ class _Engine:
                 singular = _inv2_stack(blocks, out)
                 if singular.any():
                     return grp.items[lo + int(np.argmax(singular))], SingularBlock("A")
-            else:
+            elif grp.ha <= 4 or _invert_stacked(_single_pivot, blocks, out) is None:
+                # one block at a time, for the label of the first failure
                 for i in range(hi - lo):
                     try:
                         _leaf_invert(blocks[i], out[i])
@@ -564,13 +569,14 @@ def _fresh(stacks, copy: bool = False):
 
 def _leaf_invert(block: np.ndarray, out: np.ndarray) -> None:
     """Diagonal blocks up to order 4 invert analytically; larger
-    user-chosen blocks fall back to the pivot-A recursion."""
+    user-chosen blocks by the pivot-A recursion, whose counters the engine
+    drops.  Its input check is not run: a Schur block with Inf or NaN
+    entries is no malformed input, and the run ends in SingularBlock or in
+    ``run_inversion``'s check of the result."""
     if block.shape[0] <= 4:
         invert_small(block, out)
     else:
-        from .recursive import invertor_by_a
-
-        out[...], _ = invertor_by_a(block)
+        _Arrays(OpCounters(), formula=_single_pivot).invert(block, [], 0, out)
 
 
 def run_inversion(
@@ -594,7 +600,8 @@ def run_inversion(
     ``file_backed`` is accepted for older callers and changes nothing;
     without a directory it raises MissingCheckpointDir.  ``stop_after_step``
     ends the run early at a step boundary (for staged execution across
-    sessions).
+    sessions).  A finished run whose inverse holds NaN or Inf entries
+    raises NonFiniteResult.
 
     Counter semantics are per logical block operation: one inversion per
     diagonal block, two products and two Schur reductions per quad, and two
@@ -637,4 +644,6 @@ def run_inversion(
                 break
     finally:
         eng.close()
+    if stop_after_step is None or stop_after_step >= n_steps:
+        check_result(minv.data)
     return minv

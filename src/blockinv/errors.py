@@ -42,6 +42,11 @@ class SingularBlock(BlockInvError):
         super().__init__(f"singular pivot {where}{extra}")
 
 
+class NonFiniteResult(BlockInvError):
+    """A finite input inverted to NaN or Inf entries: some intermediate
+    over- or underflowed without any pivot testing singular."""
+
+
 class AllPivotsSingular(BlockInvError):
     """Every pivot formula failed for the given split."""
 

@@ -32,14 +32,16 @@ or schur's relabelling of its ``invert_sub``), the scratch counting (on in
 the recursions, off in schur) and where a Schur complement lives (a copy,
 or a ``_SchurPool`` slot in ``invertor_by_ad``).
 
-``_combined_pivot`` issues its steps in pairs, and ``_Stacks`` runs
-``invertor_by_ad`` on (k, h, h) stacks: a pair of same-shaped operations
-is one call over 2k members, so order 256 makes 255 stacked
-sub-inversions and 381 kernel calls where the node-by-node run visits
-5,461 nodes.  It counts nothing; ``_Count`` runs the formula on
-placeholders for the node-by-node counts, once per order.  A singular
-block anywhere sends the input back through ``_Arrays``, so failures are
-labelled in node-by-node order.
+``_Stacks`` runs a formula on (k, h, h) stacks of k inputs at once:
+``_combined_pivot`` for ``invertor_by_ad`` (k = 1), whose steps come in
+pairs, so a pair of same-shaped operations is one call over 2k members
+and order 256 makes 255 stacked sub-inversions and 381 kernel calls
+where the node-by-node run visits 5,461 nodes; and ``_single_pivot`` for
+the step engine's diagonal blocks larger than 4, one stack per group.
+It counts nothing; ``_Count`` runs the formula on placeholders for the
+node-by-node counts, once per order.  A singular block anywhere sends
+the input back through ``_Arrays`` (``_invert_stacked`` returns None), so
+failures are labelled in node-by-node order.
 
 ``invertor_with_fallback`` is the retry path: at every node it tries the
 pivot formulas of :mod:`blockinv.schur` in the order A, D, B, C, on the
@@ -53,7 +55,9 @@ Odd orders split floor/ceil; recursion bottoms out at order <= 2, which is
 inverted by the analytic 1x1/2x2 leaf in :mod:`blockinv.core` (its stacked
 form on stacks).
 Failures raise SingularBlock carrying the recursion path, e.g.
-"A.SchurA.A".  Nothing here starts a thread.
+"A.SchurA.A"; a finite input whose intermediates over- or underflow
+into a NaN or Inf inverse raises NonFiniteResult at the public exit.
+Nothing here starts a thread.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .core import (
     OpCounters,
     _inv2_stack,
     _inv_rows,
+    check_result,
     check_square,
     invert_small,
     multiply,
@@ -108,7 +113,7 @@ def _single_pivot(ops, piv, row, col, opp, o_piv, o_row, o_col, o_opp, path, sta
     ``labels`` name the pivot and its complement in the sub-inversions' path.
     """
     c = ops.counters
-    p, q = len(piv), len(opp)
+    p, q = ops.order(piv), ops.order(opp)
     ops.alloc(p * p)
     piv_inv = ops.invert(piv, path + [labels[0]])
     n_pr = ops.mul(piv_inv, row, True)  # -P^-1 R
@@ -424,8 +429,9 @@ def _put(x, out):
 
 
 class _Stacks(_Arrays):
-    """The stack backend: a block is a (k, rows, cols) stack of k members,
-    nodes the sequential backends visit one after the other.  A pair step
+    """The stack backend of ``_combined_pivot`` and ``_single_pivot``: a
+    block is a (k, rows, cols) stack of k members, nodes the sequential
+    backends visit one after the other.  A pair step
     on two same-shaped stacks runs as one call over both, 2k members, and
     a sub-inversion of k > 1 members recurses on the whole stack down to
     stacked 1x1 and 2x2 leaves; a stack of one member at order
@@ -557,7 +563,7 @@ def invertor_by_a(x: np.ndarray, counters: OpCounters | None = None):
     x = check_square(x)
     counters = counters if counters is not None else OpCounters()
     counters.alloc(x.size)
-    return _Arrays(counters, formula=_single_pivot).invert(x, []), counters
+    return check_result(_Arrays(counters, formula=_single_pivot).invert(x, [])), counters
 
 
 def invertor_inplace_by_a(
@@ -586,6 +592,7 @@ def invertor_inplace_by_a(
     counters.alloc(row_scratch.shape[0])
     _Arrays(counters, formula=_inplace, row=row_scratch).invert(x, [], 0, x)
     counters.release(row_scratch.shape[0])
+    check_result(x)
     return counters
 
 
@@ -600,14 +607,30 @@ def invertor_by_ad(x: np.ndarray, counters: OpCounters | None = None):
     """
     x = check_square(x)
     counters = counters if counters is not None else OpCounters()
-    try:
-        inv = _Stacks(_combined_pivot).invert(x[None], [])[0]
-    except SingularBlock:
-        pass  # rerun below, outside the handler: its failure has no lockstep context
+    inv = _invert_stacked(_combined_pivot, x[None])
+    if inv is None:
+        inv = _by_ad_sequential(x, counters)
     else:
         _fold(counters, _by_ad_counts(x.shape[0]))
-        return inv, counters
-    return _by_ad_sequential(x, counters), counters
+        inv = inv[0]
+    return check_result(inv), counters
+
+
+def _invert_stacked(formula, x: np.ndarray, out: np.ndarray | None = None):
+    """The (k, n, n) stack ``x`` inverted on ``_Stacks`` into ``out``, or
+    None when some member has a singular block: the caller then reruns it
+    node by node for the failure's label, outside this call, so that the
+    lockstep failure is not chained onto it.
+
+    Floating-point warnings are off: lockstep members run on past the
+    singular block that stops a sequential run, and numpy warns where the
+    list backend's Python floats do not.  The bits are the same.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return _Stacks(formula).invert(x, [], 0, out)
+    except SingularBlock:
+        return None
 
 
 def _by_ad_sequential(x: np.ndarray, counters: OpCounters) -> np.ndarray:
@@ -693,4 +716,4 @@ def invertor_with_fallback(x: np.ndarray, counters: OpCounters | None = None):
 
     out = np.empty_like(x)
     sub(x, out)
-    return out, counters
+    return check_result(out), counters

@@ -2,8 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from blockinv.engine import run_inversion
+
+# Tier-1 runs the same examples every time, and keeps no database of
+# failing ones between runs; example counts are set per test
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

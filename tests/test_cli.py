@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockinv.bench import generate
 from blockinv.cli import main
 from blockinv.core import load_matrix, residual_norm, save_matrix, save_text
 from blockinv.engine import run_inversion
@@ -65,6 +66,17 @@ class TestInvert:
         src = tmp_path / "sing.txt"
         save_text(np.ones((4, 4)), src)
         assert run("invert", "--in", src, "--method", "a") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--method", "a"), ("--method", "inplace"), ("--method", "ad"), ("--sizes", "6,6"),
+    ], ids=["a", "inplace", "ad", "parallel-6-6"])
+    def test_non_finite_result_exit_code(self, tmp_path, capsys, argv):
+        # a finite input whose intermediates underflow: the engine's Schur
+        # blocks overflow on the way, and no run reads them as malformed input
+        src = tmp_path / "tiny.txt"
+        save_text(generate(12, seed=1) * 1e-160, src)
+        assert run("invert", "--in", src, *argv) == 2
+        assert "NaN or Inf" in capsys.readouterr().err
 
     def test_retry_flag_recovers_permutation(self, tmp_path):
         src = tmp_path / "p.txt"

@@ -1,11 +1,16 @@
+import dataclasses
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockinv
+from blockinv import engine
+from blockinv.bench import KINDS, generate
 from blockinv.core import (
     OpCounters,
     gauss_jordan_oracle,
@@ -36,6 +41,7 @@ from blockinv.errors import (
     MalformedLoopid,
     MissingCheckpointDir,
     MissingProvisionalData,
+    NonFiniteResult,
     OutOfRange,
     SingularBlock,
 )
@@ -387,12 +393,13 @@ except OverlappingWriteTargets:
 """
 
 
-def _schur_d_zero(p):
-    # blocks of 2 at order 8; A = I + P, B = C = D = I, so S_D = P, whose
+def _schur_d_zero(p, b=2):
+    # blocks of b at order 4b; A = I + P, B = C = D = I, so S_D = P, whose
     # diagonal block p is zero
-    pin = np.eye(4)
-    pin[2 * p : 2 * p + 2, 2 * p : 2 * p + 2] = 0.0
-    return np.block([[np.eye(4) + pin, np.eye(4)], [np.eye(4), np.eye(4)]])
+    h = 2 * b
+    pin = np.eye(h)
+    pin[b * p : b * p + b, b * p : b * p + b] = 0.0
+    return np.block([[np.eye(h) + pin, np.eye(h)], [np.eye(h), np.eye(h)]])
 
 
 def _schur_a_swap():
@@ -414,7 +421,35 @@ def _patched(order, seed, r0, block):
     return m
 
 
+@st.composite
+def _large_block_sizes(draw):
+    """2, 4 or 8 diagonal blocks of orders 5-24, all alike or a mix of
+    two orders (so that mixed groups still stack several blocks)."""
+    n = 2 ** draw(st.integers(1, 3))
+    orders = st.sampled_from([draw(st.integers(5, 24)), draw(st.integers(5, 24))])
+    if draw(st.booleans()):
+        return [draw(orders)] * n
+    return draw(st.lists(orders, min_size=n, max_size=n))
+
+
+def _engine_outcome(m, sizes, workers):
+    c = OpCounters()
+    try:
+        result = run_inversion(m, sizes=sizes, workers=workers, counters=c).to_dense().tobytes()
+    except SingularBlock as e:
+        result = (e.block, e.path, e.step, e.quad)
+    return result, dataclasses.asdict(c)
+
+
+def _two_swaps():
+    # singular leaves in quads 1 and 3: the lower one is reported
+    m = _patched(32, 128, 24, _SWAP_8)
+    m[8:16, 8:16] = _SWAP_8
+    return m
+
+
 _TWINS = np.block([[np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]])
+_SWAP_8 = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(4))  # a zero pivot A of order 4
 
 # (input, sizes) -> (block, path, step, quad) of the SingularBlock raised
 ENGINE_FAILURES = {
@@ -433,7 +468,61 @@ ENGINE_FAILURES = {
     ),
     "sized_5": (lambda: (_patched(12, 125, 0, np.ones((5, 5))), [5, 7]), ("A", ["A"], 1, 0)),
     "sized_4_twins": (lambda: (_patched(16, 126, 8, _TWINS), [4] * 4), ("SchurD", [], 1, 2)),
+    # singular leaves larger than 4, in the input and in a Schur complement
+    "sized_8_swap": (lambda: (_patched(32, 127, 16, _SWAP_8), [8] * 4), ("A", ["A", "A"], 1, 2)),
+    "sized_8_two_swaps": (lambda: (_two_swaps(), [8] * 4), ("A", ["A", "A"], 1, 1)),
+    "sized_8_schur_d_1": (lambda: (_schur_d_zero(1, 8), [8] * 4), ("A", ["A", "A"], 5, 1)),
+    "sized_12_twins": (
+        lambda: (_patched(48, 129, 24, np.kron(np.ones((2, 2)), np.eye(6))), [12] * 4),
+        ("A", ["SchurA", "A", "A"], 1, 2),
+    ),
+    "mixed_8_swap": (lambda: (_patched(26, 130, 6, _SWAP_8), [6, 8, 6, 6]), ("A", ["A", "A"], 1, 1)),
 }
+
+
+class TestStackedLeaves:
+    """Diagonal blocks larger than 4 are inverted as one stack per group;
+    a singular member sends the group back one block at a time."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_stacked_attempt_is_silent_where_per_block_run_is(self):
+        # the lockstep run overflows past the singular block that stops the
+        # per-block run, and must not warn for it
+        with pytest.raises(SingularBlock) as info:
+            run_inversion(generate(12, seed=1) * 1e160, sizes=[6, 6])
+        e = info.value
+        assert (e.block, e.path, e.step, e.quad) == ("A", ["A", "SchurA"], 1, 0)
+
+    @pytest.mark.parametrize("scale, sizes", [(1e-160, [6, 6]), (1e160, None)],
+                             ids=["underflow-6-6", "overflow-default"])
+    def test_finite_input_ends_in_a_typed_error(self, scale, sizes):
+        # Schur blocks with Inf entries are not read as malformed input
+        # (FormatError), and an order-3 leaf whose singularity threshold
+        # overflows raises no OverflowError
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResult):
+            run_inversion(generate(12, seed=1) * scale, sizes=sizes)
+
+    @settings(max_examples=100)
+    @given(
+        sizes=_large_block_sizes(),
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(KINDS),
+        zero=st.one_of(st.none(), st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))),
+    )
+    def test_matches_per_block_run(self, sizes, seed, kind, zero):
+        # output bits, every counter and the failure's block, path, step and
+        # quad, against the run with the stacked route off, at workers 1
+        # and 2; an optional zero block is planted at a generated corner
+        order = sum(sizes)
+        m = generate(order, seed=seed, kind=kind)
+        if zero is not None:
+            row, col, size = (int(f * order) for f in zero)
+            m[row : row + size + 1, col : col + size + 1] = 0.0
+        for workers in (1, 2):
+            stacked = _engine_outcome(m, sizes, workers)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_invert_stacked", lambda formula, x, out=None: None)
+                assert stacked == _engine_outcome(m, sizes, workers)
 
 
 class TestFailureReports:
