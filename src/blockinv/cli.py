@@ -15,6 +15,7 @@ import numpy as np
 from .bench import (
     KINDS,
     METHODS,
+    RESIDUAL_BUDGET,
     bench as run_bench,
     fit_slope,
     generate,
@@ -145,7 +146,7 @@ def cmd_verify(args):
     oracle = gauss_jordan_oracle(m)
     res = residual_norm(m, inv)
     diff = float(np.max(np.abs(inv - oracle)))
-    budget = 1e-8 * m.shape[0]
+    budget = RESIDUAL_BUDGET * m.shape[0]
     print(f"method {args.method}  residual {res:.3e}  max|diff vs oracle| {diff:.3e}")
     if res > budget or diff > budget:
         print(f"FAIL: exceeds budget {budget:.3e}")

@@ -35,9 +35,11 @@ receives the same IEEE-754 operations in the same order as with one
 product per quad, so the stacking changes no bit of the result.
 
 Within a step every task - a group, or a contiguous chunk of one when
-there are several workers - writes a pre-assigned disjoint set of blocks,
-so the result is bitwise identical for any worker count; ``stepid`` is the
-only synchronization key.  A run without a checkpoint directory keeps every
+there are several workers - writes only inside its own items' quads, and
+``_layout`` checks once per partition that no two items of a level share
+a diagonal block, so the tasks' writes are disjoint and the result is
+bitwise identical for any worker count; ``stepid`` is the only
+synchronization key.  A run without a checkpoint directory keeps every
 store in memory.  A checkpointed run maps the inverse and the provisional
 sets onto its checkpoint's store files and works on them through the same
 views, so a save at a step boundary only records a hash and the step, and
@@ -318,9 +320,7 @@ class _Group(DiagonalRun):
     """A run of diagonal blocks (level 0) or of level-``level`` quads that
     one step handles with stacked kernel calls.
 
-    ``items`` holds the block or quad index of each item.  ``targets``
-    maps each kind of task to ``(ids, per_item)``: the write-target ids of
-    all items in item order, ``per_item`` of them per item.  ``fox`` holds
+    ``items`` holds the block or quad index of each item.  ``fox`` holds
     the Fox order starts and inner widths of the four arrows products (R,
     L, S_D, S_A) of quads.
     """
@@ -328,21 +328,6 @@ class _Group(DiagonalRun):
     def __init__(self, scheme, level, spans):
         super().__init__(scheme, spans)
         self.items = tuple(first >> level for first, _, _ in spans)
-        ids = {"diag": [], "arrows": [], "updown": []}
-        for item, (first, mid, last) in zip(self.items, spans):
-            if level == 0:
-                ids["diag"].append(("minv", item, item))
-                continue
-            ids["arrows"] += [
-                ("t", level, "L", item),
-                ("t", level, "R", item),
-                ("t", level, "S", 2 * item),
-                ("t", level, "S", 2 * item + 1),
-            ]
-            # both off-diagonal halves of an assembly pass
-            ids["updown"] += [("minv", r, c) for r in range(mid, last) for c in range(first, mid)]
-            ids["updown"] += [("minv", r, c) for r in range(first, mid) for c in range(mid, last)]
-        self.targets = {kind: (tuple(v), len(v) // len(spans)) for kind, v in ids.items() if v}
         if level:
             first, mid, last = spans[0]
             sizes_a, sizes_d = scheme.sizes[first:mid], scheme.sizes[mid:last]
@@ -358,7 +343,19 @@ class _Group(DiagonalRun):
 
 def _groups(scheme, level, spans) -> tuple[_Group, ...]:
     """Group items by block-size signature, then split each group into
-    runs at evenly spaced offsets; groups come in order of their first item."""
+    runs at evenly spaced offsets; groups come in order of their first item.
+
+    A step's task writes only inside its own items' quads: a diagonal
+    block, the set's L, R and S blocks where its quad sits, or the quad's
+    off-diagonal halves of the inverse.  So the tasks of a step write
+    disjoint blocks when the spans ascend without sharing a diagonal block
+    and the runs cover each item once; OverlappingWriteTargets otherwise.
+    """
+    end = 0
+    for span in spans:
+        if not end <= span[0] <= span[1] <= span[2]:
+            raise OverlappingWriteTargets(f"level-{level} span {span} overlaps the one before it")
+        end = span[2]
     off = scheme.offsets
     by_sig: dict[tuple, list[int]] = {}
     for item, (first, mid, last) in enumerate(spans):
@@ -376,6 +373,8 @@ def _groups(scheme, level, spans) -> tuple[_Group, ...]:
             run.append(item)
         runs.append(run)
     runs.sort()
+    if sorted(item for run in runs for item in run) != list(range(len(spans))):
+        raise OverlappingWriteTargets(f"level-{level} groups do not cover each item once")
     return tuple(_Group(scheme, level, [spans[i] for i in run]) for run in runs)
 
 
@@ -418,35 +417,19 @@ class _Engine:
 
     # -- task batches -------------------------------------------------------
 
-    def _run_batch(self, tasks) -> list:
-        """tasks: [(write_target_ids, fn)]; targets must be pairwise
-        disjoint.  Returns the tasks' results in task order."""
-        seen = set()
-        for targets, _ in tasks:
-            seen.update(targets)
-        if len(seen) != sum(len(targets) for targets, _ in tasks):
-            seen = set()
-            for targets, _ in tasks:
-                for t in targets:
-                    if t in seen:
-                        raise OverlappingWriteTargets(f"write target {t} claimed by two tasks")
-                    seen.add(t)
-        if self.pool is None:
-            return [fn() for _, fn in tasks]
-        return [future.result() for future in [self.pool.submit(fn) for _, fn in tasks]]
-
-    def _tasks(self, groups, kind, run) -> list:
-        """One task per group, or per contiguous chunk of a group when there
-        are several workers: ``run(group, lo, hi)`` covers items [lo, hi)."""
+    def _run(self, groups, run) -> list:
+        """``run(group, lo, hi)`` over items [lo, hi) of each group, or of
+        each contiguous chunk of one when there are several workers; returns
+        the results in task order.  The chunks of a group are disjoint, and
+        ``_groups`` has checked that its items' writes are."""
         tasks = []
         for grp in groups:
-            ids, per_item = grp.targets[kind]
             q = len(grp)
             n = min(self.workers, q)
-            for c in range(n):
-                lo, hi = c * q // n, (c + 1) * q // n
-                tasks.append((ids[lo * per_item : hi * per_item], functools.partial(run, grp, lo, hi)))
-        return tasks
+            tasks += [(grp, c * q // n, (c + 1) * q // n) for c in range(n)]
+        if self.pool is None:
+            return [run(*task) for task in tasks]
+        return [future.result() for future in [self.pool.submit(run, *task) for task in tasks]]
 
     @staticmethod
     def _pair_products(grp, a, b, out, fox=None, negate=False) -> None:
@@ -494,7 +477,7 @@ class _Engine:
             return None
 
         self.counters.inversions += self.scheme.n_blocks
-        failures = [f for f in self._run_batch(self._tasks(self.layout[0], "diag", run)) if f]
+        failures = [f for f in self._run(self.layout[0], run) if f]
         if failures:
             p, exc = min(failures, key=lambda f: f[0])
             raise SingularBlock(exc.block, path=exc.path, step=stepid, quad=p)
@@ -517,7 +500,7 @@ class _Engine:
 
         self.counters.multiplies += 2 * tset_out.n_quads
         self.counters.reductions += 2 * tset_out.n_quads
-        self._run_batch(self._tasks(self.layout[action.sid], "arrows", run))
+        self._run(self.layout[action.sid], run)
 
     def assemble(self, action, stepid: int) -> None:
         self.invert_diagonals(action, stepid)  # Schur diagonal blocks
@@ -546,7 +529,7 @@ class _Engine:
             grp.write(self.minv, lo, hi, "Y", out)  # the (B, C) halves of the inverse
 
         self.counters.multiplies += 2 * tset.n_quads
-        self._run_batch(self._tasks(self.layout[level], "updown", run))
+        self._run(self.layout[level], run)
 
     def execute(self, plan: StepPlan) -> None:
         action = plan.action

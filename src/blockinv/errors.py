@@ -72,7 +72,7 @@ class MalformedLoopid(BlockInvError):
 
 
 class OverlappingWriteTargets(BlockInvError):
-    """Two tasks of one engine step would write the same block."""
+    """Two items of one engine layout would write the same block."""
 
 
 class MissingProvisionalData(BlockInvError):

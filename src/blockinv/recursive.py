@@ -14,9 +14,9 @@ Three procedures share the same algebra but differ in how they treat memory:
   two Schur reductions).  The (A, D) and (S_D, S_A) inversions of a node
   are independent of each other, and so are its two products of each
   kind and its two complements; the stack backend runs each such pair as
-  one call.  Its counters are those of the node-by-node run, whose Schur
-  workspaces are pooled per (position, size) and reused across recursion
-  generations, the way a preallocated scratch plan would.
+  one call.  Its counters are those of the node-by-node run, which books
+  its Schur workspaces per (position, size) once for every recursion
+  generation, the way a preallocated scratch plan would.
 
 Each formula is written once, over an operations object ``ops``:
 ``_single_pivot`` (which :mod:`blockinv.schur`'s A, D, B and C pivots and
@@ -28,9 +28,9 @@ core's kernels; nodes of order ``_PY_RECURSION_MAX`` (10) and below run on
 ``_Rows``, Python lists with the same operations in the same order, so the
 results are bitwise identical.  The backend owns what the callers differ
 in: the sub-inversion and the label of its failure (the recursion's path,
-or schur's relabelling of its ``invert_sub``), the scratch counting (on in
-the recursions, off in schur) and where a Schur complement lives (a copy,
-or a ``_SchurPool`` slot in ``invertor_by_ad``).
+or schur's relabelling of its ``invert_sub``) and the scratch counting (on
+in the recursions, off in schur, and ``invertor_by_ad``'s Schur slots
+booked in a ``_SchurPool``).
 
 ``_Stacks`` runs a formula on (k, h, h) stacks of k inputs at once:
 ``_combined_pivot`` for ``invertor_by_ad`` (k = 1), whose steps come in
@@ -222,7 +222,7 @@ class _Arrays(_Pairs):
 
     Built with ``invert_sub`` (schur's formulas), a failure of it is
     relabelled with the last entry of the path the formula hands down.
-    Built with ``formula`` (a recursion), ``pool`` holds ``invertor_by_ad``'s
+    Built with ``formula`` (a recursion), ``pool`` books ``invertor_by_ad``'s
     Schur slots and ``row`` is the in-place recursion's row buffer.
     """
 
@@ -285,13 +285,11 @@ class _Arrays(_Pairs):
         return out
 
     def complement(self, base, x, y, start, label):
-        """base + x @ y, one fused reduction, in a copy of ``base`` or in
-        the pool's slot for (start, order, label)."""
-        if self.pool is None:
-            s = base.copy()
-        else:
-            s = self.pool.claim(start, base.shape[0], label)
-            s[...] = base
+        """base + x @ y, one fused reduction, in a copy of ``base``; with a
+        pool, the copy is booked as the slot for (start, order, label)."""
+        if self.pool is not None:
+            self.pool.claim(start, base.shape[0], label)
+        s = base.copy()
         schur_accumulate(s, x, y)
         return s
 
@@ -383,8 +381,7 @@ def _mm_rows(a, b, negate=False, into=None, out=None):
 
 class _Rows(_Pairs):
     """The list backend: the array backend's operations on lists of rows,
-    returning new rows where it writes into storage.  A Schur slot is only
-    booked, since the complement is a new list."""
+    returning new rows where it writes into storage."""
 
     def __init__(self, counters: OpCounters, formula, pool=None):
         self.counters = counters
@@ -400,7 +397,7 @@ class _Rows(_Pairs):
         return x
 
     def complement(self, base, x, y, start, label):
-        self.pool.claim(start, len(base), label, array=False)
+        self.pool.claim(start, len(base), label)
         return _mm_rows(x, y, into=base)
 
     def invert(self, x, path, start=0, out=None):
@@ -516,7 +513,7 @@ class _Count(_Pairs):
         return a
 
     def complement(self, base, x, y, start, label):
-        self.pool.claim(start, len(base), label, array=False)
+        self.pool.claim(start, len(base), label)
         return base
 
     def invert(self, x, path, start=0, out=None):
@@ -531,28 +528,24 @@ class _Count(_Pairs):
 
 
 class _SchurPool:
-    """Schur workspaces keyed by (diagonal position, order, label).
+    """Schur workspace bookings keyed by (diagonal position, order, label).
 
-    A slot is counted once, when first claimed, and reused by every later
+    A slot is counted once, when first claimed, and stands for every later
     recursion generation that lands on the same diagonal span, so the total
-    counted equals the preallocated-plan footprint.  The list backend only
-    books its slots (its complements are new lists).
+    counted equals the preallocated-plan footprint.  Slots are only booked:
+    every backend computes its complements in new storage.
     """
 
     def __init__(self, counters: OpCounters):
-        self._slots: dict[tuple[int, int, str], np.ndarray | None] = {}
+        self._slots: set[tuple[int, int, str]] = set()
         self._counters = counters
 
-    def claim(self, start: int, order: int, side: str, array: bool = True):
-        """The slot's array, allocated on the first claim with ``array``."""
+    def claim(self, start: int, order: int, side: str) -> None:
         key = (start, order, side)
         if key not in self._slots:
-            self._slots[key] = None
+            self._slots.add(key)
             self._counters.schur_scratch += order * order
             self._counters.alloc(order * order)
-        if array and self._slots[key] is None:
-            self._slots[key] = np.empty((order, order))
-        return self._slots[key]
 
 
 def invertor_by_a(x: np.ndarray, counters: OpCounters | None = None):

@@ -154,11 +154,8 @@ class TestInvertorByAD:
     def test_pool_books_without_allocating_and_counts_once(self):
         c = OpCounters()
         pool = _SchurPool(c)
-        pool.claim(4, 3, "sd", array=False)  # a list node's claim
-        pool.claim(4, 3, "sd", array=False)
-        assert pool._slots[(4, 3, "sd")] is None
-        slot = pool.claim(4, 3, "sd")  # an array node asking for the same key
-        assert slot.shape == (3, 3) and pool.claim(4, 3, "sd") is slot
+        pool.claim(4, 3, "sd")
+        pool.claim(4, 3, "sd")
         pool.claim(0, 2, "sa")
         assert (c.schur_scratch, c.peak_scratch) == (9 + 4, 9 + 4)
 
