@@ -15,8 +15,11 @@ engine's output independent of worker count.
 
 The in-place products take a counted buffer of one row, as the in-place
 recursion's contract says, and work through a bounded kernel-internal
-temporary of n x 16 (one panel of columns), like the ``tmp`` every product
-kernel uses; neither grows with the width of the target.
+temporary of n x 16 (one panel of 16 columns, or of 16 rows for a right
+product), like the ``tmp`` every product kernel uses; neither grows with
+the width of the target.  A sign goes on the panel, not on a negated copy
+of the factor.  The in-place Schur updates (``accumulate_inplace``) run
+over the same panels, each summed in a contiguous copy.
 """
 
 from __future__ import annotations
@@ -249,13 +252,23 @@ def multiply_inplace_left(
     temporary in the same ascending inner order as :func:`multiply` and
     then copied back, so the result is bitwise identical to the
     out-of-place product and the extra memory stays bounded however wide
-    ``target`` is.  ``row_scratch`` overlapping either matrix, or
-    ``target`` overlapping ``a_inv``, raises AliasedOperands.
+    ``target`` is.  The sign goes on the panel, which the product then
+    overwrites.  ``row_scratch`` overlapping either matrix, or ``target``
+    overlapping ``a_inv``, raises AliasedOperands.
     """
     n = target.shape[0]
     if a_inv.shape != (n, n):
         raise DimensionMismatch(f"inplace left {a_inv.shape} on {target.shape}")
-    _inplace_left(a_inv, target, row_scratch, negate, counters)
+    _check_inplace(a_inv, target, row_scratch, n)
+    for j in range(0, target.shape[1], _PANEL):
+        panel = target[:, j : j + _PANEL]
+        if negate:
+            np.negative(panel, out=panel)
+        out = np.zeros(panel.shape)
+        _mm_acc(a_inv, panel, out)  # reads all of the panel before it is written
+        panel[...] = out
+    if counters is not None:
+        counters.multiplies += 1
 
 
 def multiply_inplace_right(
@@ -267,36 +280,55 @@ def multiply_inplace_right(
 ) -> None:
     """target <- (+-1) * target @ a_inv in place, 16 rows at a time.
 
-    This is the left product on transposed views: (T A)^T = A^T T^T, and a
-    column of T^T is a row of T.  The same counted ``row_scratch`` contract
-    and bounded panel temporary as :func:`multiply_inplace_left` apply.
+    Row r of the product needs only row r of ``target``, so each panel of
+    16 rows is summed into a kernel-internal 16 x n temporary and copied
+    back, with the sign on the panel.  The same counted ``row_scratch``
+    contract and bounded panel temporary as :func:`multiply_inplace_left`
+    apply, and the bits are those of :func:`multiply`.
     """
     n = target.shape[1]
     if a_inv.shape != (n, n):
         raise DimensionMismatch(f"inplace right {target.shape} on {a_inv.shape}")
-    _inplace_left(a_inv.T, target.T, row_scratch, negate, counters)
+    _check_inplace(a_inv, target, row_scratch, n)
+    for i in range(0, target.shape[0], _PANEL):
+        panel = target[i : i + _PANEL]
+        if negate:
+            np.negative(panel, out=panel)
+        out = np.zeros(panel.shape)
+        _mm_acc(panel, a_inv, out)
+        panel[...] = out
+    if counters is not None:
+        counters.multiplies += 1
 
 
-# Columns per panel of the in-place product: its temporaries stay n x 16
-# however wide the target is.
+def accumulate_inplace(dest: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """dest += a @ b in place, 16 columns of ``dest`` at a time.
+
+    Each panel is summed in a contiguous copy of itself, in the same
+    ascending inner order as :func:`multiply` with ``accumulate``, and
+    copied back: the same bits, with a kernel-internal temporary of
+    rows x 16 instead of one as large as ``dest``.  ``dest`` overlapping
+    ``a`` or ``b`` raises AliasedOperands.
+    """
+    _check_product("accumulate_inplace", a, b, dest)
+    _check_disjoint(dest, a, b)
+    for j in range(0, dest.shape[1], _PANEL):
+        panel = dest[:, j : j + _PANEL]
+        out = panel.copy()
+        _mm_acc(a, b[:, j : j + _PANEL], out)
+        panel[...] = out
+
+
+# Columns (rows, for right products) per panel of the in-place products:
+# their temporaries stay n x 16 however wide the target is.
 _PANEL = 16
 
 
-def _inplace_left(a_inv, target, row_scratch, negate, counters) -> None:
-    n = target.shape[0]
+def _check_inplace(a_inv, target, row_scratch, n) -> None:
     if row_scratch.shape[0] < n:
         raise ScratchTooSmall(f"need {n} scalars, have {row_scratch.shape[0]}")
     _check_disjoint(row_scratch, target, a_inv)
     _check_disjoint(target, a_inv)
-    if negate:
-        a_inv = -a_inv  # fold the sign once, not once per panel
-    for j in range(0, target.shape[1], _PANEL):
-        panel = target[:, j : j + _PANEL]
-        out = np.zeros(panel.shape)
-        _mm_acc(a_inv, panel, out)  # reads all of the panel before it is written
-        panel[...] = out
-    if counters is not None:
-        counters.multiplies += 1
 
 
 def singularity_tolerance(rows) -> float:

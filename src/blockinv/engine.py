@@ -24,15 +24,23 @@ stacks - strided views of the stores' arrays - and runs every Fox product
 and every assembly half as one stacked ``core._mm_acc_ordered`` call;
 when a quad's two halves have the same block sizes, the A-half and D-half
 products (R and L, S_D and S_A, the up and down halves) share one call.
-Provisional sets are written only through their own ``store_arrows``.  The 2x2 leaf inverses
-of a group are one stacked ``core._inv2_stack`` call, and leaves larger
-than 4 one run of the pivot-A recursion on the group's stack
-(``recursive._Stacks``); 3x3 and 4x4 leaves, and a stack with a singular
-member, are inverted one block at a time.  The groups, with the row
-starts of their Fox orders, are built once per partition (``_layout``);
-the decoded steps are cached too (``step_plan``).  Each element still
-receives the same IEEE-754 operations in the same order as with one
-product per quad, so the stacking changes no bit of the result.
+The 2x2 leaf inverses of a group of more than four blocks are one stacked
+``core._inv2_stack`` call, and leaves larger than 4 one run of the
+pivot-A recursion on the group's stack (``recursive._Stacks``); 3x3 and
+4x4 leaves, up to four 2x2 leaves, and a stack with a singular member are
+inverted one block at a time.  Each element still receives the same
+IEEE-754 operations in the same order as with one product per quad, so
+the stacking changes no bit of the result.
+
+The schedule is compiled once per partition (``_schedule``, next to
+``_layout``, which builds the groups and expands their small Fox orders):
+each step is a short list of calls, and each call one task per group,
+whose operands are numbered views - a part (X, Y or QQ) of a group in the
+source, the inverse or a provisional set.  A run binds each numbered view
+to one strided view of its store on the first step that uses it and
+reuses it in every later step.  With one worker a step calls its tasks
+in turn; with several it runs each group in contiguous chunks, one per
+worker.  The decoded steps are cached as well (``step_plan``).
 
 Within a step every task - a group, or a contiguous chunk of one when
 there are several workers - writes only inside its own items' quads, and
@@ -79,13 +87,17 @@ from .storage import (
     DiagonalRun,
     MemoryBlockStore,
     ProvisionalSet,
+    _band,
+    assign,
     checkpoint_load,
     checkpoint_matches,
     checkpoint_save,
     fresh_state,
     input_fingerprint,
+    item_range,
     load_minv_store,
     load_tsets,
+    stacks,
 )
 
 INVERT_DIAGONALS = "invert_diagonals"
@@ -316,29 +328,43 @@ def fox_block_multiply(
 # ---------------------------------------------------------------------------
 
 
+# Fox orders of at most this many entries are expanded once, with the
+# layout; a larger one is expanded per call, since its product then costs
+# at least 32 times as much as the expansion.
+_KEPT_ORDER = 1024
+
+
+def _fox(row_sizes: tuple, inner_sizes: tuple):
+    """The Fox order of an arrows product as ``_mm_acc_ordered`` takes it
+    (None for one inner block), or, when it has more than ``_KEPT_ORDER``
+    entries, its ``(starts, inner)`` for :func:`_expand`."""
+    starts = _fox_starts(row_sizes, inner_sizes)
+    inner = sum(inner_sizes)
+    if starts is None or inner * len(starts) <= _KEPT_ORDER:
+        return _order(starts, inner)
+    return starts, inner
+
+
+def _expand(fox):
+    return _order(*fox) if type(fox) is tuple else fox
+
+
 class _Group(DiagonalRun):
     """A run of diagonal blocks (level 0) or of level-``level`` quads that
     one step handles with stacked kernel calls.
 
-    ``items`` holds the block or quad index of each item.  ``fox`` holds
-    the Fox order starts and inner widths of the four arrows products (R,
-    L, S_D, S_A) of quads.
+    For quads, ``fox_rl`` holds the Fox orders of the (R, L) products and
+    ``fox_s`` those of the (S_D, S_A) products, one per side (see
+    :func:`_fox`).
     """
 
     def __init__(self, scheme, level, spans):
-        super().__init__(scheme, spans)
-        self.items = tuple(first >> level for first, _, _ in spans)
+        super().__init__(scheme, level, spans)
         if level:
             first, mid, last = spans[0]
             sizes_a, sizes_d = scheme.sizes[first:mid], scheme.sizes[mid:last]
-            # the orders themselves are (inner, rows) index arrays, as large
-            # as the products; they are expanded per call, not kept
-            self.fox = (
-                (_fox_starts(sizes_a, sizes_a), self.ha),
-                (_fox_starts(sizes_d, sizes_d), self.hd),
-                (_fox_starts(sizes_a, sizes_d), self.hd),
-                (_fox_starts(sizes_d, sizes_a), self.ha),
-            )
+            self.fox_rl = (_fox(sizes_a, sizes_a), _fox(sizes_d, sizes_d))
+            self.fox_s = (_fox(sizes_a, sizes_d), _fox(sizes_d, sizes_a))
 
 
 def _groups(scheme, level, spans) -> tuple[_Group, ...]:
@@ -386,126 +412,223 @@ def _layout(scheme) -> dict[int, tuple[_Group, ...]]:
     return {level: _groups(scheme, level, scheme.quads(level)) for level in range(scheme.k + 1)}
 
 
+# Stacks of at most this many 2x2 leaves are inverted block by block:
+# ``_inv2_stack`` costs about as much as 5 calls of the per-block leaf,
+# with the same bits and the same first singular block.
+_PER_BLOCK_2X2 = 4
+
+
+class _Schedule:
+    """A partition's steps compiled once, next to its layout, and shared by
+    every run on it.
+
+    ``steps[stepid - 1]`` holds the step's calls, each an ``_Engine``
+    method and its arguments; an assembly step is its diagonal inversions
+    followed by one call per assembly pass.  A call runs one task per
+    group, and a task names its operands by index into ``views``: each
+    view any step reads or writes, a part of a group in one store, as its
+    store slot and the ``DiagonalRun.specs`` of its stacks.  Slot 0 is the
+    source, slot 1 the inverse and slot 1 + l provisional set l, laid out
+    as ``geometry[slot]`` = (base, ld) says.  ``leaves[slot]``,
+    ``arrows[slot, level]`` and ``updown[level]`` hold the tasks of each
+    call: (group, its item count, operand indices).
+    """
+
+    def __init__(self, scheme):
+        layout = _layout(scheme)
+        self.geometry = [(0, scheme.m_n)] * 2 + [_band(scheme, l)[1:] for l in range(1, scheme.k + 1)]
+        self.views = []
+        index = {}
+
+        def tasks(level, operands):
+            out = []
+            for grp in layout[level]:
+                ids = []
+                for slot, part in operands:
+                    if (slot, grp, part) not in index:
+                        index[slot, grp, part] = len(self.views)
+                        self.views.append((slot, grp.specs(part, *self.geometry[slot])))
+                    ids.append(index[slot, grp, part])
+                out.append((grp, len(grp), tuple(ids)))
+            return tuple(out)
+
+        self.leaves, self.arrows, self.updown = {}, {}, {}
+        self.steps = []
+        n = scheme.n_blocks
+        for stepid in range(1, total_steps(n) + 1):
+            action = decode_step(loopid_for_step(stepid, n))
+            src = 0 if action.cid is None else 1 + action.cid
+            if action.kind == ARROWS_AND_SCHUR:
+                sid = action.sid
+                if (src, sid) not in self.arrows:
+                    self.arrows[src, sid] = tasks(
+                        sid, [(src, "X"), (src, "Y"), (1, "X"), (1 + sid, "X"), (1 + sid, "Y")]
+                    )
+                self.steps.append(((_Engine.arrows_and_schur, (action.cid, sid)),))
+                continue
+            if src not in self.leaves:
+                self.leaves[src] = tasks(0, [(src, "QQ"), (1, "QQ")])
+            for level in range(1, action.depth + 1):
+                if level not in self.updown:
+                    self.updown[level] = tasks(level, [(1 + level, "Y"), (1, "X"), (1, "Y")])
+            passes = [(_Engine.updown_pass, (level,)) for level in range(1, action.depth + 1)]
+            self.steps.append(((_Engine.invert_diagonals, (action.cid,)), *passes))
+
+
+@functools.lru_cache(maxsize=16)
+def _schedule(scheme) -> _Schedule:
+    return _Schedule(scheme)
+
+
 # ---------------------------------------------------------------------------
 # The step interpreter
 # ---------------------------------------------------------------------------
 
 
 class _Engine:
-    """Runs steps as stacked kernel calls, one task per group of a step
-    (or per contiguous chunk of a group, one for each worker).
+    """Runs a partition's compiled steps (``_schedule``) as stacked kernel
+    calls, one task per group of a step (or per contiguous chunk of a
+    group, one for each worker).
 
     The source, the inverse and the provisional sets are all stores of
     blocks of the matrix, which the groups read and write as stacks (see
-    :class:`~blockinv.storage.DiagonalRun`); a provisional set is written
-    only through its own ``store_arrows``.
+    :class:`~blockinv.storage.DiagonalRun`).  The run binds each view of
+    the schedule, a part of a group in one store, to one strided view of
+    the store, made on the first step that uses it and reused by every
+    later one.  A provisional set's quads count as stored once a task has
+    written them (``mark_stored``).
     """
 
     def __init__(self, scheme, source_store, minv, tsets, workers, counters):
         self.scheme = scheme
-        self.source = source_store
-        self.minv = minv
         self.tsets = tsets
         self.counters = counters
         self.workers = workers
-        self.layout = _layout(scheme)
+        self.schedule = _schedule(scheme)
+        self.stores = [source_store, minv] + [tsets[level] for level in range(1, scheme.k + 1)]
+        for store, geometry in zip(self.stores, self.schedule.geometry):
+            if store.strided[1:] != geometry:
+                raise BlockShapeMismatch(f"store laid out as {store.strided[1:]}, not {geometry}")
+        self.views = [None] * len(self.schedule.views)
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def close(self):
         if self.pool is not None:
             self.pool.shutdown(wait=True)
 
-    # -- task batches -------------------------------------------------------
+    def execute(self, plan: StepPlan) -> None:
+        for method, args in self.schedule.steps[plan.stepid - 1]:
+            method(self, *args, plan.stepid)
 
-    def _run(self, groups, run) -> list:
-        """``run(group, lo, hi)`` over items [lo, hi) of each group, or of
-        each contiguous chunk of one when there are several workers; returns
-        the results in task order.  The chunks of a group are disjoint, and
-        ``_groups`` has checked that its items' writes are."""
-        tasks = []
-        for grp in groups:
-            q = len(grp)
-            n = min(self.workers, q)
-            tasks += [(grp, c * q // n, (c + 1) * q // n) for c in range(n)]
+    # -- tasks --------------------------------------------------------------
+
+    def _bind(self, ids) -> list:
+        """The run's views ``ids``, each made on its first use."""
+        views = self.views
+        out = []
+        for i in ids:
+            view = views[i]
+            if view is None:
+                slot, specs = self.schedule.views[i]
+                view = views[i] = stacks(self.stores[slot].strided[0], specs)
+            out.append(view)
+        return out
+
+    def _run(self, run, tasks, *args) -> list:
+        """``run(group, lo, hi, *operands, *args)`` over all items of each
+        task's group, or over each contiguous chunk [lo, hi) of one when
+        there are several workers; returns the results in task order.  The
+        chunks of a group are disjoint, and ``_groups`` has checked that
+        its items' writes are."""
         if self.pool is None:
-            return [run(*task) for task in tasks]
-        return [future.result() for future in [self.pool.submit(run, *task) for task in tasks]]
+            return [run(grp, 0, q, *self._bind(ids), *args) for grp, q, ids in tasks]
+        calls = []
+        for grp, q, ids in tasks:
+            views = self._bind(ids)
+            n = min(self.workers, q)
+            for c in range(n):
+                lo, hi = c * q // n, (c + 1) * q // n
+                calls.append((grp, lo, hi, *[item_range(v, lo, hi) for v in views], *args))
+        return [future.result() for future in [self.pool.submit(run, *call) for call in calls]]
 
     @staticmethod
-    def _pair_products(grp, a, b, out, fox=None, negate=False) -> None:
+    def _pair_products(grp, a, b, out, fox=(None, None), negate=False) -> None:
         """out[s] += (+-1) * a[s] @ b[s] for both sides s of pairs, summed
-        in the Fox order ``fox[s]`` (ascending without ``fox``): one stacked
-        call when the halves are alike."""
-        sides = 1 if grp.paired else 2
-        orders = [_order(*fox[side]) if fox else None for side in range(sides)]
+        in the Fox order ``fox[s]`` (ascending for None): one stacked call
+        when the halves are alike."""
         if grp.paired:
-            _mm_acc_ordered(a, b, out, orders[0], negate)
+            _mm_acc_ordered(a, b, out, _expand(fox[0]), negate)
         else:
             for side in (0, 1):
-                _mm_acc_ordered(a[side], b[side], out[side], orders[side], negate)
+                _mm_acc_ordered(a[side], b[side], out[side], _expand(fox[side]), negate)
 
-    def _source(self, action):
-        """The matrix a step reads: the input, or the Schur complements
-        (the S blocks) of provisional set ``cid``."""
-        if action.source == "matrix":
-            return self.source
-        tset = self.tsets[action.cid]
-        tset.require("S")
-        return tset
+    def _source(self, cid) -> int:
+        """The slot of the matrix a step reads: the input (``cid`` None),
+        or the Schur complements (the S blocks) of provisional set ``cid``."""
+        if cid is None:
+            return 0
+        self.tsets[cid].require("S")
+        return 1 + cid
+
+    def _leaves(self, grp, lo, hi, blocks, inv):
+        """Invert items [lo, hi); (p, SingularBlock) of the first failure, or None."""
+        if grp.ha == 2 and hi - lo > _PER_BLOCK_2X2:
+            # the inverse's blocks are written only when none is singular
+            singular = _inv2_stack(blocks, inv)
+            if singular.any():
+                return grp.items[lo + int(np.argmax(singular))], SingularBlock("A")
+            return None
+        out = np.empty(blocks.shape)
+        if grp.ha <= 4 or _invert_stacked(_single_pivot, blocks, out) is None:
+            # one block at a time, for the label of the first failure
+            for i in range(hi - lo):
+                try:
+                    _leaf_invert(blocks[i], out[i])
+                except SingularBlock as exc:
+                    return grp.items[lo + i], exc
+        inv[...] = out
+        return None
+
+    def _arrows(self, grp, lo, hi, x, off, inv, schur_out, panels_out, tset):
+        """x = (A, D), off = (B, C), inv = (A^-1, D^-1); into the set's
+        (S_D, S_A) and (R, L)."""
+        panels = _fresh(off)
+        self._pair_products(grp, inv, off, panels, grp.fox_rl, negate=True)  # (R, L)
+        assign(panels_out, panels)
+        del panels  # read back from the set: one temporary fewer at the peak
+        schur = _fresh(x, copy=True)
+        self._pair_products(grp, off, panels_out[::-1], schur, grp.fox_s)  # (A + B L, D + C R)
+        assign(schur_out, schur)
+        tset.mark_stored(grp, lo, hi)
+
+    def _updown(self, grp, lo, hi, panels, done, out_y):
+        """panels = (R, L), done = the completed (A^-1, D^-1); into the
+        (B, C) halves of the inverse."""
+        out = _fresh(panels)
+        self._pair_products(grp, panels, done[::-1], out)  # (R D^-1, L A^-1)
+        assign(out_y, out)
 
     # -- step actions -------------------------------------------------------
 
-    def invert_diagonals(self, action, stepid: int) -> None:
-        src = self._source(action)
-
-        def run(grp, lo, hi):
-            """Invert items [lo, hi); (p, SingularBlock) of the first failure, or None."""
-            blocks = grp.read(src, lo, hi, "QQ")
-            out = np.empty(blocks.shape)
-            if grp.ha == 2:
-                singular = _inv2_stack(blocks, out)
-                if singular.any():
-                    return grp.items[lo + int(np.argmax(singular))], SingularBlock("A")
-            elif grp.ha <= 4 or _invert_stacked(_single_pivot, blocks, out) is None:
-                # one block at a time, for the label of the first failure
-                for i in range(hi - lo):
-                    try:
-                        _leaf_invert(blocks[i], out[i])
-                    except SingularBlock as exc:
-                        return grp.items[lo + i], exc
-            grp.write(self.minv, lo, hi, "QQ", out)
-            return None
-
+    def invert_diagonals(self, cid, stepid: int) -> None:
+        """Invert the diagonal blocks of the input (``cid`` None) or of the
+        Schur complements of provisional set ``cid`` into the inverse."""
+        tasks = self.schedule.leaves[self._source(cid)]
         self.counters.inversions += self.scheme.n_blocks
-        failures = [f for f in self._run(self.layout[0], run) if f]
+        failures = [f for f in self._run(self._leaves, tasks) if f]
         if failures:
             p, exc = min(failures, key=lambda f: f[0])
             raise SingularBlock(exc.block, path=exc.path, step=stepid, quad=p)
 
-    def arrows_and_schur(self, action, stepid: int) -> None:
+    def arrows_and_schur(self, cid, sid: int, stepid: int) -> None:
         """R = -A^-1 B, L = -D^-1 C, S_D = A + B L and S_A = D + C R for
-        every quad of level ``sid``, into provisional set ``sid``."""
-        src = self._source(action)
-        tset_out = self.tsets[action.sid]
-
-        def run(grp, lo, hi):
-            x = grp.read(src, lo, hi, "X")  # (A, D)
-            off = grp.read(src, lo, hi, "Y")  # (B, C)
-            inv = grp.read(self.minv, lo, hi, "X")  # (A^-1, D^-1)
-            panels = _fresh(off)
-            self._pair_products(grp, inv, off, panels, grp.fox[:2], negate=True)  # (R, L)
-            schur = _fresh(x, copy=True)
-            self._pair_products(grp, off, panels[::-1], schur, grp.fox[2:])  # (A + B L, D + C R)
-            tset_out.store_arrows(grp, lo, hi, schur, panels)
-
-        self.counters.multiplies += 2 * tset_out.n_quads
-        self.counters.reductions += 2 * tset_out.n_quads
-        self._run(self.layout[action.sid], run)
-
-    def assemble(self, action, stepid: int) -> None:
-        self.invert_diagonals(action, stepid)  # Schur diagonal blocks
-        for level in range(1, action.depth + 1):
-            self.updown_pass(level, stepid)
+        every quad of level ``sid`` of the input (``cid`` None) or of set
+        ``cid``'s Schur complements, into provisional set ``sid``."""
+        tasks = self.schedule.arrows[self._source(cid), sid]
+        tset = self.tsets[sid]
+        self.counters.multiplies += 2 * tset.n_quads
+        self.counters.reductions += 2 * tset.n_quads
+        self._run(self._arrows, tasks, tset)
 
     def updown_pass(self, level: int, stepid: int | None = None) -> None:
         """One assembly pass: extend the completed diagonal inverses of
@@ -518,36 +641,18 @@ class _Engine:
         from provisional set ``level``.
         """
         tset = self.tsets[level]
-        tset.require("L")
-        tset.require("R")
-
-        def run(grp, lo, hi):
-            panels = tset.panels(grp, lo, hi)  # (R, L)
-            done = grp.read(self.minv, lo, hi, "X")  # completed (A^-1, D^-1)
-            out = _fresh(panels)
-            self._pair_products(grp, panels, done[::-1], out)  # (R D^-1, L A^-1)
-            grp.write(self.minv, lo, hi, "Y", out)  # the (B, C) halves of the inverse
-
+        tset.require("L")  # R too: a quad's blocks are stored together
         self.counters.multiplies += 2 * tset.n_quads
-        self._run(self.layout[level], run)
-
-    def execute(self, plan: StepPlan) -> None:
-        action = plan.action
-        if action.kind == INVERT_DIAGONALS:
-            self.invert_diagonals(action, plan.stepid)
-        elif action.kind == ARROWS_AND_SCHUR:
-            self.arrows_and_schur(action, plan.stepid)
-        else:
-            self.assemble(action, plan.stepid)
+        self._run(self._updown, self.schedule.updown[level])
 
 
-def _fresh(stacks, copy: bool = False):
+def _fresh(like, copy: bool = False):
     """New C-ordered zeros shaped like a stack or a pair of stacks, or
     copies of them.  The kernels sum into these, which numpy updates
     several times faster than strided views of a store."""
-    if isinstance(stacks, np.ndarray):
-        return stacks.copy() if copy else np.zeros(stacks.shape)
-    return [x.copy() if copy else np.zeros(x.shape) for x in stacks]
+    if isinstance(like, np.ndarray):
+        return like.copy() if copy else np.zeros(like.shape)
+    return [x.copy() if copy else np.zeros(x.shape) for x in like]
 
 
 def _leaf_invert(block: np.ndarray, out: np.ndarray) -> None:

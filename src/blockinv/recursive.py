@@ -7,9 +7,10 @@ Three procedures share the same algebra but differ in how they treat memory:
   two reductions per recursion node.
 * ``invertor_inplace_by_a`` - the same pivot recursion performed entirely
   inside the input matrix; the only counted auxiliary storage is one
-  row-sized buffer shared by every level.  Its products also use a bounded
-  n x 16 panel temporary inside the kernel (see
-  :func:`blockinv.core.multiply_inplace_left`).
+  row-sized buffer shared by every level.  Its products and its two Schur
+  updates per node also use a bounded n x 16 panel temporary inside the
+  kernel (see :func:`blockinv.core.multiply_inplace_left` and
+  :func:`blockinv.core.accumulate_inplace`).
 * ``invertor_by_ad`` - inverts both diagonal pivots per node (four products,
   two Schur reductions).  The (A, D) and (S_D, S_A) inversions of a node
   are independent of each other, and so are its two products of each
@@ -71,6 +72,7 @@ from .core import (
     OpCounters,
     _inv2_stack,
     _inv_rows,
+    accumulate_inplace,
     check_result,
     check_square,
     invert_small,
@@ -263,7 +265,11 @@ class _Arrays(_Pairs):
     @staticmethod
     def mul(a, b, negate=False, into=None, out=None):
         """(+-1) a @ b, added to the values of ``into`` when given, in
-        ``out``: new storage when None, ``into`` itself to update it."""
+        ``out``: new storage when None, ``into`` itself to update it (the
+        in-place recursion's Schur updates, over bounded panels)."""
+        if into is not None and out is into and not negate:
+            accumulate_inplace(out, a, b)
+            return out
         if out is None:
             out = np.empty(a.shape[:-1] + b.shape[-1:]) if into is None else into.copy()
         elif into is not None and into is not out:

@@ -24,6 +24,7 @@ directory are neither hashed nor cleared.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -80,9 +81,10 @@ class DiagonalRun:
 
     Item i covers diagonal blocks ``spans[i] = (first, mid, last)``: its A
     half [first, mid) and its D half [mid, last); a diagonal block p is
-    ``(p, p + 1, p + 1)`` with an empty D half.  Item i's scalar diagonal
-    offset is ``start + i * stride``; ``ha`` and ``hd`` are the scalar
-    widths of its halves.
+    ``(p, p + 1, p + 1)`` with an empty D half.  ``items`` holds the block
+    (level 0) or level-``level`` quad index of each item.  Item i's scalar
+    diagonal offset is ``start + i * stride``; ``ha`` and ``hd`` are the
+    scalar widths of its halves.
 
     A part of an item is two letters, its rows then its cols, each "A",
     "D" or "Q" (the whole item).  The pairs "X" = (AA, DD) and "Y" =
@@ -95,10 +97,11 @@ class DiagonalRun:
 
     PAIRS = {"X": ("AA", "DD"), "Y": ("AD", "DA")}
 
-    def __init__(self, scheme: PartitionScheme, spans):
+    def __init__(self, scheme: PartitionScheme, level: int, spans):
         off = scheme.offsets
         first, mid, last = spans[0]
         self.spans = tuple(spans)
+        self.items = tuple(first >> level for first, _, _ in spans)
         self.start = off[first]
         self.stride = off[spans[1][0]] - off[first] if len(spans) > 1 else 0
         self.ha = off[mid] - off[first]
@@ -120,34 +123,51 @@ class DiagonalRun:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def read(self, store, lo: int, hi: int, part: str):
-        """A part of items [lo, hi) of ``store``."""
-        spec = self._specs.get(part)
-        if spec is None:  # a pair of halves with different block sizes
-            return [self.read(store, lo, hi, half) for half in self.PAIRS[part]]
-        return self._view(store.strided, lo, hi, spec)
-
-    def write(self, store, lo: int, hi: int, part: str, values) -> None:
-        """Store a stack, or a pair of them, as a part of items [lo, hi)."""
+    def specs(self, part: str, base: int, ld: int) -> list:
+        """(shape, byte offset, byte strides) of the stack of a part of
+        every item in a buffer that holds matrix element (i, j) at
+        ``base + i * ld + j``: one, or two for a pair of unlike halves."""
         spec = self._specs.get(part)
         if spec is None:
-            for half, half_values in zip(self.PAIRS[part], values):
-                self.write(store, lo, hi, half, half_values)
-        else:
-            self._view(store.strided, lo, hi, spec)[...] = values
-
-    def _view(self, strided, lo: int, hi: int, spec) -> np.ndarray:
-        buf, base, ld = strided
+            return [s for half in self.PAIRS[part] for s in self.specs(half, base, ld)]
         r0, c0, shape, shift = spec
-        offset = (base + (self.start + lo * self.stride) * (ld + 1) + r0 * ld + c0) * 8
+        offset = (base + self.start * (ld + 1) + r0 * ld + c0) * 8
         strides = (self.stride * (ld + 1) * 8, ld * 8, 8)
         if shift is None:
-            return np.ndarray((hi - lo, *shape), np.float64, buf, offset, strides)
-        return np.ndarray(
-            (2, hi - lo, *shape), np.float64, buf, offset, ((shift[0] * ld + shift[1]) * 8, *strides)
-        )
+            return [((len(self.spans), *shape), offset, strides)]
+        return [((2, len(self.spans), *shape), offset, ((shift[0] * ld + shift[1]) * 8, *strides))]
+
+    def view(self, strided, part: str):
+        """A part of every item of the store whose ``strided`` buffer is
+        given: one stack, or a list of two for a pair of unlike halves."""
+        buf, base, ld = strided
+        return stacks(buf, self.specs(part, base, ld))
 
 
+def stacks(buf, specs):
+    """The views of ``buf`` that :meth:`DiagonalRun.specs` describes."""
+    if len(specs) == 1:
+        shape, offset, strides = specs[0]
+        return np.ndarray(shape, np.float64, buf, offset, strides)
+    return [np.ndarray(shape, np.float64, buf, offset, strides) for shape, offset, strides in specs]
+
+
+def item_range(view, lo: int, hi: int):
+    """Items [lo, hi) of a :meth:`DiagonalRun.view`."""
+    if isinstance(view, list):
+        return [half[lo:hi] for half in view]
+    return view[:, lo:hi] if view.ndim == 4 else view[lo:hi]
+
+
+def assign(view, values) -> None:
+    """Write a stack, or a pair of them, into a view of the same form."""
+    if isinstance(view, list):
+        view[0][...], view[1][...] = values
+    else:
+        view[...] = values
+
+
+@functools.lru_cache(maxsize=256)
 def _band(scheme: PartitionScheme, level: int) -> tuple[int, int, int]:
     """(scalars, base, ld) of level ``level``'s band array: matrix element
     (i, j) sits at ``base + i * ld + j``."""
@@ -174,8 +194,8 @@ class ProvisionalSet:
 
     ``band`` is a one-dimensional float64 buffer of the band's size, such
     as a checkpoint's mapped file, whose blocks all count as stored; without
-    it the band is new zeros and a block counts as stored once
-    :meth:`store_arrows` writes it.
+    it the band is new zeros and a quad's four blocks count as stored once
+    they are written (:meth:`mark_stored`).
     """
 
     def __init__(self, scheme: PartitionScheme, level: int, band: np.ndarray | None = None):
@@ -191,30 +211,22 @@ class ProvisionalSet:
         elif band.shape != (size,):
             raise BlockShapeMismatch(f"T_{level}: band of {band.shape}, scheme needs ({size},)")
         self.strided = band, base, ld
-        counts = {"L": self.n_quads, "R": self.n_quads, "S": 2 * self.n_quads}
-        self._stored = {kind: [stored] * count for kind, count in counts.items()}
+        self._stored = [stored] * self.n_quads  # per quad: its L, R, S_D and S_A
 
     def require(self, kind: str) -> None:
-        """Raise MissingProvisionalData unless every ``kind`` block is stored."""
-        if not all(self._stored[kind]):
-            idx = self._stored[kind].index(False)
-            raise MissingProvisionalData(f"T_{self.level} {kind}_{idx}")
+        """Raise MissingProvisionalData unless every ``kind`` block is
+        stored, naming the first missing one (S blocks are two per quad)."""
+        if not all(self._stored):
+            quad = self._stored.index(False)
+            raise MissingProvisionalData(f"T_{self.level} {kind}_{2 * quad if kind == 'S' else quad}")
 
-    def store_arrows(self, run: DiagonalRun, lo: int, hi: int, schur, panels) -> None:
-        """Store the blocks of quads [lo, hi) of a run of this level's quads:
-        ``schur`` is the pair (S_D, S_A) and ``panels`` the pair (R, L), each
-        as :meth:`DiagonalRun.read` gives pairs."""
-        run.write(self, lo, hi, "X", schur)
-        run.write(self, lo, hi, "Y", panels)
-        stored_l, stored_r, stored_s = (self._stored[kind] for kind in "LRS")
-        for first, _, _ in run.spans[lo:hi]:
-            quad = first >> self.level
-            stored_l[quad] = stored_r[quad] = True
-            stored_s[2 * quad] = stored_s[2 * quad + 1] = True
-
-    def panels(self, run: DiagonalRun, lo: int, hi: int):
-        """The pair (R, L) of quads [lo, hi) of a run of this level's quads."""
-        return run.read(self, lo, hi, "Y")
+    def mark_stored(self, run: DiagonalRun, lo: int, hi: int) -> None:
+        """Count the L, R and S blocks of quads [lo, hi) of a run of this
+        level's quads as stored, once they are written: (S_D, S_A) as the
+        run's "X" part and (R, L) as its "Y" part."""
+        stored = self._stored
+        for quad in run.items[lo:hi]:
+            stored[quad] = True
 
 
 # ---------------------------------------------------------------------------

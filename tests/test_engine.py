@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -522,6 +523,51 @@ class TestStackedLeaves:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "_invert_stacked", lambda formula, x, out=None: None)
                 assert stacked == _engine_outcome(m, sizes, workers)
+
+
+@st.composite
+def _schedule_inputs(draw):
+    """A default partition of order 2-40, or 1-8 blocks of orders 1-6; a
+    generated matrix, optionally with a zeroed square planted in it."""
+    if draw(st.booleans()):
+        sizes = None
+        order = draw(st.integers(2, 40))
+    else:
+        n = 2 ** draw(st.integers(0, 3))
+        sizes = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        order = sum(sizes)
+    m = generate(order, seed=draw(st.integers(0, 2**16)), kind=draw(st.sampled_from(KINDS)))
+    if draw(st.booleans()):
+        row, col, size = (int(f * order) for f in draw(st.tuples(*[st.floats(0, 1)] * 3)))
+        m[row : row + size + 1, col : col + size + 1] = 0.0
+    return m, sizes
+
+
+def _resumed_outcome(m, sizes, stop, directory):
+    """The result bytes, or the failure's (block, path, step, quad), of a
+    checkpointed run stopped after step ``stop`` and then resumed."""
+    try:
+        run_inversion(m, sizes=sizes, checkpoint_dir=directory, stop_after_step=stop)
+        return run_inversion(m, sizes=sizes, checkpoint_dir=directory).to_dense().tobytes()
+    except SingularBlock as e:
+        return e.block, e.path, e.step, e.quad
+
+
+class TestCompiledSchedule:
+    @settings(max_examples=150)
+    @given(inputs=_schedule_inputs(), stop=st.floats(0, 1))
+    def test_workers_and_resume_match_one_uninterrupted_run(self, inputs, stop):
+        # every worker count gives the same bits, counters and failure
+        # label as one worker; a run stopped at any step and resumed gives
+        # the bits or the label of the uninterrupted run
+        m, sizes = inputs
+        one = _engine_outcome(m, sizes, 1)
+        for workers in (2, 3):
+            assert _engine_outcome(m, sizes, workers) == one
+        n_steps = total_steps(len(sizes) if sizes else make_partition(len(m)).n_blocks)
+        stop = 1 + int(stop * (n_steps - 1))
+        with tempfile.TemporaryDirectory() as directory:
+            assert _resumed_outcome(m, sizes, stop, directory) == one[0]
 
 
 class TestFailureReports:

@@ -113,8 +113,10 @@ class TestInvertorInplace:
         assert c.reductions == 2 * c.nodes
 
     def test_peak_memory_stays_below_the_matrix(self):
-        # "in place": temporaries stay bounded (a whole-target temporary in the
-        # in-place products would read about 1.0 here)
+        # "in place": temporaries stay bounded.  Every product and Schur
+        # update runs over 16-wide panels (measured 0.15); whole-block
+        # temporaries in the two Schur updates read 0.52, and a
+        # whole-target temporary in the in-place products about 1.0
         work = well_conditioned(256, 36)
         tracemalloc.start()
         try:
@@ -122,7 +124,7 @@ class TestInvertorInplace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.75 * work.nbytes, peak / work.nbytes
+        assert peak <= 0.25 * work.nbytes, peak / work.nbytes
 
     def test_caller_scratch_and_too_small(self):
         m = well_conditioned(7, 35)

@@ -47,7 +47,7 @@ class TestBlockStores:
         store.data[...] = m
         assert np.fromfile(path).tobytes() == m.tobytes()
         (grp,) = _layout(scheme)[2]  # the one level-2 quad: the whole matrix
-        grp.write(store, 0, 1, "QQ", np.zeros((1, 9, 9)))
+        grp.view(store.strided, "QQ")[...] = 0.0
         assert not np.fromfile(path).any()
         assert np.array_equal(store.to_dense(), np.zeros((9, 9)))
 
@@ -73,8 +73,8 @@ def _band_region(tset, r0, r1, c0, c1):
 
 
 class TestProvisionalSetStacks:
-    """store_arrows and panels keep the quad layout in memory and on a
-    mapped band."""
+    """A run's X and Y views of a set keep the quad layout in memory and on
+    a mapped band, as the engine writes them."""
 
     def _write(self, tset, rng):
         from blockinv.engine import _layout
@@ -83,7 +83,9 @@ class TestProvisionalSetStacks:
         q, h = len(grp), grp.ha
         schur = rng.uniform(-1, 1, (2, q, h, h))
         panels = rng.uniform(-1, 1, (2, q, h, h))
-        tset.store_arrows(grp, 0, q, schur, panels)
+        grp.view(tset.strided, "X")[...] = schur
+        grp.view(tset.strided, "Y")[...] = panels
+        tset.mark_stored(grp, 0, q)
         return grp, schur, panels
 
     @pytest.mark.parametrize("level", [1, 2, 3])
@@ -102,8 +104,8 @@ class TestProvisionalSetStacks:
         assert _band_region(mem, mid, last, first, mid).tobytes() == panels[1, 0].tobytes()  # L
         assert _band_region(mem, first, mid, first, mid).tobytes() == schur[0, 0].tobytes()  # S_D
         assert _band_region(mem, mid, last, mid, last).tobytes() == schur[1, 0].tobytes()  # S_A
-        for got in (mem.panels(grp, 0, len(grp)), files.panels(grp, 0, len(grp))):
-            assert np.asarray(got).tobytes() == panels.tobytes()
+        for got in (grp.view(mem.strided, "Y"), grp.view(files.strided, "Y")):
+            assert got.tobytes() == panels.tobytes()
 
     def test_band_is_smaller_than_dense_below_the_top(self):
         scheme = make_partition(64)  # 32 blocks of 2, levels 1..5
