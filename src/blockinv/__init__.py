@@ -19,11 +19,9 @@ from .core import (
     schur_accumulate,
 )
 from .engine import (
-    BlockedView,
     StepAction,
     StepPlan,
     decode_step,
-    fox_block_multiply,
     loopid_for_step,
     run_inversion,
     step_plan,

@@ -17,7 +17,7 @@ import numpy as np
 from .core import OpCounters, gauss_jordan_oracle, residual_norm
 from .engine import resolve_workers, run_inversion
 from .errors import InsufficientData, InvalidOrder
-from .partition import make_partition
+from .partition import _is_int, make_partition
 from .recursive import invertor_by_a, invertor_by_ad, invertor_inplace_by_a
 
 KINDS = ("well-conditioned", "permutation", "block-diagonal")
@@ -33,8 +33,8 @@ def generate(order: int, seed: int = 0, kind: str = "well-conditioned") -> np.nd
     hard case for diagonal pivots.  block-diagonal: well-conditioned blocks
     on the default partition, zero elsewhere.
     """
-    if order < 1:
-        raise InvalidOrder(f"order must be >= 1, got {order}")
+    if not _is_int(order) or order < 1:
+        raise InvalidOrder(f"order must be an integer >= 1, got {order!r}")
     if kind not in KINDS:
         raise InvalidOrder(f"unknown kind {kind!r}; choose from {KINDS}")
     if kind == "permutation":

@@ -505,8 +505,13 @@ def load_text(path) -> np.ndarray:
             rows, cols = int(header[0]), int(header[1])
         except ValueError as exc:
             raise FormatError("non-integer dimensions") from exc
+        # loadtxt skips blank and '#' comment lines, and warns on a body of
+        # nothing else
+        body = [line for line in fh if line.split("#", 1)[0].strip()]
+        if not body:
+            raise FormatError("no matrix body after the header")
         try:
-            data = np.loadtxt(fh, ndmin=2, dtype=np.float64)
+            data = np.loadtxt(body, ndmin=2, dtype=np.float64)
         except ValueError as exc:
             raise FormatError(f"bad matrix body: {exc}") from exc
     if data.shape != (rows, cols):

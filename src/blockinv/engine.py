@@ -20,8 +20,10 @@ A step runs its diagonal blocks or quads in groups: items with the same
 block sizes at evenly spaced diagonal offsets, one group per step for
 power-of-two orders under the default partition.  Each group is a
 ``storage.DiagonalRun``: it reads its operands as (items, rows, cols)
-stacks - strided views of the stores' arrays - and runs every Fox product
-and every assembly half as one stacked ``core._mm_acc_ordered`` call;
+stacks - strided views of the stores' arrays - and runs every arrows
+product and every assembly half as one ``fox_block_multiply`` call, a
+stack of blocked products in broadcast-stage (Fox) order (Fox, Otto &
+Hey, "Matrix algorithms on a hypercube I", Parallel Computing 4, 1987);
 when a quad's two halves have the same block sizes, the A-half and D-half
 products (R and L, S_D and S_A, the up and down halves) share one call.
 The 2x2 leaf inverses of a group of more than four blocks are one stacked
@@ -57,7 +59,7 @@ the run resumes from any boundary.
 from __future__ import annotations
 
 import functools
-import numbers
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -81,7 +83,7 @@ from .errors import (
     OverlappingWriteTargets,
     SingularBlock,
 )
-from .partition import make_partition, partition_from_sizes
+from .partition import _is_int, make_partition, partition_from_sizes
 from .recursive import _Arrays, _invert_stacked, _single_pivot
 from .storage import (
     DiagonalRun,
@@ -108,7 +110,7 @@ SCHUR_DIAG_AND_ASSEMBLE = "schur_diag_and_assemble"
 def resolve_workers(explicit: int | None = None) -> int:
     """Explicit argument beats the INVERTOR_WORKERS environment variable."""
     if explicit is not None:
-        if isinstance(explicit, bool) or not isinstance(explicit, numbers.Integral):
+        if not _is_int(explicit):
             raise InvalidWorkers(f"workers must be an integer, got {explicit!r}")
         if explicit < 1:
             raise InvalidWorkers(f"workers must be >= 1, got {explicit}")
@@ -232,32 +234,8 @@ def updown_iteration_map(block_row: int, block_col: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fox-style blocked multiplication
+# Fox-style blocked products
 # ---------------------------------------------------------------------------
-
-
-class BlockedView:
-    """A dense array with block row/col boundaries for blockwise products."""
-
-    __slots__ = ("data", "row_sizes", "col_sizes", "row_offsets", "col_offsets")
-
-    def __init__(self, data: np.ndarray, row_sizes, col_sizes):
-        self.data = data
-        self.row_sizes = tuple(row_sizes)
-        self.col_sizes = tuple(col_sizes)
-        self.row_offsets = _offsets(self.row_sizes)
-        self.col_offsets = _offsets(self.col_sizes)
-        if data.shape != (self.row_offsets[-1], self.col_offsets[-1]):
-            raise BlockShapeMismatch(
-                f"data {data.shape} vs block sizes {self.row_sizes} x {self.col_sizes}"
-            )
-
-
-def _offsets(sizes) -> tuple[int, ...]:
-    out = [0]
-    for s in sizes:
-        out.append(out[-1] + s)
-    return tuple(out)
 
 
 def _fox_starts(row_sizes: tuple, inner_sizes: tuple) -> np.ndarray | None:
@@ -267,7 +245,7 @@ def _fox_starts(row_sizes: tuple, inner_sizes: tuple) -> np.ndarray | None:
     nb = len(inner_sizes)
     if nb == 1:
         return None
-    inner_offsets = _offsets(inner_sizes)
+    inner_offsets = list(itertools.accumulate(inner_sizes, initial=0))
     return np.repeat([inner_offsets[i % nb] for i in range(len(row_sizes))], row_sizes)
 
 
@@ -279,55 +257,6 @@ def _order(starts: np.ndarray | None, inner: int) -> np.ndarray | None:
     return (np.arange(inner)[:, None] + starts) % inner
 
 
-def _fox_order(row_sizes: tuple, inner_sizes: tuple) -> np.ndarray | None:
-    """Fox summation order of a blocked product, as ``_mm_acc_ordered`` takes it."""
-    return _order(_fox_starts(row_sizes, inner_sizes), sum(inner_sizes))
-
-
-def fox_block_multiply(
-    a: BlockedView,
-    b: BlockedView,
-    out: BlockedView,
-    negate: bool = False,
-    accumulate: bool = False,
-    counters: OpCounters | None = None,
-) -> None:
-    """out = (+-1) * a @ b blockwise, broadcast-stage order.
-
-    Stage t multiplies a's diagonally shifted tiles (block column
-    ``(i + t) % nb`` for block row i) into the accumulating output row
-    panels, so each out block receives its inner terms in a fixed stage
-    order and the partition structure is preserved.  Block sizes may vary;
-    only blockwise compatibility is required.
-
-    Every row of block row i therefore sums the inner indices from a's
-    block column ``i % nb`` onwards, wrapping at the end; all rows run
-    through one ordered kernel call on the calling thread, the same call
-    the step engine makes for a whole stack of quads.
-    """
-    if a.col_sizes != b.row_sizes:
-        raise BlockShapeMismatch(f"a cols {a.col_sizes} vs b rows {b.row_sizes}")
-    if out.row_sizes != a.row_sizes or out.col_sizes != b.col_sizes:
-        raise BlockShapeMismatch(
-            f"out {out.row_sizes} x {out.col_sizes} for product "
-            f"{a.row_sizes} x {b.col_sizes}"
-        )
-    if not accumulate:
-        out.data[...] = 0.0
-    _mm_acc_ordered(
-        a.data[None], b.data[None], out.data[None], _fox_order(a.row_sizes, a.col_sizes), negate
-    )
-    if counters is not None:
-        counters.multiplies += 1
-        if accumulate:
-            counters.reductions += 1
-
-
-# ---------------------------------------------------------------------------
-# Step layouts: the blocks or quads of a step, grouped for stacked kernels
-# ---------------------------------------------------------------------------
-
-
 # Fox orders of at most this many entries are expanded once, with the
 # layout; a larger one is expanded per call, since its product then costs
 # at least 32 times as much as the expansion.
@@ -335,7 +264,7 @@ _KEPT_ORDER = 1024
 
 
 def _fox(row_sizes: tuple, inner_sizes: tuple):
-    """The Fox order of an arrows product as ``_mm_acc_ordered`` takes it
+    """The Fox order of a blocked product as ``_mm_acc_ordered`` takes it
     (None for one inner block), or, when it has more than ``_KEPT_ORDER``
     entries, its ``(starts, inner)`` for :func:`_expand`."""
     starts = _fox_starts(row_sizes, inner_sizes)
@@ -347,6 +276,19 @@ def _fox(row_sizes: tuple, inner_sizes: tuple):
 
 def _expand(fox):
     return _order(*fox) if type(fox) is tuple else fox
+
+
+def fox_block_multiply(a, b, out, fox=None, negate=False) -> None:
+    """out[i] += (+-1) * a[i] @ b[i] for a stack of blocked products, in
+    broadcast-stage order: the rows of a's block row r sum the inner index
+    from a's block column ``r % nb`` onwards, wrapping at the end (``fox``,
+    from :func:`_fox`; ascending for None).  The engine's only product."""
+    _mm_acc_ordered(a, b, out, _expand(fox), negate)
+
+
+# ---------------------------------------------------------------------------
+# Step layouts: the blocks or quads of a step, grouped for stacked kernels
+# ---------------------------------------------------------------------------
 
 
 class _Group(DiagonalRun):
@@ -555,12 +497,13 @@ class _Engine:
     def _pair_products(grp, a, b, out, fox=(None, None), negate=False) -> None:
         """out[s] += (+-1) * a[s] @ b[s] for both sides s of pairs, summed
         in the Fox order ``fox[s]`` (ascending for None): one stacked call
-        when the halves are alike."""
+        when the halves are alike.  Each call goes through the module's
+        ``fox_block_multiply``, so a wrapper installed there sees it."""
         if grp.paired:
-            _mm_acc_ordered(a, b, out, _expand(fox[0]), negate)
+            fox_block_multiply(a, b, out, fox[0], negate)
         else:
             for side in (0, 1):
-                _mm_acc_ordered(a[side], b[side], out[side], _expand(fox[side]), negate)
+                fox_block_multiply(a[side], b[side], out[side], fox[side], negate)
 
     def _source(self, cid) -> int:
         """The slot of the matrix a step reads: the input (``cid`` None),
@@ -688,7 +631,8 @@ def run_inversion(
     ``file_backed`` is accepted for older callers and changes nothing;
     without a directory it raises MissingCheckpointDir.  ``stop_after_step``
     ends the run early at a step boundary (for staged execution across
-    sessions).  A finished run whose inverse holds NaN or Inf entries
+    sessions); anything but an integer >= 1 raises OutOfRange before any
+    step runs.  A finished run whose inverse holds NaN or Inf entries
     raises NonFiniteResult.
 
     Counter semantics are per logical block operation: one inversion per
@@ -696,6 +640,8 @@ def run_inversion(
     products per quad per assembly pass.
     """
     workers = resolve_workers(workers)
+    if stop_after_step is not None and not (_is_int(stop_after_step) and stop_after_step >= 1):
+        raise OutOfRange(f"stop_after_step must be an integer >= 1, got {stop_after_step!r}")
     m = check_square(m)
     if sizes is None and m.shape[0] == 1:
         sizes = [1]  # the default partition starts at order 2

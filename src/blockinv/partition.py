@@ -9,11 +9,15 @@ into one 2x2 arrangement (A, B, C, D) for the pivot-block formulas.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidOrder
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -29,16 +33,6 @@ class PartitionScheme:
     def k(self) -> int:
         """log2 of the number of diagonal blocks."""
         return self.n_blocks.bit_length() - 1
-
-    def block_span(self, first: int, last: int) -> tuple[int, int]:
-        """Scalar [start, stop) window covering blocks [first, last)."""
-        return self.offsets[first], self.offsets[last]
-
-    def region(self, m: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """View of ``m`` covering block rows [r0, r1) and cols [c0, c1)."""
-        i0, i1 = self.block_span(r0, r1)
-        j0, j1 = self.block_span(c0, c1)
-        return m[i0:i1, j0:j1]
 
     def quads(self, level: int) -> tuple[tuple[int, int, int], ...]:
         """``(first, mid, last)`` diagonal blocks of each level-``level``
@@ -67,8 +61,9 @@ def make_partition(m_n: int) -> PartitionScheme:
     the last (r - n_blocks) become 4.  Sizes are non-decreasing and always
     land in {2, 3, 4}.
     """
-    if m_n < 2:
-        raise InvalidOrder(f"order must be >= 2, got {m_n}")
+    if not _is_int(m_n) or m_n < 2:
+        raise InvalidOrder(f"order must be an integer >= 2, got {m_n!r}")
+    m_n = int(m_n)
     n_blocks = 2 ** max(int(math.log2(m_n)) - 1, 0)
     sizes = [2] * n_blocks
     r = m_n - 2 * n_blocks
@@ -86,12 +81,16 @@ def make_partition(m_n: int) -> PartitionScheme:
 def partition_from_sizes(sizes) -> PartitionScheme:
     """Build a scheme from explicit diagonal block sizes.
 
-    Sizes may be arbitrarily large; only the power-of-two block count and a
-    consistent total are enforced.
+    Sizes may be arbitrarily large; they must be integers (Python or numpy,
+    not bools) of at least 1, in a power-of-two count.
     """
+    try:
+        sizes = list(sizes)
+    except TypeError:
+        raise InvalidOrder(f"block sizes must be a sequence, got {sizes!r}") from None
+    if not sizes or not all(_is_int(s) and s >= 1 for s in sizes):
+        raise InvalidOrder(f"bad block sizes {sizes!r}")
     sizes = [int(s) for s in sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise InvalidOrder(f"bad block sizes {sizes}")
     n = len(sizes)
     if n & (n - 1):
         raise InvalidOrder(f"number of diagonal blocks must be a power of two, got {n}")

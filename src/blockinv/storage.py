@@ -42,7 +42,7 @@ from .errors import (
     MissingProvisionalData,
     SchemeMismatch,
 )
-from .partition import PartitionScheme, partition_from_sizes
+from .partition import PartitionScheme, _is_int, partition_from_sizes
 
 CHECKPOINT_VERSION = 2
 
@@ -137,15 +137,10 @@ class DiagonalRun:
             return [((len(self.spans), *shape), offset, strides)]
         return [((2, len(self.spans), *shape), offset, ((shift[0] * ld + shift[1]) * 8, *strides))]
 
-    def view(self, strided, part: str):
-        """A part of every item of the store whose ``strided`` buffer is
-        given: one stack, or a list of two for a pair of unlike halves."""
-        buf, base, ld = strided
-        return stacks(buf, self.specs(part, base, ld))
-
 
 def stacks(buf, specs):
-    """The views of ``buf`` that :meth:`DiagonalRun.specs` describes."""
+    """The views of ``buf`` that :meth:`DiagonalRun.specs` describes: one
+    stack, or a list of two for a pair of unlike halves."""
     if len(specs) == 1:
         shape, offset, strides = specs[0]
         return np.ndarray(shape, np.float64, buf, offset, strides)
@@ -153,7 +148,7 @@ def stacks(buf, specs):
 
 
 def item_range(view, lo: int, hi: int):
-    """Items [lo, hi) of a :meth:`DiagonalRun.view`."""
+    """Items [lo, hi) of a view made by :func:`stacks`."""
     if isinstance(view, list):
         return [half[lo:hi] for half in view]
     return view[:, lo:hi] if view.ndim == 4 else view[lo:hi]
@@ -283,10 +278,6 @@ def checkpoint_save(directory, scheme: PartitionScheme, completed_step: int, inp
         "state_hash": _state_hash(root, scheme, completed_step),
     }
     (root / "meta.json").write_text(json.dumps(meta, indent=1))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def checkpoint_load(directory) -> dict:

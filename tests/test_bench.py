@@ -37,8 +37,9 @@ class TestGenerate:
         assert residual_norm(m, gauss_jordan_oracle(m)) <= 1e-10
 
     def test_invalid(self):
-        with pytest.raises(InvalidOrder):
-            generate(0)
+        for order in (0, 2.5, True, "8"):
+            with pytest.raises(InvalidOrder):
+                generate(order)
         with pytest.raises(InvalidOrder):
             generate(4, kind="nope")
 

@@ -118,6 +118,13 @@ class TestInvert:
         bad.write_text("not a matrix\n")
         assert run("invert", "--in", bad) == 3
 
+    @pytest.mark.parametrize("text", ["2 2\n", "2 2\n\n# no rows\n", "0 0\n"])
+    def test_header_only_file_exit_code(self, tmp_path, text):
+        # numpy's empty-input warning is an error in this suite
+        src = tmp_path / "empty.txt"
+        src.write_text(text)
+        assert run("invert", "--in", src) == 3
+
     def test_workers_env(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "m.txt"
         save_matrix(well_conditioned(8, 61), src)

@@ -24,8 +24,8 @@ from blockinv.engine import (
     ARROWS_AND_SCHUR,
     INVERT_DIAGONALS,
     SCHUR_DIAG_AND_ASSEMBLE,
-    BlockedView,
     _Engine,
+    _fox,
     _layout,
     decode_step,
     fox_block_multiply,
@@ -191,63 +191,67 @@ class TestUpdownMap:
 
 
 class TestFox:
+    """The engine's product, ``fox_block_multiply``, on a stack of one."""
+
     def test_blocked_identity(self, rng):
         sizes = (2, 3, 2)
         b = rng.uniform(-1, 1, (7, 7))
-        out = np.empty((7, 7))
-        fox_block_multiply(
-            BlockedView(np.eye(7), sizes, sizes),
-            BlockedView(b, sizes, sizes),
-            BlockedView(out, sizes, sizes),
-        )
-        assert np.array_equal(out, b)
+        out = np.zeros((1, 7, 7))
+        fox_block_multiply(np.eye(7)[None], b[None], out, _fox(sizes, sizes))
+        assert np.array_equal(out[0], b)
 
     def test_single_block_degenerate_bitwise(self, rng):
         a = rng.uniform(-1, 1, (3, 3))
         b = rng.uniform(-1, 1, (3, 4))
-        out = np.empty((3, 4))
+        out = np.zeros((1, 3, 4))
         dense = np.empty((3, 4))
-        fox_block_multiply(
-            BlockedView(a, (3,), (3,)), BlockedView(b, (3,), (4,)),
-            BlockedView(out, (3,), (4,)),
-        )
+        fox_block_multiply(a[None], b[None], out, _fox((3,), (3,)))
         multiply(a, b, dense)
-        assert out.tobytes() == dense.tobytes()
+        assert out[0].tobytes() == dense.tobytes()
 
     def test_blocked_vs_dense(self, rng):
-        sizes_a, sizes_k, sizes_b = (2, 2), (3, 2), (2, 3)
+        sizes_a, sizes_k = (2, 2), (3, 2)
         a = rng.uniform(-1, 1, (4, 5))
         b = rng.uniform(-1, 1, (5, 5))
-        out = np.empty((4, 5))
-        fox_block_multiply(
-            BlockedView(a, sizes_a, sizes_k), BlockedView(b, sizes_k, sizes_b),
-            BlockedView(out, sizes_a, sizes_b),
-        )
+        out = np.zeros((1, 4, 5))
+        fox_block_multiply(a[None], b[None], out, _fox(sizes_a, sizes_k))
         dense = np.empty((4, 5))
         multiply(a, b, dense)
-        assert np.max(np.abs(out - dense)) <= 1e-12
+        assert np.max(np.abs(out[0] - dense)) <= 1e-12
 
     def test_accumulate_and_negate(self, rng):
         sizes = (2, 2)
         a = rng.uniform(-1, 1, (4, 4))
         b = rng.uniform(-1, 1, (4, 4))
         base = rng.uniform(-1, 1, (4, 4))
-        out = base.copy()
-        fox_block_multiply(
-            BlockedView(a, sizes, sizes), BlockedView(b, sizes, sizes),
-            BlockedView(out, sizes, sizes), negate=True, accumulate=True,
-        )
-        assert np.max(np.abs(out - (base - a @ b))) <= 1e-12
+        out = base.copy()[None]
+        fox_block_multiply(a[None], b[None], out, _fox(sizes, sizes), negate=True)
+        assert np.max(np.abs(out[0] - (base - a @ b))) <= 1e-12
 
-    def test_shape_mismatch(self, rng):
-        a = rng.uniform(-1, 1, (4, 4))
-        with pytest.raises(BlockShapeMismatch):
-            fox_block_multiply(
-                BlockedView(a, (2, 2), (2, 2)), BlockedView(a, (3, 1), (2, 2)),
-                BlockedView(a.copy(), (2, 2), (2, 2)),
-            )
-        with pytest.raises(BlockShapeMismatch):
-            BlockedView(a, (2, 3), (2, 2))
+
+class TestTracedProduct:
+    """Every engine product goes through ``engine.fox_block_multiply``, the
+    name the benchmark's tracer wraps, so its span counts them all."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("order, sizes", [
+        (64, None),
+        (256, [32] * 8),
+        (96, [8, 16, 8, 16, 12, 12, 4, 20]),  # quad halves of unlike sizes
+    ])
+    def test_every_kernel_call_is_a_traced_product(self, monkeypatch, order, sizes, workers):
+        calls = {"kernel": [], "fox": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(None)  # list.append is atomic across workers
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine, "_mm_acc_ordered", counted("kernel", engine._mm_acc_ordered))
+        monkeypatch.setattr(engine, "fox_block_multiply", counted("fox", engine.fox_block_multiply))
+        run_inversion(well_conditioned(order, 800 + order), workers=workers, sizes=sizes)
+        assert len(calls["fox"]) == len(calls["kernel"]) > 0
 
 
 class TestRunInversion:
@@ -478,6 +482,23 @@ ENGINE_FAILURES = {
     ),
     "mixed_8_swap": (lambda: (_patched(26, 130, 6, _SWAP_8), [6, 8, 6, 6]), ("A", ["A", "A"], 1, 1)),
 }
+
+
+class TestStopAfterStep:
+    @pytest.mark.parametrize("stop", [0, -3, True, 2.5])
+    def test_bad_value_runs_no_step(self, tmp_path, stop):
+        m = generate(9, seed=1)
+        c = OpCounters()
+        with pytest.raises(OutOfRange):
+            run_inversion(m, stop_after_step=stop, counters=c)
+        assert c == OpCounters()
+        # nor does it touch an existing checkpoint
+        run_inversion(m, checkpoint_dir=tmp_path, stop_after_step=2)
+        saved = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        with pytest.raises(OutOfRange):
+            run_inversion(m, checkpoint_dir=tmp_path, stop_after_step=stop, counters=c)
+        assert c == OpCounters()
+        assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == saved
 
 
 class TestStackedLeaves:

@@ -65,11 +65,46 @@ class TestFromSizes:
             partition_from_sizes([2, 0])
 
 
+# (builder, its argument, the sizes it gives or InvalidOrder): Python and
+# numpy integers build a partition; bools, floats and strings do not
+_INTEGRAL_CASES = {
+    "sizes-int": (partition_from_sizes, [2, 3], (2, 3)),
+    "sizes-numpy-int": (partition_from_sizes, [np.int64(2), np.int32(3)], (2, 3)),
+    "sizes-numpy-array": (partition_from_sizes, np.array([4, 5, 6, 7]), (4, 5, 6, 7)),
+    "sizes-float": (partition_from_sizes, [2.7, 3.2, 1.9, 1.2], InvalidOrder),
+    "sizes-whole-float": (partition_from_sizes, [2.0, 3.0], InvalidOrder),
+    "sizes-numpy-float": (partition_from_sizes, [np.float64(2), np.float64(3)], InvalidOrder),
+    "sizes-str": (partition_from_sizes, ["2", "3"], InvalidOrder),
+    "sizes-one-str": (partition_from_sizes, "23", InvalidOrder),
+    "sizes-bool": (partition_from_sizes, [True, True], InvalidOrder),
+    "sizes-numpy-bool": (partition_from_sizes, [np.bool_(True), np.bool_(True)], InvalidOrder),
+    "sizes-not-a-sequence": (partition_from_sizes, 4, InvalidOrder),
+    "order-int": (make_partition, 5, (2, 3)),
+    "order-numpy-int": (make_partition, np.int64(5), (2, 3)),
+    "order-float": (make_partition, 2.5, InvalidOrder),
+    "order-whole-float": (make_partition, 8.0, InvalidOrder),
+    "order-str": (make_partition, "8", InvalidOrder),
+    "order-bool": (make_partition, True, InvalidOrder),
+}
+
+
+@pytest.mark.parametrize("build, arg, expected", _INTEGRAL_CASES.values(), ids=_INTEGRAL_CASES)
+def test_partition_input_must_be_integral(build, arg, expected):
+    if expected is InvalidOrder:
+        with pytest.raises(InvalidOrder):
+            build(arg)
+    else:
+        scheme = build(arg)
+        assert scheme.sizes == expected
+        assert all(type(x) is int for x in (scheme.m_n, *scheme.sizes, *scheme.offsets))
+
+
 def quad_views(scheme, level, quad, m):
     """(A, B, C, D) regions of ``m`` for one quad of ``scheme.quads(level)``."""
     first, mid, last = scheme.quads(level)[quad]
-    halves = ((first, mid), (mid, last))
-    return tuple(scheme.region(m, *rows, *cols) for rows in halves for cols in halves)
+    off = scheme.offsets
+    halves = (slice(off[first], off[mid]), slice(off[mid], off[last]))
+    return tuple(m[rows, cols] for rows in halves for cols in halves)
 
 
 class TestQuadViews:
@@ -121,7 +156,7 @@ class TestQuadViews:
             w = 2**level
             for pair, (first, mid, last) in enumerate(quads):
                 assert (first, mid, last) == (pair * w, pair * w + w // 2, (pair + 1) * w)
-                lo, hi = scheme.block_span(first, last)
+                lo, hi = scheme.offsets[first], scheme.offsets[last]
                 for view in quad_views(scheme, level, pair, cover):
                     view += 1
                 # the quad's four windows exactly tile its square region
