@@ -39,18 +39,24 @@ pairs, so a pair of same-shaped operations is one call over 2k members
 and order 256 makes 255 stacked sub-inversions and 381 kernel calls
 where the node-by-node run visits 5,461 nodes; and ``_single_pivot`` for
 the step engine's diagonal blocks larger than 4, one stack per group.
-It counts nothing; ``_Count`` runs the formula on placeholders for the
+Its products sum into new storage and are copied into place.  It counts
+nothing; ``_Count`` runs the formula on placeholders for the
 node-by-node counts, once per order.  A singular block anywhere sends
 the input back through ``_Arrays`` (``_invert_stacked`` returns None), so
 failures are labelled in node-by-node order.
 
 ``invertor_with_fallback`` is the retry path: at every node it tries the
-pivot formulas of :mod:`blockinv.schur` in the order A, D, B, C, on the
-fixed ``n // 2`` split, so inputs that need another split or a row
-pivot (most permutations) still raise ``AllPivots``.  An
-all-zero block raises at once, with the label and the ``nodes`` count of
-the search it skips (every pivot of an all-zero block is all-zero, so each
-formula fails before any product).
+pivot formulas in the order A, D, B, C, on the fixed ``n // 2`` split, so
+inputs that need another split or a row pivot (most permutations) still
+raise ``AllPivots``.  The node (``_retry_node``) and its search
+(``_pivot_search``) are written once over the backend.  Array nodes
+(``_RetryArrays``) run the search through :mod:`blockinv.schur`'s
+``invert_with_fallback``, with no output quadrants, so every product sums
+into new storage; nodes of order ``_PY_RECURSION_MAX`` and below run it on
+``_RetryRows``, the list backend with the same operations.  An all-zero
+block raises at once, with the label and the ``nodes`` count of the search
+it skips (every pivot of an all-zero block is all-zero, so each formula
+fails before any product).
 
 Odd orders split floor/ceil; recursion bottoms out at order <= 2, which is
 inverted by the analytic 1x1/2x2 leaf in :mod:`blockinv.core` (its stacked
@@ -75,7 +81,6 @@ from .core import (
     accumulate_inplace,
     check_result,
     check_square,
-    invert_small,
     multiply,
     multiply_inplace_left,
     multiply_inplace_right,
@@ -98,7 +103,8 @@ _PY_RECURSION_MAX = 10
 
 
 # Each formula takes the blocks of one 2x2 split and the output quadrants
-# they map to (None on lists, whose results are new rows), the path handed
+# they map to (None on lists, whose results are new rows, and in schur's
+# formulas, whose products sum into new storage), the path handed
 # to sub-inversions and the split's diagonal offset, which only the Schur
 # slots of ``invertor_by_ad`` use.  It returns the output blocks in the
 # order of its output arguments.
@@ -196,6 +202,14 @@ def _inplace(ops, a, b, c, d, oa, ob, oc, od, path, start=0):
     return a, c, b, d
 
 
+def _put(x, out):
+    """``x``, copied into ``out`` when one is given."""
+    if out is None:
+        return x
+    out[...] = x
+    return out
+
+
 class _Pairs:
     """A pair step of ``_combined_pivot`` as two calls, the first operand
     tuple's before the second's (the second's first with ``swap``)."""
@@ -285,9 +299,24 @@ class _Arrays(_Pairs):
         multiply_inplace_right(t, a_inv, self.row, negate)
         return t
 
+    put = staticmethod(_put)
+
     @staticmethod
-    def put(x, out):
-        out[...] = x
+    def split(x, r, c):
+        """The blocks A, B, C, D of ``x`` split after row r and column c."""
+        return x[:r, :c], x[:r, c:], x[r:, :c], x[r:, c:]
+
+    @staticmethod
+    def join(blocks, out):
+        """``out`` holding the output blocks that A, B, C, D map to: the
+        inverse's row split is the blocks' column split and vice versa, so
+        block (i, j) lands at (j, i)."""
+        oa, ob, oc, od = blocks
+        r, c = oa.shape
+        out[:r, :c] = oa
+        out[r:, :c] = ob
+        out[:r, c:] = oc
+        out[r:, c:] = od
         return out
 
     def complement(self, base, x, y, start, label):
@@ -423,14 +452,6 @@ class _Rows(_Pairs):
         return list(map(add, oa, oc)) + list(map(add, ob, od))  # rows joined side by side
 
 
-def _put(x, out):
-    """``x``, copied into ``out`` when one is given."""
-    if out is None:
-        return x
-    out[...] = x
-    return out
-
-
 class _Stacks(_Arrays):
     """The stack backend of ``_combined_pivot`` and ``_single_pivot``: a
     block is a (k, rows, cols) stack of k members, nodes the sequential
@@ -455,6 +476,12 @@ class _Stacks(_Arrays):
     @staticmethod
     def order(x):
         return x.shape[-1]
+
+    @staticmethod
+    def mul(a, b, negate=False, into=None, out=None):
+        """The array backend's product, summed in new storage and then
+        copied into ``out`` when one is given."""
+        return _put(_Arrays.mul(a, b, negate, into), out)
 
     def invert(self, x, path, start=0, out=None):
         k, n = x.shape[0], x.shape[-1]
@@ -675,6 +702,133 @@ def _zero_search_nodes(n: int) -> int:
     return 1 + 2 * _zero_search_nodes(h) + 2 * _zero_search_nodes(n - h)
 
 
+# The pivots of the retry path's search by split, in the order it tries
+# them.  Each is the formula's name, the permutation of the blocks
+# (A, B, C, D) into ``_single_pivot``'s (pivot, row, column, opposite) order,
+# and the labels of its pivot and complement.  Every permutation is its own
+# inverse, so it also puts the formula's outputs back in block order.
+_DIAGONAL_PIVOTS = (("via_a", (0, 1, 2, 3), ("A", "SchurA")),
+                    ("via_d", (3, 2, 1, 0), ("D", "SchurD")))
+_COUNTER_PIVOTS = (("via_b", (1, 0, 3, 2), ("B", "SchurB")),
+                   ("via_c", (2, 3, 0, 1), ("C", "SchurC")))
+
+
+def _via(ops, blocks, perm, labels):
+    """``_single_pivot`` around ``blocks[perm[0]]`` with no output quadrants,
+    so every product sums into new storage.  Returns the output blocks that
+    A, B, C, D map to."""
+    got = _single_pivot(ops, *[blocks[i] for i in perm], None, None, None, None, [],
+                        labels=labels)
+    return [got[i] for i in perm]
+
+
+def _pivot_search(ops, x, p, out=None):
+    """The retry path's search at one node: pivots A and D of ``x`` split at
+    p, then B and C of the counter-diagonal split (columns at order - p, so
+    that B and C are square).  Returns the name of the formula that
+    succeeded and the inverse, ``ops.join`` of its blocks into ``out``;
+    raises AllPivotsSingular, naming each formula's failure, when none
+    does.  Sub-inversion failures arrive relabelled by ``ops.invert``."""
+    n = len(x)
+    failures = []
+    for cs, pivots in ((p, _DIAGONAL_PIVOTS), (n - p, _COUNTER_PIVOTS)):
+        blocks = ops.split(x, p, cs)
+        for name, perm, labels in pivots:
+            try:
+                got = _via(ops, blocks, perm, labels)
+            except SingularBlock as exc:
+                failures.append(f"{name}: {exc}")
+            else:
+                return name, ops.join(got, out)
+    raise AllPivotsSingular("; ".join(failures))
+
+
+def _retry_node(ops, x, out=None):
+    """Invert ``x`` by the search at every node, on ``_RetryArrays`` (into
+    ``out``) or ``_RetryRows`` (returning rows).
+
+    An all-zero block raises at once, with the label and the ``nodes`` count
+    of the search it skips.  Only lists reach the 1x1 and 2x2 leaves, since
+    array nodes are larger than ``_PY_RECURSION_MAX``.  An exhausted search
+    raises "AllPivots", which to the caller is just an unusable pivot.
+    """
+    n = len(x)
+    if not ops.nonzero(x):
+        ops.counters.nodes += _zero_search_nodes(n)
+        raise SingularBlock("A" if n <= LEAF_ORDER else "AllPivots", path=[])
+    if n <= LEAF_ORDER:
+        rows = _inv_rows(x, [])
+        ops.counters.inversions += 1
+        return rows
+    ops.counters.nodes += 1
+    try:
+        return ops.search(x, n // 2, out)
+    except AllPivotsSingular:
+        raise SingularBlock("AllPivots", path=[]) from None
+
+
+class _RetryRows(_Rows):
+    """The retry path's list backend, for nodes of order
+    ``_PY_RECURSION_MAX`` and below.  A sub-inversion is a retry node whose
+    failure is relabelled with the pivot's label, as ``_Arrays`` relabels
+    schur's ``invert_sub``; no scratch is counted, as in schur."""
+
+    def __init__(self, counters: OpCounters):
+        self.counters = counters
+        self.mul = _mm_rows
+
+    alloc = release = _Arrays.alloc
+
+    @staticmethod
+    def nonzero(x):
+        return any(map(any, x))
+
+    @staticmethod
+    def split(x, r, c):
+        top, bottom = x[:r], x[r:]
+        return ([row[:c] for row in top], [row[c:] for row in top],
+                [row[:c] for row in bottom], [row[c:] for row in bottom])
+
+    @staticmethod
+    def join(blocks, out=None):
+        oa, ob, oc, od = blocks
+        return list(map(add, oa, oc)) + list(map(add, ob, od))  # rows joined side by side
+
+    def invert(self, x, path, start=0, out=None):
+        try:
+            return _retry_node(self, x)
+        except SingularBlock as exc:
+            raise SingularBlock(path[-1], path=exc.path) from None
+
+    def search(self, x, p, out=None):
+        return _pivot_search(self, x, p)[1]
+
+
+class _RetryArrays:
+    """The retry path's array nodes: each runs :mod:`blockinv.schur`'s
+    ``invert_with_fallback``, looked up at the call so that a wrapper on it
+    sees every array node, with ``sub`` as its ``invert_sub``.  A block of
+    order ``_PY_RECURSION_MAX`` or below runs on ``_RetryRows``."""
+
+    nonzero = staticmethod(np.ndarray.any)
+
+    def __init__(self, counters: OpCounters):
+        self.counters = counters
+        self.rows = _RetryRows(counters)
+
+    def sub(self, block, out):
+        if len(block) <= _PY_RECURSION_MAX:
+            out[...] = _retry_node(self.rows, block.tolist())
+        else:
+            _retry_node(self, block, out)
+
+    def search(self, x, p, out):
+        from . import schur
+
+        schur.invert_with_fallback(x, p, out, self.sub, self.counters)
+        return out
+
+
 def invertor_with_fallback(x: np.ndarray, counters: OpCounters | None = None):
     """Recursive inversion trying pivots A, D, B, C at every node.
 
@@ -691,28 +845,12 @@ def invertor_with_fallback(x: np.ndarray, counters: OpCounters | None = None):
     pivot of an all-zero block is all-zero, so by induction each formula
     fails at its pivot before any product or leaf inversion.  ``nodes``
     still counts the nodes that search would visit, and the label is the
-    one it would raise.  Returns ``(inverse, counters)``.
+    one it would raise.  Nodes of order ``_PY_RECURSION_MAX`` and below run
+    the same search on lists, with the same bits and counts.
+    Returns ``(inverse, counters)``.
     """
-    from .schur import invert_with_fallback
-
     x = check_square(x)
     counters = counters if counters is not None else OpCounters()
-
-    def sub(block, out):
-        n = block.shape[0]
-        if not block.any():
-            counters.nodes += _zero_search_nodes(n)
-            raise SingularBlock("A" if n <= LEAF_ORDER else "AllPivots", path=[])
-        if n <= LEAF_ORDER:
-            invert_small(block, out, counters)
-            return
-        counters.nodes += 1
-        try:
-            invert_with_fallback(block, n // 2, out, invert_sub=sub, counters=counters)
-        except AllPivotsSingular:
-            # an exhausted sub-block is just an unusable pivot to the caller
-            raise SingularBlock("AllPivots", path=[]) from None
-
     out = np.empty_like(x)
-    sub(x, out)
+    _RetryArrays(counters).sub(x, out)
     return check_result(out), counters

@@ -13,12 +13,19 @@ run the single-pivot body of :mod:`blockinv.recursive` on a permutation of
 (pivot, row neighbour, column neighbour, opposite block): A -> (A, B, C, D),
 D -> (D, C, B, A), B -> (B, A, D, C), C -> (C, D, A, B).  The two combined
 forms run its combined-pivot body: they invert both diagonal (or both
-counter-diagonal) pivots and place the Schur inverses directly on the
-output diagonal.  The recursions run the same bodies.
+counter-diagonal) pivots and place the Schur inverses on the output
+diagonal.  The recursions run the same bodies, and
+``invert_with_fallback`` runs the retry path's search of
+:mod:`blockinv.recursive`, which tries A, D, B and C in turn.
 
 Here the bodies run on numpy arrays with the caller's ``invert_sub(block,
 out)`` doing each sub-inversion, so the same code serves leaf analytic
 inversion, recursion and oracle-based testing; no scratch is counted.
+They get no output quadrants: each product sums into a new C-contiguous
+array rather than a strided quadrant of ``out``, and the four output
+blocks are copied into ``out`` once the formula has succeeded.  A formula
+that raises SingularBlock leaves ``out`` untouched, so the fallback can
+try the next one on the same ``out``.
 """
 
 from __future__ import annotations
@@ -28,8 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OpCounters, invert_small
-from .errors import AllPivotsSingular, DimensionMismatch, SingularBlock
-from .recursive import _Arrays, _combined_pivot, _single_pivot
+from .errors import DimensionMismatch
+from .recursive import (
+    _COUNTER_PIVOTS,
+    _DIAGONAL_PIVOTS,
+    _Arrays,
+    _combined_pivot,
+    _pivot_search,
+    _via,
+)
 
 DIAGONAL = "diagonal-square"
 COUNTERDIAGONAL = "counterdiagonal-square"
@@ -74,9 +88,7 @@ def diagonal_quad(m: np.ndarray, split: int) -> BlockQuad:
     """Split rows and columns of ``m`` at ``split`` (A and D square)."""
     if not 1 <= split < m.shape[0] or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"split {split} of {m.shape}")
-    return BlockQuad(
-        m[:split, :split], m[:split, split:], m[split:, :split], m[split:, split:]
-    )
+    return BlockQuad(*_Arrays.split(m, split, split))
 
 
 def counterdiagonal_quad(m: np.ndarray, split: int) -> BlockQuad:
@@ -84,11 +96,7 @@ def counterdiagonal_quad(m: np.ndarray, split: int) -> BlockQuad:
     n = m.shape[0]
     if not 1 <= split < n or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"split {split} of {m.shape}")
-    cs = n - split
-    return BlockQuad(
-        m[:split, :cs], m[:split, cs:], m[split:, :cs], m[split:, cs:],
-        layout=COUNTERDIAGONAL,
-    )
+    return BlockQuad(*_Arrays.split(m, split, n - split), layout=COUNTERDIAGONAL)
 
 
 def invert_via_a(
@@ -99,8 +107,7 @@ def invert_via_a(
 ) -> None:
     """Invert around pivot A with S_A = D - C A^-1 B: six block products,
     two reductions."""
-    oa, ob, oc, od = _out_quads(q, DIAGONAL, out)
-    _single_pivot(_Arrays(counters, invert_sub), q.a, q.b, q.c, q.d, oa, ob, oc, od, [])
+    _pivot(q, DIAGONAL, _DIAGONAL_PIVOTS[0], invert_sub, out, counters)
 
 
 def invert_via_d(
@@ -110,9 +117,7 @@ def invert_via_d(
     counters: OpCounters | None = None,
 ) -> None:
     """Invert around pivot D with S_D = A - B D^-1 C."""
-    oa, ob, oc, od = _out_quads(q, DIAGONAL, out)
-    _single_pivot(_Arrays(counters, invert_sub), q.d, q.c, q.b, q.a, od, oc, ob, oa, [],
-                  labels=("D", "SchurD"))
+    _pivot(q, DIAGONAL, _DIAGONAL_PIVOTS[1], invert_sub, out, counters)
 
 
 def invert_via_b(
@@ -122,9 +127,7 @@ def invert_via_b(
     counters: OpCounters | None = None,
 ) -> None:
     """Invert around square off-diagonal pivot B with S_B = C - D B^-1 A."""
-    oa, ob, oc, od = _out_quads(q, COUNTERDIAGONAL, out)
-    _single_pivot(_Arrays(counters, invert_sub), q.b, q.a, q.d, q.c, ob, oa, od, oc, [],
-                  labels=("B", "SchurB"))
+    _pivot(q, COUNTERDIAGONAL, _COUNTER_PIVOTS[0], invert_sub, out, counters)
 
 
 def invert_via_c(
@@ -134,9 +137,7 @@ def invert_via_c(
     counters: OpCounters | None = None,
 ) -> None:
     """Invert around square off-diagonal pivot C with S_C = B - A C^-1 D."""
-    oa, ob, oc, od = _out_quads(q, COUNTERDIAGONAL, out)
-    _single_pivot(_Arrays(counters, invert_sub), q.c, q.d, q.a, q.b, oc, od, oa, ob, [],
-                  labels=("C", "SchurC"))
+    _pivot(q, COUNTERDIAGONAL, _COUNTER_PIVOTS[1], invert_sub, out, counters)
 
 
 def invert_via_ad(
@@ -147,14 +148,15 @@ def invert_via_ad(
 ) -> None:
     """Invert both diagonal pivots at once.
 
-    The Schur inverses land directly on the output diagonal (S_D^-1 top
-    left, S_A^-1 bottom right) and only four products are needed beyond the
-    four sub-inversions; complement formation is a fused reduction.  The
-    (A, D) and (S_A, S_D) inversion pairs are mutually independent, as are
-    the two final products.
+    The Schur inverses land on the output diagonal (S_D^-1 top left, S_A^-1
+    bottom right) and only four products are needed beyond the four
+    sub-inversions; complement formation is a fused reduction.  The (A, D)
+    and (S_A, S_D) inversion pairs are mutually independent, as are the two
+    final products.
     """
-    oa, ob, oc, od = _out_quads(q, DIAGONAL, out)
-    _combined_pivot(_Arrays(counters, invert_sub), q.a, q.b, q.c, q.d, oa, ob, oc, od, [])
+    _check_out(q, DIAGONAL, out)
+    _Arrays.join(_combined_pivot(_Arrays(counters, invert_sub), q.a, q.b, q.c, q.d,
+                                 None, None, None, None, []), out)
 
 
 def invert_via_bc(
@@ -166,16 +168,11 @@ def invert_via_bc(
     """Counter-diagonal twin of invert_via_ad: S_B^-1 and S_C^-1 land on the
     output counter-diagonal; four products beyond the four sub-inversions.
     Pivots B then C, complements S_B then S_C."""
-    oa, ob, oc, od = _out_quads(q, COUNTERDIAGONAL, out)
-    _combined_pivot(_Arrays(counters, invert_sub), q.c, q.d, q.a, q.b, oc, od, oa, ob, [],
-                    labels=("C", "B", "SchurB", "SchurC"), d_first=True)
-
-
-# Formulas grouped by the quad layout they need, so each quad is built once.
-_FALLBACK_ORDER = (
-    (diagonal_quad, (("via_a", invert_via_a), ("via_d", invert_via_d))),
-    (counterdiagonal_quad, (("via_b", invert_via_b), ("via_c", invert_via_c))),
-)
+    _check_out(q, COUNTERDIAGONAL, out)
+    oc, od, oa, ob = _combined_pivot(_Arrays(counters, invert_sub), q.c, q.d, q.a, q.b,
+                                     None, None, None, None, [],
+                                     labels=("C", "B", "SchurB", "SchurC"), d_first=True)
+    _Arrays.join((oa, ob, oc, od), out)
 
 
 def invert_with_fallback(
@@ -191,28 +188,27 @@ def invert_with_fallback(
     and C are square.  Returns the name of the formula that succeeded;
     raises AllPivotsSingular when none does.
     """
+    n = m.shape[0]
+    if m.shape != (n, n) or out.shape != (n, n) or not 1 <= split < n:
+        raise DimensionMismatch(f"split {split} of {m.shape} into {out.shape}")
     if invert_sub is None:
         invert_sub = invert_small
-    failures = []
-    for make_quad, formulas in _FALLBACK_ORDER:
-        q = make_quad(m, split)
-        for name, formula in formulas:
-            try:
-                formula(q, invert_sub, out, counters=counters)
-                return name
-            except SingularBlock as exc:
-                failures.append(f"{name}: {exc}")
-    raise AllPivotsSingular("; ".join(failures))
+    return _pivot_search(_Arrays(counters, invert_sub), m, split, out)[0]
 
 
-def _out_quads(q: BlockQuad, layout: str, out: np.ndarray):
-    """Check the layout and ``out``; return the quadrants of ``out`` that
-    A, B, C, D map to.  The inverse's row split is the quad's column split
-    and vice versa, so block (i, j) maps to block (j, i)."""
+def _pivot(q: BlockQuad, layout: str, pivot, invert_sub, out: np.ndarray, counters) -> None:
+    """One single-pivot formula: ``pivot`` is its entry of the retry path's
+    pivot tables."""
+    _check_out(q, layout, out)
+    _, perm, labels = pivot
+    _Arrays.join(_via(_Arrays(counters, invert_sub), (q.a, q.b, q.c, q.d), perm, labels), out)
+
+
+def _check_out(q: BlockQuad, layout: str, out: np.ndarray) -> None:
+    """Raise DimensionMismatch unless ``q`` has ``layout`` and ``out`` its
+    order."""
     if q.layout != layout:
         raise DimensionMismatch(f"formula needs {layout} layout, quad is {q.layout}")
     n = q.order
     if out.shape != (n, n):
         raise DimensionMismatch(f"out {out.shape} for quad order {n}")
-    r, c = q.a.shape
-    return out[:c, :r], out[c:, :r], out[:c, r:], out[c:, r:]

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from blockinv import recursive
 from blockinv.bench import KINDS, generate
-from blockinv.core import OpCounters, _mm_acc, gauss_jordan_oracle, invert_small, residual_norm
+from blockinv.core import (
+    OpCounters,
+    _mm_acc,
+    check_result,
+    gauss_jordan_oracle,
+    invert_small,
+    residual_norm,
+)
 from blockinv.errors import (
     AllPivotsSingular,
     DimensionMismatch,
@@ -192,6 +199,9 @@ class TestPairwiseAgreement:
             assert np.max(np.abs(inv_ip - inv_ad)) <= tol
 
 
+FALLBACK_KINDS = ["zeros", "reversal", "permutation", "swap", "zeroed_a", "well_conditioned"]
+
+
 class TestFallbackInvertor:
     def test_reversal_permutation(self):
         p = np.eye(8)[::-1].copy()
@@ -203,19 +213,65 @@ class TestFallbackInvertor:
         inv, _ = invertor_with_fallback(m)
         assert np.max(np.abs(inv - gauss_jordan_oracle(m))) <= 1e-9
 
-    @pytest.mark.parametrize("kind", ["zeros", "reversal"])
+    @pytest.mark.parametrize("kind", FALLBACK_KINDS)
     def test_matches_full_search(self, kind):
-        # all-zero blocks skip the search; nodes, every other counter, the
-        # output and the raised label must be what the search gives
+        # nodes of order 10 and below run on lists, and all-zero blocks skip
+        # the search; the output bits, every counter and the raised label,
+        # path and message must be those of the array search of every block
         for n in range(1, 41):
-            m = np.zeros((n, n)) if kind == "zeros" else np.eye(n)[::-1].copy()
+            m = _fallback_input(kind, n)
             got = _fallback_outcome(invertor_with_fallback, m)
             assert got == _fallback_outcome(_searching_fallback, m), n
 
 
+def _fallback_input(kind, n):
+    if kind == "zeros":
+        return np.zeros((n, n))
+    if kind == "reversal":
+        return np.eye(n)[::-1].copy()
+    if kind == "permutation":
+        return np.eye(n)[np.random.default_rng(7700 + n).permutation(n)]
+    if kind == "swap":
+        # zero diagonal blocks and identity off-diagonal blocks at the n // 2
+        # split: the kron swap for even n
+        p = n // 2
+        m = np.zeros((n, n))
+        m[:p, p:] = np.eye(p, n - p)
+        m[p:, :p] = np.eye(n - p, p)
+        return m
+    m = well_conditioned(n, 7800 + n)
+    if kind == "zeroed_a":
+        m[: n // 2, : n // 2] = 0.0
+    return m
+
+
+@settings(max_examples=200)
+@given(
+    order=st.integers(1, 24),
+    seed=st.integers(0, 2**16),
+    small_integers=st.booleans(),
+    zeros=st.lists(st.tuples(*[st.floats(0, 1)] * 4), max_size=4),
+)
+def test_fallback_matches_full_search(order, seed, small_integers, zeros):
+    # random entries (small integers make singular blocks common) with
+    # generated blocks zeroed
+    g = np.random.default_rng(seed)
+    if small_integers:
+        m = g.integers(-2, 3, (order, order)).astype(float)
+    else:
+        m = g.uniform(-1.0, 1.0, (order, order))
+    for row, col, height, width in zeros:
+        r, c = int(row * order), int(col * order)
+        m[r : r + int(height * order) + 1, c : c + int(width * order) + 1] = 0.0
+    with np.errstate(all="ignore"):
+        got = _fallback_outcome(invertor_with_fallback, m)
+        assert got == _fallback_outcome(_searching_fallback, m)
+
+
 def _searching_fallback(x, counters):
-    """invertor_with_fallback without the all-zero shortcut: every block
-    goes through the full A, D, B, C search."""
+    """invertor_with_fallback without the all-zero shortcut and on arrays
+    only: every block of order above 2 goes through the full A, D, B, C
+    search."""
 
     def sub(block, out):
         n = block.shape[0]
@@ -230,7 +286,7 @@ def _searching_fallback(x, counters):
 
     out = np.empty_like(x)
     sub(x, out)
-    return out, counters
+    return check_result(out), counters
 
 
 def _fallback_outcome(invertor, m):
@@ -238,8 +294,9 @@ def _fallback_outcome(invertor, m):
     try:
         inv, _ = invertor(m, c)
         result = inv.tobytes()
-    except SingularBlock as exc:
-        result = (exc.block, exc.path, str(exc))
+    except (SingularBlock, NonFiniteResult) as exc:
+        result = (type(exc).__name__, getattr(exc, "block", None), getattr(exc, "path", None),
+                  str(exc))
     fields = (c.multiplies, c.inversions, c.reductions, c.peak_scratch,
               c.schur_scratch, c.nodes, c._current_scratch)
     return result, fields

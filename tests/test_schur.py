@@ -280,3 +280,74 @@ class TestBlockQuadValidation:
         m = well_conditioned(4, 22)
         with pytest.raises(DimensionMismatch):
             invert_via_a(diagonal_quad(m, 2), invert_small, np.empty((3, 3)))
+
+
+
+FORMULAS = [
+    (invert_via_a, diagonal_quad, 2),
+    (invert_via_d, diagonal_quad, 2),
+    (invert_via_b, counterdiagonal_quad, 2),
+    (invert_via_c, counterdiagonal_quad, 2),
+    (invert_via_ad, diagonal_quad, 4),
+    (invert_via_bc, counterdiagonal_quad, 4),
+]
+
+REVERSAL = np.eye(4)[::-1].copy()  # A and D zero
+TWINS = np.block([[np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]])  # every complement zero
+D_ZERO = np.diag([1.0, 1.0, 0.0, 0.0])
+C_ZERO = np.block([[np.zeros((2, 2)), np.eye(2)], [np.zeros((2, 2)), np.eye(2)]])
+
+# (formula, quad maker, order-4 input, label raised at split 2)
+SINGULAR_CASES = [
+    (invert_via_a, diagonal_quad, REVERSAL, "A"),
+    (invert_via_a, diagonal_quad, TWINS, "SchurA"),
+    (invert_via_d, diagonal_quad, REVERSAL, "D"),
+    (invert_via_d, diagonal_quad, TWINS, "SchurD"),
+    (invert_via_b, counterdiagonal_quad, np.eye(4), "B"),
+    (invert_via_b, counterdiagonal_quad, TWINS, "SchurB"),
+    (invert_via_c, counterdiagonal_quad, np.eye(4), "C"),
+    (invert_via_c, counterdiagonal_quad, TWINS, "SchurC"),
+    (invert_via_ad, diagonal_quad, REVERSAL, "A"),
+    (invert_via_ad, diagonal_quad, D_ZERO, "D"),
+    (invert_via_ad, diagonal_quad, TWINS, "SchurD"),
+    (invert_via_bc, counterdiagonal_quad, np.eye(4), "B"),
+    (invert_via_bc, counterdiagonal_quad, C_ZERO, "C"),
+    (invert_via_bc, counterdiagonal_quad, TWINS, "SchurB"),
+]
+
+
+class TestOutUntouchedOnFailure:
+    """The fallback tries every formula on the same ``out``, so a formula
+    that raises SingularBlock must not have written any of it."""
+
+    @staticmethod
+    def _raise_on(formula, q, invert_sub):
+        out = np.full((q.order, q.order), -7.25)
+        before = out.tobytes()
+        with pytest.raises(SingularBlock) as info:
+            formula(q, invert_sub, out)
+        assert out.tobytes() == before
+        return info.value.block
+
+    @pytest.mark.parametrize("formula, make_quad, m, label", SINGULAR_CASES,
+                             ids=[f"{c[0].__name__}-{c[3]}" for c in SINGULAR_CASES])
+    def test_singular_pivot_or_complement(self, formula, make_quad, m, label):
+        assert self._raise_on(formula, make_quad(m, 2), invert_small) == label
+
+    @pytest.mark.parametrize("formula, make_quad, inversions", FORMULAS,
+                             ids=[f[0].__name__ for f in FORMULAS])
+    def test_each_sub_inversion_failing(self, formula, make_quad, inversions):
+        # the k-th sub-inversion raises: every point a formula can fail at,
+        # the last Schur inverse of the combined pivots included
+        q = make_quad(well_conditioned(7, 23), 3)
+        for k in range(inversions):
+            calls = []
+
+            def failing_sub(block, out):
+                calls.append(None)
+                if len(calls) == k + 1:
+                    raise SingularBlock("A", path=[])
+                invert_small(block, out)
+
+            self._raise_on(formula, q, failing_sub)
+            assert len(calls) == k + 1
