@@ -24,8 +24,13 @@ KINDS = ("well-conditioned", "permutation", "block-diagonal")
 RESIDUAL_BUDGET = 1e-8  # per unit of matrix order
 
 
+def _check_seed(seed) -> None:
+    if not _is_int(seed) or seed < 0:
+        raise InvalidOrder(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def generate(order: int, seed: int = 0, kind: str = "well-conditioned") -> np.ndarray:
-    """Deterministic test matrices.
+    """Deterministic test matrices; ``seed`` is an integer >= 0.
 
     well-conditioned: uniform entries in [-1, 1] plus 2 * order on the
     diagonal, so every pivot and Schur pivot stays nonsingular.
@@ -37,6 +42,7 @@ def generate(order: int, seed: int = 0, kind: str = "well-conditioned") -> np.nd
         raise InvalidOrder(f"order must be an integer >= 1, got {order!r}")
     if kind not in KINDS:
         raise InvalidOrder(f"unknown kind {kind!r}; choose from {KINDS}")
+    _check_seed(seed)
     if kind == "permutation":
         return np.eye(order)[::-1].copy()
     rng = np.random.default_rng(seed)
@@ -135,12 +141,14 @@ def bench(
     """One record per (method, order, workers, repeat); the per-configuration
     median (by seconds) is appended as an extra flagged record when
     repeats > 1.  Only ``parallel`` runs once per worker count; the other
-    methods run on one thread, once per order with workers 1.  A worker
-    count below 1 raises InvalidWorkers before anything runs, and a
-    residual above 1e-8 * order fails the sweep.
+    methods run on one thread, once per order k, seeded ``seed + k``.  A
+    worker count below 1 (InvalidWorkers) or a seed that is not an integer
+    >= 0 (InvalidOrder) raises before anything runs, and a residual above
+    1e-8 * order fails the sweep.
     """
     if repeats < 1:
         raise InvalidOrder(f"repeats must be >= 1, got {repeats}")
+    _check_seed(seed)
     workers_list = [resolve_workers(w) for w in workers_list]
     orders = list(orders)
     if orders != sorted(orders):

@@ -88,10 +88,6 @@ def _parse_fit(text):
     return lo, hi
 
 
-def _scheme_for(order, sizes):
-    return partition_from_sizes(sizes) if sizes else make_partition(order)
-
-
 def cmd_gen(args):
     m = generate(args.order, seed=args.seed, kind=args.kind)
     save_matrix(m, args.out, binary=args.binary)
@@ -100,7 +96,9 @@ def cmd_gen(args):
 
 
 def cmd_partition(args):
-    scheme = _scheme_for(args.order, args.sizes)
+    scheme = partition_from_sizes(args.sizes) if args.sizes else make_partition(args.order)
+    if scheme.m_n != args.order:
+        raise InvalidOrder(f"--sizes sum to {scheme.m_n}, not the order {args.order}")
     print(f"order {scheme.m_n}: N_k = {scheme.n_blocks} diagonal blocks, "
           f"{total_steps(scheme.n_blocks)} steps")
     print("sizes " + " ".join(str(s) for s in scheme.sizes))

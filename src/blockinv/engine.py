@@ -34,13 +34,14 @@ inverted one block at a time.  Each element still receives the same
 IEEE-754 operations in the same order as with one product per quad, so
 the stacking changes no bit of the result.
 
-The schedule is compiled once per partition (``_schedule``, next to
-``_layout``, which builds the groups and expands their small Fox orders):
-each step is a short list of calls, and each call one task per group,
-whose operands are numbered views - a part (X, Y or QQ) of a group in the
-source, the inverse or a provisional set.  A run binds each numbered view
-to one strided view of its store on the first step that uses it and
-reuses it in every later step.  With one worker a step calls its tasks
+The schedule is compiled once per partition (``_schedule``, the one
+per-partition cache), with the groups of ``_layout`` and their small Fox
+orders: each step is a short list of calls, and each call one task per
+group, whose operands are numbered views - a part (X, Y or QQ) of a group
+in the source, the inverse or a provisional set.  The compiler checks the
+step order once, so that no step reads a provisional set before an arrows
+step writes it; a run binds every numbered view to a strided view of its
+store up front and marks nothing.  With one worker a step calls its tasks
 in turn; with several it runs each group in contiguous chunks, one per
 worker.  The decoded steps are cached as well (``step_plan``).
 
@@ -79,6 +80,7 @@ from .errors import (
     InvalidWorkers,
     MalformedLoopid,
     MissingCheckpointDir,
+    MissingProvisionalData,
     OutOfRange,
     OverlappingWriteTargets,
     SingularBlock,
@@ -346,11 +348,9 @@ def _groups(scheme, level, spans) -> tuple[_Group, ...]:
     return tuple(_Group(scheme, level, [spans[i] for i in run]) for run in runs)
 
 
-@functools.lru_cache(maxsize=16)
 def _layout(scheme) -> dict[int, tuple[_Group, ...]]:
-    """The groups of every step shape of a partition, built once and shared
-    by every run on it: level 0 holds the diagonal blocks, level l >= 1 the
-    level-l quads."""
+    """The groups of every step shape of a partition: level 0 holds the
+    diagonal blocks, level l >= 1 the level-l quads."""
     return {level: _groups(scheme, level, scheme.quads(level)) for level in range(scheme.k + 1)}
 
 
@@ -361,23 +361,28 @@ _PER_BLOCK_2X2 = 4
 
 
 class _Schedule:
-    """A partition's steps compiled once, next to its layout, and shared by
-    every run on it.
+    """A partition's steps compiled once and shared by every run on it.
 
     ``steps[stepid - 1]`` holds the step's calls, each an ``_Engine``
-    method and its arguments; an assembly step is its diagonal inversions
-    followed by one call per assembly pass.  A call runs one task per
-    group, and a task names its operands by index into ``views``: each
-    view any step reads or writes, a part of a group in one store, as its
-    store slot and the ``DiagonalRun.specs`` of its stacks.  Slot 0 is the
-    source, slot 1 the inverse and slot 1 + l provisional set l, laid out
-    as ``geometry[slot]`` = (base, ld) says.  ``leaves[slot]``,
-    ``arrows[slot, level]`` and ``updown[level]`` hold the tasks of each
-    call: (group, its item count, operand indices).
+    method and its arguments (its source as a store slot); an assembly
+    step is its diagonal inversions followed by one call per assembly pass.
+    A call runs one task per group, and a task names its operands by index
+    into ``views``: each view any step reads or writes, a part of a group
+    in one store, as its store slot and the ``DiagonalRun.specs`` of its
+    stacks.  Slot 0 is the source, slot 1 the inverse and slot 1 + l
+    provisional set l, laid out as ``geometry[slot]`` = (base, ld) says.
+    ``leaves[slot]``, ``arrows[slot, level]`` and ``updown[level]`` hold
+    the tasks of each call: (group, its item count, operand indices).
+
+    ``actions`` are the decoded steps in run order.  A step that reads set
+    l (the S blocks of its source, or an assembly pass's L and R) before an
+    arrows step writes it raises MissingProvisionalData here, before a run
+    touches any store, so a run need not mark what it writes.
     """
 
-    def __init__(self, scheme):
+    def __init__(self, scheme, actions):
         layout = _layout(scheme)
+        self.scheme = scheme
         self.geometry = [(0, scheme.m_n)] * 2 + [_band(scheme, l)[1:] for l in range(1, scheme.k + 1)]
         self.views = []
         index = {}
@@ -394,32 +399,41 @@ class _Schedule:
                 out.append((grp, len(grp), tuple(ids)))
             return tuple(out)
 
+        written = {0}  # by slot: the source, and each set an arrows step has written
+
+        def read(slot, blocks):
+            if slot not in written:
+                raise MissingProvisionalData(f"step {stepid} reads T_{slot - 1} {blocks} before it is written")
+
         self.leaves, self.arrows, self.updown = {}, {}, {}
         self.steps = []
-        n = scheme.n_blocks
-        for stepid in range(1, total_steps(n) + 1):
-            action = decode_step(loopid_for_step(stepid, n))
+        for stepid, action in enumerate(actions, 1):
             src = 0 if action.cid is None else 1 + action.cid
+            read(src, "S")
             if action.kind == ARROWS_AND_SCHUR:
                 sid = action.sid
                 if (src, sid) not in self.arrows:
                     self.arrows[src, sid] = tasks(
                         sid, [(src, "X"), (src, "Y"), (1, "X"), (1 + sid, "X"), (1 + sid, "Y")]
                     )
-                self.steps.append(((_Engine.arrows_and_schur, (action.cid, sid)),))
+                self.steps.append(((_Engine.arrows_and_schur, (src, sid)),))
+                written.add(1 + sid)
                 continue
             if src not in self.leaves:
                 self.leaves[src] = tasks(0, [(src, "QQ"), (1, "QQ")])
             for level in range(1, action.depth + 1):
+                read(1 + level, "L and R")
                 if level not in self.updown:
                     self.updown[level] = tasks(level, [(1 + level, "Y"), (1, "X"), (1, "Y")])
             passes = [(_Engine.updown_pass, (level,)) for level in range(1, action.depth + 1)]
-            self.steps.append(((_Engine.invert_diagonals, (action.cid,)), *passes))
+            self.steps.append(((_Engine.invert_diagonals, (src,)), *passes))
 
 
 @functools.lru_cache(maxsize=16)
 def _schedule(scheme) -> _Schedule:
-    return _Schedule(scheme)
+    """The partition's compiled schedule: the engine's one per-partition cache."""
+    n = scheme.n_blocks
+    return _Schedule(scheme, [decode_step(loopid_for_step(s, n)) for s in range(1, total_steps(n) + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -428,30 +442,27 @@ def _schedule(scheme) -> _Schedule:
 
 
 class _Engine:
-    """Runs a partition's compiled steps (``_schedule``) as stacked kernel
+    """Runs a partition's compiled steps (``_Schedule``) as stacked kernel
     calls, one task per group of a step (or per contiguous chunk of a
     group, one for each worker).
 
-    The source, the inverse and the provisional sets are all stores of
-    blocks of the matrix, which the groups read and write as stacks (see
-    :class:`~blockinv.storage.DiagonalRun`).  The run binds each view of
-    the schedule, a part of a group in one store, to one strided view of
-    the store, made on the first step that uses it and reused by every
-    later one.  A provisional set's quads count as stored once a task has
-    written them (``mark_stored``).
+    ``stores`` are the source, the inverse and the provisional sets by
+    level, in the schedule's slots, which the groups read and write as
+    stacks (see :class:`~blockinv.storage.DiagonalRun`).  The engine binds
+    every view of the schedule to one strided view of its store when it is
+    made, so a step only looks its views up and calls kernels: the
+    schedule has checked the order of the steps, and nothing is marked.
     """
 
-    def __init__(self, scheme, source_store, minv, tsets, workers, counters):
-        self.scheme = scheme
-        self.tsets = tsets
+    def __init__(self, schedule, stores, workers, counters):
+        self.schedule = schedule
+        self.n_blocks = schedule.scheme.n_blocks
         self.counters = counters
         self.workers = workers
-        self.schedule = _schedule(scheme)
-        self.stores = [source_store, minv] + [tsets[level] for level in range(1, scheme.k + 1)]
-        for store, geometry in zip(self.stores, self.schedule.geometry):
+        for store, geometry in zip(stores, schedule.geometry):
             if store.strided[1:] != geometry:
                 raise BlockShapeMismatch(f"store laid out as {store.strided[1:]}, not {geometry}")
-        self.views = [None] * len(self.schedule.views)
+        self.views = [stacks(stores[slot].strided[0], specs) for slot, specs in schedule.views]
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def close(self):
@@ -464,33 +475,21 @@ class _Engine:
 
     # -- tasks --------------------------------------------------------------
 
-    def _bind(self, ids) -> list:
-        """The run's views ``ids``, each made on its first use."""
-        views = self.views
-        out = []
-        for i in ids:
-            view = views[i]
-            if view is None:
-                slot, specs = self.schedule.views[i]
-                view = views[i] = stacks(self.stores[slot].strided[0], specs)
-            out.append(view)
-        return out
-
     def _run(self, run, tasks, *args) -> list:
         """``run(group, lo, hi, *operands, *args)`` over all items of each
         task's group, or over each contiguous chunk [lo, hi) of one when
         there are several workers; returns the results in task order.  The
         chunks of a group are disjoint, and ``_groups`` has checked that
         its items' writes are."""
+        views = self.views
         if self.pool is None:
-            return [run(grp, 0, q, *self._bind(ids), *args) for grp, q, ids in tasks]
+            return [run(grp, 0, q, *[views[i] for i in ids], *args) for grp, q, ids in tasks]
         calls = []
         for grp, q, ids in tasks:
-            views = self._bind(ids)
             n = min(self.workers, q)
             for c in range(n):
                 lo, hi = c * q // n, (c + 1) * q // n
-                calls.append((grp, lo, hi, *[item_range(v, lo, hi) for v in views], *args))
+                calls.append((grp, lo, hi, *[item_range(views[i], lo, hi) for i in ids], *args))
         return [future.result() for future in [self.pool.submit(run, *call) for call in calls]]
 
     @staticmethod
@@ -504,14 +503,6 @@ class _Engine:
         else:
             for side in (0, 1):
                 fox_block_multiply(a[side], b[side], out[side], fox[side], negate)
-
-    def _source(self, cid) -> int:
-        """The slot of the matrix a step reads: the input (``cid`` None),
-        or the Schur complements (the S blocks) of provisional set ``cid``."""
-        if cid is None:
-            return 0
-        self.tsets[cid].require("S")
-        return 1 + cid
 
     def _leaves(self, grp, lo, hi, blocks, inv):
         """Invert items [lo, hi); (p, SingularBlock) of the first failure, or None."""
@@ -532,7 +523,7 @@ class _Engine:
         inv[...] = out
         return None
 
-    def _arrows(self, grp, lo, hi, x, off, inv, schur_out, panels_out, tset):
+    def _arrows(self, grp, lo, hi, x, off, inv, schur_out, panels_out):
         """x = (A, D), off = (B, C), inv = (A^-1, D^-1); into the set's
         (S_D, S_A) and (R, L)."""
         panels = _fresh(off)
@@ -542,7 +533,6 @@ class _Engine:
         schur = _fresh(x, copy=True)
         self._pair_products(grp, off, panels_out[::-1], schur, grp.fox_s)  # (A + B L, D + C R)
         assign(schur_out, schur)
-        tset.mark_stored(grp, lo, hi)
 
     def _updown(self, grp, lo, hi, panels, done, out_y):
         """panels = (R, L), done = the completed (A^-1, D^-1); into the
@@ -553,27 +543,26 @@ class _Engine:
 
     # -- step actions -------------------------------------------------------
 
-    def invert_diagonals(self, cid, stepid: int) -> None:
-        """Invert the diagonal blocks of the input (``cid`` None) or of the
-        Schur complements of provisional set ``cid`` into the inverse."""
-        tasks = self.schedule.leaves[self._source(cid)]
-        self.counters.inversions += self.scheme.n_blocks
-        failures = [f for f in self._run(self._leaves, tasks) if f]
+    def invert_diagonals(self, src: int, stepid: int) -> None:
+        """Invert the diagonal blocks of the source in slot ``src`` (the
+        input, or the Schur complements of a provisional set) into the
+        inverse."""
+        self.counters.inversions += self.n_blocks
+        failures = [f for f in self._run(self._leaves, self.schedule.leaves[src]) if f]
         if failures:
             p, exc = min(failures, key=lambda f: f[0])
             raise SingularBlock(exc.block, path=exc.path, step=stepid, quad=p)
 
-    def arrows_and_schur(self, cid, sid: int, stepid: int) -> None:
+    def arrows_and_schur(self, src: int, sid: int, stepid: int) -> None:
         """R = -A^-1 B, L = -D^-1 C, S_D = A + B L and S_A = D + C R for
-        every quad of level ``sid`` of the input (``cid`` None) or of set
-        ``cid``'s Schur complements, into provisional set ``sid``."""
-        tasks = self.schedule.arrows[self._source(cid), sid]
-        tset = self.tsets[sid]
-        self.counters.multiplies += 2 * tset.n_quads
-        self.counters.reductions += 2 * tset.n_quads
-        self._run(self._arrows, tasks, tset)
+        every quad of level ``sid`` of the source in slot ``src``, into
+        provisional set ``sid``."""
+        n_quads = self.n_blocks >> sid
+        self.counters.multiplies += 2 * n_quads
+        self.counters.reductions += 2 * n_quads
+        self._run(self._arrows, self.schedule.arrows[src, sid])
 
-    def updown_pass(self, level: int, stepid: int | None = None) -> None:
+    def updown_pass(self, level: int, stepid: int) -> None:
         """One assembly pass: extend the completed diagonal inverses of
         half-width 2**(level-1) blocks to full level-``level`` quads.
 
@@ -583,9 +572,7 @@ class _Engine:
         R @ minv[mid:last, mid:last]``, with L = -D^-1 C and R = -A^-1 B
         from provisional set ``level``.
         """
-        tset = self.tsets[level]
-        tset.require("L")  # R too: a quad's blocks are stored together
-        self.counters.multiplies += 2 * tset.n_quads
+        self.counters.multiplies += 2 * (self.n_blocks >> level)
         self._run(self._updown, self.schedule.updown[level])
 
 
@@ -646,6 +633,7 @@ def run_inversion(
     if sizes is None and m.shape[0] == 1:
         sizes = [1]  # the default partition starts at order 2
     scheme = partition_from_sizes(sizes) if sizes is not None else make_partition(m.shape[0])
+    schedule = _schedule(scheme)  # checks the step order before any store is made
     source = MemoryBlockStore(scheme, m)
     counters = counters if counters is not None else OpCounters()
     n_steps = total_steps(scheme.n_blocks)
@@ -668,7 +656,8 @@ def run_inversion(
         else:
             minv, tsets = fresh_state(checkpoint_dir, scheme)
 
-    eng = _Engine(scheme, source, minv, tsets, workers, counters)
+    stores = [source, minv] + [tsets[level] for level in range(1, scheme.k + 1)]
+    eng = _Engine(schedule, stores, workers, counters)
     try:
         for stepid in range(start, n_steps + 1):
             eng.execute(step_plan(stepid, scheme.n_blocks))

@@ -431,6 +431,17 @@ class _Rows(_Pairs):
     def put(x, out):
         return x
 
+    @staticmethod
+    def split(x, r, c):
+        top, bottom = x[:r], x[r:]
+        return ([row[:c] for row in top], [row[c:] for row in top],
+                [row[:c] for row in bottom], [row[c:] for row in bottom])
+
+    @staticmethod
+    def join(blocks, out=None):
+        oa, ob, oc, od = blocks
+        return list(map(add, oa, oc)) + list(map(add, ob, od))  # rows joined side by side
+
     def complement(self, base, x, y, start, label):
         self.pool.claim(start, len(base), label)
         return _mm_rows(x, y, into=base)
@@ -443,13 +454,8 @@ class _Rows(_Pairs):
             return rows
         self.counters.nodes += 1
         p = n // 2
-        top, bottom = x[:p], x[p:]
-        oa, ob, oc, od = self.formula(
-            self, [r[:p] for r in top], [r[p:] for r in top],
-            [r[:p] for r in bottom], [r[p:] for r in bottom],
-            None, None, None, None, path, start,
-        )
-        return list(map(add, oa, oc)) + list(map(add, ob, od))  # rows joined side by side
+        blocks = self.formula(self, *self.split(x, p, p), None, None, None, None, path, start)
+        return self.join(blocks)
 
 
 class _Stacks(_Arrays):
@@ -782,17 +788,6 @@ class _RetryRows(_Rows):
     @staticmethod
     def nonzero(x):
         return any(map(any, x))
-
-    @staticmethod
-    def split(x, r, c):
-        top, bottom = x[:r], x[r:]
-        return ([row[:c] for row in top], [row[c:] for row in top],
-                [row[:c] for row in bottom], [row[c:] for row in bottom])
-
-    @staticmethod
-    def join(blocks, out=None):
-        oa, ob, oc, od = blocks
-        return list(map(add, oa, oc)) + list(map(add, ob, od))  # rows joined side by side
 
     def invert(self, x, path, start=0, out=None):
         try:

@@ -39,7 +39,6 @@ from .errors import (
     BlockShapeMismatch,
     CheckpointCorrupt,
     DimensionMismatch,
-    MissingProvisionalData,
     SchemeMismatch,
 )
 from .partition import PartitionScheme, _is_int, partition_from_sizes
@@ -188,9 +187,10 @@ class ProvisionalSet:
     strided view.
 
     ``band`` is a one-dimensional float64 buffer of the band's size, such
-    as a checkpoint's mapped file, whose blocks all count as stored; without
-    it the band is new zeros and a quad's four blocks count as stored once
-    they are written (:meth:`mark_stored`).
+    as a checkpoint's mapped file; without it the band is new zeros.  The
+    set keeps no record of which blocks are written: the engine's compiled
+    schedule checks once per partition that every step reads a set only
+    after an arrows step has written it.
     """
 
     def __init__(self, scheme: PartitionScheme, level: int, band: np.ndarray | None = None):
@@ -200,28 +200,11 @@ class ProvisionalSet:
         self.level = level
         self.n_quads = scheme.n_blocks >> level
         size, base, ld = _band(scheme, level)
-        stored = band is not None
         if band is None:
             band = np.zeros(size)
         elif band.shape != (size,):
             raise BlockShapeMismatch(f"T_{level}: band of {band.shape}, scheme needs ({size},)")
         self.strided = band, base, ld
-        self._stored = [stored] * self.n_quads  # per quad: its L, R, S_D and S_A
-
-    def require(self, kind: str) -> None:
-        """Raise MissingProvisionalData unless every ``kind`` block is
-        stored, naming the first missing one (S blocks are two per quad)."""
-        if not all(self._stored):
-            quad = self._stored.index(False)
-            raise MissingProvisionalData(f"T_{self.level} {kind}_{2 * quad if kind == 'S' else quad}")
-
-    def mark_stored(self, run: DiagonalRun, lo: int, hi: int) -> None:
-        """Count the L, R and S blocks of quads [lo, hi) of a run of this
-        level's quads as stored, once they are written: (S_D, S_A) as the
-        run's "X" part and (R, L) as its "Y" part."""
-        stored = self._stored
-        for quad in run.items[lo:hi]:
-            stored[quad] = True
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +344,7 @@ def load_minv_store(directory, scheme: PartitionScheme) -> MemoryBlockStore:
 
 def load_tsets(directory, scheme: PartitionScheme) -> dict[int, ProvisionalSet]:
     """The provisional sets of the checkpoint in ``directory``, mapped from
-    ``tset/``; every block of them counts as stored."""
+    ``tset/``."""
     return _tsets(Path(directory), scheme, "r+")
 
 

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from blockinv.bench import (
     CSV_HEADER,
+    KINDS,
     TimingRecord,
     bench,
     fit_slope,
@@ -42,6 +45,13 @@ class TestGenerate:
                 generate(order)
         with pytest.raises(InvalidOrder):
             generate(4, kind="nope")
+        for seed in (2.5, True, "3", None, -1):
+            for kind in KINDS:
+                with pytest.raises(InvalidOrder, match="seed"):
+                    generate(4, seed=seed, kind=kind)
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(generate(4, seed=np.int64(7)), generate(4, seed=7))
 
 
 def synthetic(records_spec):
@@ -75,6 +85,14 @@ class TestFitSlope:
 
 
 class TestBench:
+    @pytest.mark.parametrize("seed", [-9, -1, 2.5, None])
+    def test_bad_seed_raises_before_anything_runs(self, seed, monkeypatch):
+        # order k is generated with seed + k, which -9 takes below 0; a
+        # method that ran would call None
+        monkeypatch.setattr(sys.modules["blockinv.bench"], "time_inversion", None)
+        with pytest.raises(InvalidOrder, match="seed"):
+            bench(["a"], [4, 8], seed=seed)
+
     def test_rows_and_residuals(self):
         records = bench(["a", "oracle"], [6, 10], repeats=1, seed=1)
         assert len(records) == 4

@@ -43,6 +43,18 @@ class TestGenAndPartition:
         assert run("partition", "32", "--sizes", "5,9,7,11") == 0
         assert "N_k = 4" in capsys.readouterr().out
 
+    def test_partition_sizes_must_sum_to_order(self, capsys):
+        assert run("partition", "21", "--sizes", "2,2") == 3
+        captured = capsys.readouterr()
+        assert "--sizes sum to 4, not the order 21" in captured.err
+        assert captured.out == ""
+
+    def test_gen_negative_seed_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        assert run("gen", "--order", 4, "--seed", -1, "--out", out) == 3
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInvert:
     @pytest.mark.parametrize("method", ["a", "inplace", "ad", "parallel", "oracle"])
@@ -248,6 +260,13 @@ class TestBenchCommand:
     def test_bad_options_exit_code(self, bad, capsys):
         assert exit_code("bench", "--methods", "a", *bad) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, capsys):
+        # order 8 would be generated with seed -1
+        assert run("bench", "--methods", "a", "--orders", "4,8", "--seed", -9) == 3
+        captured = capsys.readouterr()
+        assert "seed must be an integer >= 0" in captured.err
+        assert captured.out == ""
 
     def test_workers_apply_to_parallel_only(self, tmp_path):
         csv = tmp_path / "b.csv"

@@ -27,6 +27,7 @@ from blockinv.engine import (
     _Engine,
     _fox,
     _layout,
+    _Schedule,
     decode_step,
     fox_block_multiply,
     loopid_for_step,
@@ -51,7 +52,7 @@ from blockinv.errors import (
 from blockinv.partition import make_partition, partition_from_sizes
 from blockinv.recursive import invertor_by_ad
 from blockinv.schur import diagonal_quad, invert_via_ad
-from blockinv.storage import MemoryBlockStore, ProvisionalSet
+from blockinv.storage import ProvisionalSet
 
 from conftest import well_conditioned
 
@@ -397,6 +398,25 @@ for level, spans in ((1, duplicated), (2, overlapping)):
 """
 
 
+# Steps 1..15 of 8 blocks in two wrong orders: step 3 inverts set 1's
+# Schur complements before step 2 writes set 1, and step 7 runs the
+# assembly pass of set 2 before step 4 writes set 2.
+_MISORDERED = """
+from blockinv.engine import _Schedule, decode_step, loopid_for_step
+from blockinv.errors import MissingProvisionalData
+from blockinv.partition import make_partition
+
+scheme = make_partition(16)  # 8 blocks of 2
+for head in ([1, 3, 2], [1, 2, 3, 7, 4, 5, 6]):
+    order = head + [stepid for stepid in range(1, 16) if stepid not in head]
+    try:
+        _Schedule(scheme, [decode_step(loopid_for_step(stepid, 8)) for stepid in order])
+    except MissingProvisionalData as exc:
+        print(exc)
+"""
+_MISORDERED_OUT = "step 2 reads T_1 S before it is written\nstep 4 reads T_2 L and R before it is written\n"
+
+
 def _schur_d_zero(p, b=2):
     # blocks of b at order 4b; A = I + P, B = C = D = I, so S_D = P, whose
     # diagonal block p is zero
@@ -637,11 +657,11 @@ class TestLayoutCheck:
                 assert grp.spans == tuple(spans[item] for item in grp.items)
 
     def test_cold_run_peak_memory_at_order_256(self):
-        # a cold run builds the partition's layout; measured 6.94x the
-        # matrix, against 9.27x when the layout held one write-target id
-        # per block (the warm peak is 6.73x either way)
+        # a cold run compiles the partition's schedule and builds its
+        # layout; measured 6.70x the matrix, against 9.27x when the layout
+        # held one write-target id per block (the warm peak is 6.24x)
         m = well_conditioned(256, 4403)
-        engine._layout.cache_clear()
+        engine._schedule.cache_clear()
         tracemalloc.start()
         try:
             run_inversion(m)
@@ -652,12 +672,11 @@ class TestLayoutCheck:
 
 
 class TestAssembleUpdown:
-    def test_missing_provisional_data(self):
-        scheme = make_partition(4)
-        store = MemoryBlockStore(scheme)
-        eng = _Engine(scheme, store, store, {1: ProvisionalSet(scheme, 1)}, 1, OpCounters())
-        with pytest.raises(MissingProvisionalData):
-            eng.updown_pass(1)
+    def test_missing_provisional_data(self, capsys):
+        # the schedule refuses an assembly step before the arrows step that
+        # writes its set, when it is compiled
+        exec(_MISORDERED, {})
+        assert capsys.readouterr().out == _MISORDERED_OUT
 
     def test_pass_reproduces_combined_pivot_offdiagonals(self):
         # run to the step before the final assembly, then assemble by hand
@@ -667,6 +686,24 @@ class TestAssembleUpdown:
         invert_via_ad(diagonal_quad(m, 2), invert_small, direct)
         assert block.to_dense()[2:, :2].tobytes() == direct[2:, :2].tobytes()
         assert block.to_dense()[:2, 2:].tobytes() == direct[:2, 2:].tobytes()
+
+
+class TestScheduleOrder:
+    def test_check_survives_optimized_mode(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(blockinv.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _MISORDERED],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.stdout == _MISORDERED_OUT, proc.stderr
+
+    def test_reported_before_any_store_or_file(self, tmp_path, monkeypatch):
+        misordered = [decode_step(loopid_for_step(stepid, 8)) for stepid in (1, 3, 2, *range(4, 16))]
+        monkeypatch.setattr(engine, "_schedule", lambda scheme: _Schedule(scheme, misordered))
+        monkeypatch.setattr(_Engine, "execute", lambda *args: pytest.fail("a step ran"))
+        with pytest.raises(MissingProvisionalData, match="step 2 reads T_1 S"):
+            run_inversion(well_conditioned(16, 48), checkpoint_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestProvisionalCapacity:
@@ -679,10 +716,6 @@ class TestProvisionalCapacity:
             ProvisionalSet(scheme, 1, np.zeros((size, 1)))
         with pytest.raises(BlockShapeMismatch):
             ProvisionalSet(scheme, 3)  # 4 blocks: levels 1 and 2 only
-        # a given band (a loaded checkpoint's) holds every block; new zeros hold none
-        ProvisionalSet(scheme, 1, np.zeros(size)).require("S")
-        with pytest.raises(MissingProvisionalData):
-            ProvisionalSet(scheme, 1).require("S")
 
     def test_row_and_column_budgets(self):
         # block-rows across L equal blocksize/2; S rows equal blocksize;

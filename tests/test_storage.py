@@ -94,7 +94,6 @@ class TestProvisionalSetStacks:
         panels = rng.uniform(-1, 1, (2, q, h, h))
         _view(grp, tset.strided, "X")[...] = schur
         _view(grp, tset.strided, "Y")[...] = panels
-        tset.mark_stored(grp, 0, q)
         return grp, schur, panels
 
     @pytest.mark.parametrize("level", [1, 2, 3])
@@ -105,8 +104,6 @@ class TestProvisionalSetStacks:
         files = ProvisionalSet(scheme, level, _mapped_zeros(path, mem.strided[0].size))
         grp, schur, panels = self._write(mem, np.random.default_rng(level))
         self._write(files, np.random.default_rng(level))
-        for kind in "LRS":
-            mem.require(kind)
         assert np.fromfile(path).tobytes() == mem.strided[0].tobytes()
         first, mid, last = grp.spans[0]
         assert _band_region(mem, first, mid, mid, last).tobytes() == panels[0, 0].tobytes()  # R
