@@ -23,6 +23,11 @@ while each recursion still wrote its pivot formula out on numpy arrays and
 again on Python lists, and ``schur`` had its own bodies; every group above
 was recorded before the recursions and ``schur`` came to share one body per
 formula.
+
+The ``*_512`` groups were recorded while the product kernels still updated
+each output whole, however large, and the Fox product gathered its rows
+from a strided ``b`` as it came; order 512 is the first order whose
+products the kernels split into row panels.
 """
 
 import hashlib
@@ -245,6 +250,21 @@ def _engine_group(cases, workers):
     return run
 
 
+def _order_512(invert, seed):
+    # the recursions' and the engine's top products reach the kernels' row
+    # panels from this order on
+    def run():
+        inv, c = invert(well_conditioned(512, seed))
+        return hashlib.sha256(inv.tobytes() + _counts_all(c)).hexdigest()
+
+    return run
+
+
+def _engine_dense(m):
+    c = OpCounters()
+    return run_inversion(m, counters=c).to_dense(), c
+
+
 # default partitions mixing block sizes 2/3 (order 33) and 3/4 (order 100)
 _MIXED = ((33, None), (100, None))
 # explicit sizes: non-uniform blocks, and uniform blocks of 16 at order 128
@@ -318,6 +338,9 @@ GROUPS = {
     "by_a_boundary": _by_a_boundary,
     "by_ad": _invertor_group(invertor_by_ad),
     "by_ad_boundary": _by_ad_boundary,
+    "by_a_512": _order_512(invertor_by_a, 9612),
+    "by_ad_512": _order_512(invertor_by_ad, 9712),
+    "engine_512": _order_512(_engine_dense, 9812),
     "fallback": _fallback,
     "fallback_boundary": _fallback_boundary,
     "engine": _engine,
@@ -330,10 +353,13 @@ GROUPS = {
 
 EXPECTED = {
     "by_a": "cd798e0ac3ac662b61b7b8b4a92eae99e61fe0756a3df311ac703e6357908c1c",
+    "by_a_512": "01a9d89820a123ccda7e7105659cf21f45791d1f828d81779fed1f8c4dceb2de",
     "by_a_boundary": "3cafa5775194fd8df61b2bb32fa0a36f901608b33e5249e8752240964fccbd53",
     "by_ad": "7e9d6b4bb831e11addf4c3b80fdd2c32d0d77abcc63f5d7ac98f7730a9f56be1",
+    "by_ad_512": "0ef3883f8a5845856dc3e60b181845d9da7aabe701f786b4a7e69c5287b108eb",
     "by_ad_boundary": "05f7ba4d2f7b5e3cc925a1a8ab537c89f372e83b5cced1168057ebaac7e526e9",
     "engine": "61ed9463f82052799f28d4032e07b13ebb7d4c41cf6eafedc1cf295dd23e0951",
+    "engine_512": "1a8344c429bd8e5114954d288ffce48454091fb1cc60e610e17e3139d9c4b0f4",
     "engine_mixed_w1": "47e2fc9948c199e6c78d2262ba4feba3de5ce53ef5b913cd5146c5129dbea3e8",
     "engine_mixed_w2": "47e2fc9948c199e6c78d2262ba4feba3de5ce53ef5b913cd5146c5129dbea3e8",
     "engine_sized_w1": "b4c8eb10c0407f4a778b5097cec2381a7cf5d4c6c01c7403e95faa13b9ecf4e2",
