@@ -13,6 +13,16 @@ stack of same-shaped products in one call.  Fixed orders make
 in-place and out-of-place products bitwise identical and keep the step
 engine's output independent of worker count.
 
+The kernels respect their operands' layout without changing a bit.
+``_mm_acc_ordered`` copies a strided ``b`` (the engine's views into its
+band and inverse arrays) into one contiguous array per call, because
+gathering rows from a strided array copies all of it each time.  Both
+product kernels run an output of more than ``_PANEL_ELEMENTS`` elements,
+counted over the whole stack, over row panels of at most that many
+elements (and at least ``_ROW_PANEL`` rows), so that each panel stays in
+cache through the inner loop; each panel takes its rows of the order with
+it, and every element keeps its operations and their order.
+
 The in-place products take a counted buffer of one row, as the in-place
 recursion's contract says, and work through a bounded kernel-internal
 temporary of n x 16 (one panel of 16 columns, or of 16 rows for a right
@@ -127,14 +137,36 @@ def check_square(data) -> np.ndarray:
     return m
 
 
+def _row_panels(out: np.ndarray) -> list | None:
+    """The row slices a product into ``out`` runs over once its output,
+    over the whole stack, has more than ``_PANEL_ELEMENTS`` elements:
+    each panel holds at most that many (one of 512 columns takes 128 rows,
+    a stack of two such products 64), but never fewer than ``_ROW_PANEL``
+    rows.  None while the output stays whole."""
+    if out.size <= _PANEL_ELEMENTS:
+        return None
+    rows = out.shape[-2]
+    height = max(_ROW_PANEL, _PANEL_ELEMENTS * rows // out.size)
+    if rows <= height:
+        return None
+    return [slice(i, i + height) for i in range(0, rows, height)]
+
+
 def _mm_acc(a: np.ndarray, b: np.ndarray, out: np.ndarray, negate: bool = False) -> None:
     """out += (+-1) * a @ b, inner index ascending, sign folded into a.
 
-    One rank-1 update per inner index over the whole output, so every
-    element receives ``o + a[i, k] * b[k, j]`` for k = 0, 1, ... in turn.
-    ``a``, ``b`` and ``out`` may carry the same leading stack axes, each
-    product of the stack getting exactly the operations it gets alone.
+    One rank-1 update per inner index over the whole output, or over each
+    row panel of a large one (:func:`_row_panels`), so every element
+    receives ``o + a[i, k] * b[k, j]`` for k = 0, 1, ... in turn, whatever
+    the panels.  ``a``, ``b`` and ``out`` may carry the same leading stack
+    axes, each product of the stack getting exactly the operations it
+    gets alone.
     """
+    panels = _row_panels(out)
+    if panels is not None:
+        for rows in panels:
+            _mm_acc(a[..., rows, :], b, out[..., rows, :], negate)
+        return
     if negate:
         a = -a  # negating the factor up front folds the sign into every term
     tmp = np.empty_like(out)
@@ -159,12 +191,16 @@ def _mm_acc_ordered(
     the stack shares ``order``, an (inner, rows) integer array whose every
     column is a permutation of the inner indices, or None for ascending
     order in every row, which is :func:`_mm_acc`.  ``a`` is gathered into
-    that order once; stage j then multiplies each row's j-th term and adds
-    it, over all rows of the stack at once.  Every output element receives
-    the same IEEE-754 operations in the same order as :func:`_mm_acc`
-    calls over consecutive runs of its order, whatever else is in the
-    stack, so a stacked call and one call per product are bitwise
-    interchangeable.
+    that order once, and a ``b`` that is not C-contiguous (the engine's
+    views into its band and inverse arrays) is copied once, since
+    gathering rows from a strided array copies all of it on every call.
+    Then, over each row panel of the output (:func:`_row_panels`, with
+    the order's columns sliced alike), stage j multiplies each row's j-th
+    term and adds it, over all rows of the panel and the stack at once.
+    Every output element receives the same IEEE-754 operations in the
+    same order as :func:`_mm_acc` calls over consecutive runs of its
+    order, whatever else is in the stack or the panel, so a stacked call
+    and one call per product are bitwise interchangeable.
     """
     if order is None:
         _mm_acc(a, b, out, negate)
@@ -173,11 +209,14 @@ def _mm_acc_ordered(
     if negate:
         np.negative(a_ord, out=a_ord)
     a_ord = a_ord[..., None]
-    tmp = np.empty_like(out)
-    for j, rows_j in enumerate(order):
-        b.take(rows_j, axis=-2, out=tmp, mode="clip")  # "raise" would buffer out
-        np.multiply(a_ord[..., j, :, :], tmp, out=tmp)
-        np.add(out, tmp, out=out)
+    b = np.ascontiguousarray(b)
+    for rows in _row_panels(out) or [slice(None)]:
+        a_p, out_p = a_ord[..., rows, :], out[..., rows, :]
+        tmp = np.empty_like(out_p)
+        for j, rows_j in enumerate(order[:, rows]):
+            b.take(rows_j, axis=-2, out=tmp, mode="clip")  # "raise" would buffer out
+            np.multiply(a_p[..., j, :, :], tmp, out=tmp)
+            np.add(out_p, tmp, out=out_p)
 
 
 def _check_product(name: str, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -322,6 +361,15 @@ def accumulate_inplace(dest: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 # Columns (rows, for right products) per panel of the in-place products:
 # their temporaries stay n x 16 however wide the target is.
 _PANEL = 16
+
+# Output elements per row panel of the product kernels, over the whole
+# stack: a panel and the kernel's temporary of its size (512 KiB each) stay
+# in a 2 MiB L2 cache through the inner loop.  No product of the
+# recursions or of the engine's default partition has a larger output at
+# order 256 or below.  A panel has at least _ROW_PANEL rows, which bounds
+# the number of Python-level kernel calls.
+_PANEL_ELEMENTS = 65536
+_ROW_PANEL = 32
 
 
 def _check_inplace(a_inv, target, row_scratch, n) -> None:

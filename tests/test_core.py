@@ -137,6 +137,90 @@ class TestMultiply:
         assert c.multiplies == 2 and c.reductions == 2
 
 
+def _fox_order(row_sizes, inner_sizes):
+    from blockinv.engine import _expand, _fox
+
+    return _expand(_fox(row_sizes, inner_sizes))
+
+
+def _strided_stack(rng, q, rows, cols):
+    """A (q, 1, rows, cols) view into a larger parent, laid out like the
+    engine's operands: strided rows and a zero stride on the unit axis."""
+    parent = rng.uniform(-1, 1, (q, 2 * rows, cols + 3))
+    s = parent.strides
+    return np.lib.stride_tricks.as_strided(
+        parent[:, ::2, 1 : cols + 1], shape=(q, 1, rows, cols), strides=(s[0], 0, 2 * s[1], s[2])
+    )
+
+
+class TestKernelLayoutAndPanels:
+    """The kernels' bits do not depend on the layout of ``b`` or on the
+    row panels a large output runs over."""
+
+    def test_strided_b_equals_contiguous_b(self, rng):
+        for rows, inner, cols in (((2, 3), (3, 2, 4), (5,)), ((3, 3, 2), (4, 4), (6, 1))):
+            r, k = sum(rows), sum(inner)
+            b = _strided_stack(rng, 2, k, sum(cols))
+            assert not b.flags.c_contiguous
+            a = rng.uniform(-1, 1, (2, 1, r, k))
+            base = rng.uniform(-1, 1, (2, 1, r, sum(cols)))
+            for order in (_fox_order(rows, inner), rng.permuted(np.tile(np.arange(k)[:, None], r), axis=0)):
+                for negate in (False, True):
+                    got, ref = base.copy(), base.copy()
+                    core._mm_acc_ordered(a, b, got, order, negate)
+                    core._mm_acc_ordered(a, np.ascontiguousarray(b), ref, order, negate)
+                    assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 7, 3), (300, 40, 224)])
+    def test_explicit_ascending_order_equals_none(self, rng, shape):
+        # the second shape runs by row panels
+        r, k, c = shape
+        a = rng.uniform(-1, 1, (2, r, k))
+        b = rng.uniform(-1, 1, (2, k, c))
+        base = rng.uniform(-1, 1, (2, r, c))
+        ascending = np.tile(np.arange(k)[:, None], r)
+        for negate in (False, True):
+            got, ref = base.copy(), base.copy()
+            core._mm_acc_ordered(a, b, got, ascending, negate)
+            core._mm_acc_ordered(a, b, ref, None, negate)
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape, height",
+        [((256, 256), None), ((2, 1, 128, 128), None), ((512, 512), 128),
+         ((2, 1, 512, 512), 64), ((8, 1, 512, 512), 32), ((2, 32, 2048), None)],
+    )
+    def test_panel_height_follows_stack_and_width(self, shape, height):
+        # at most 65,536 output elements per panel, at least 32 rows
+        panels = core._row_panels(np.empty(shape))
+        if height is None:
+            assert panels is None
+        else:
+            assert {p.stop - p.start for p in panels} == {height}
+            assert len(panels) * height == shape[-2]
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_row_panels_equal_unpanelled_row_slices(self, rng, negate):
+        # two 300 x 224 outputs run by panels of 146 rows, the last one
+        # short; slices of 100 rows stay below the panel size and run whole
+        row_sizes, inner_sizes, c = (60, 90, 150), (64, 64, 64), 224
+        r, k = sum(row_sizes), sum(inner_sizes)
+        a = rng.uniform(-1, 1, (2, 1, r, k))
+        b = _strided_stack(rng, 2, k, c)
+        base = rng.uniform(-1, 1, (2, 1, r, c))
+        assert core._row_panels(base) is not None
+        assert core._row_panels(base[..., :100, :]) is None
+        for order in (_fox_order(row_sizes, inner_sizes), None):
+            got = base.copy()
+            core._mm_acc_ordered(a, b, got, order, negate)
+            ref = base.copy()
+            for lo in range(0, r, 100):
+                rs = slice(lo, lo + 100)
+                sub = None if order is None else order[:, rs]
+                core._mm_acc_ordered(a[..., rs, :], b, ref[..., rs, :], sub, negate)
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestInplaceMultiply:
     def test_identity_left(self, rng):
         t = rng.uniform(-1, 1, (4, 3))

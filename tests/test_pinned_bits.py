@@ -26,8 +26,8 @@ formula.
 
 The ``*_512`` groups were recorded while the product kernels still updated
 each output whole, however large, and the Fox product gathered its rows
-from a strided ``b`` as it came; order 512 is the first order whose
-products the kernels split into row panels.
+from a strided ``b`` as it came; order 512 is the first order at which
+the engine's and ``invertor_by_ad``'s stacked products run by row panels.
 """
 
 import hashlib
@@ -251,8 +251,8 @@ def _engine_group(cases, workers):
 
 
 def _order_512(invert, seed):
-    # the recursions' and the engine's top products reach the kernels' row
-    # panels from this order on
+    # the stacked top products of the engine and of invertor_by_ad run by
+    # row panels from this order on, invertor_by_a's from order 1024
     def run():
         inv, c = invert(well_conditioned(512, seed))
         return hashlib.sha256(inv.tobytes() + _counts_all(c)).hexdigest()

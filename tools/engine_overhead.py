@@ -30,6 +30,11 @@ Each round times one call per variant, in an order that alternates between
 the checkouts, so both see the same machine conditions.  The script prints
 per case the median milliseconds of each variant with its quartiles, and
 the median of the per-round AFTER/BEFORE ratios with their quartiles.
+
+Before timing a case, the script compares the two checkouts' outputs of
+the full engine, or of the method, byte for byte: the inverse and, for a
+method, its OpCounters.  It prints whether the bits are equal and exits
+with status 1 when any case's differ.
 """
 
 from __future__ import annotations
@@ -78,7 +83,11 @@ def method_call(root: Path, name: str, method: str):
     load(root, name)
     rec = importlib.import_module(f"{name}.recursive")
     if method == "inplace":
-        return lambda m: rec.invertor_inplace_by_a(m.copy())
+        def inplace(m):
+            work = m.copy()
+            return work, rec.invertor_inplace_by_a(work)
+
+        return inplace
     return {"a": rec.invertor_by_a, "ad": rec.invertor_by_ad,
             "fallback": rec.invertor_with_fallback}[method]
 
@@ -88,6 +97,15 @@ def matrix(order: int) -> np.ndarray:
     m = g.uniform(-1.0, 1.0, (order, order))
     m[np.diag_indices(order)] += 2.0 * order
     return m
+
+
+def output_bytes(result) -> bytes:
+    """The bytes of a call's inverse, then its OpCounters' repr when the
+    call returns them (every method; the engine returns its store)."""
+    if isinstance(result, tuple):
+        inv, counters = result
+        return inv.tobytes() + repr(counters).encode()
+    return result.to_dense().tobytes()
 
 
 def quartiles(xs):
@@ -121,7 +139,7 @@ def report(label: str, mode: str, before, after, width: int) -> None:
           f"{a2:8.3f} [{a1:.3f}, {a3:.3f}] {r2:8.3f} [{r1:.3f}, {r3:.3f}]")
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("before", type=Path)
     ap.add_argument("after", type=Path)
@@ -157,14 +175,21 @@ def main(argv=None) -> None:
     width = max([5] + [len(label) for label, _, _ in cases])
     print(f"{'case':>{width}} {'mode':>8} {'before ms [q1, q3]':>26} {'after ms [q1, q3]':>26}"
           f" {'after/before [q1, q3]':>24}")
+    differ = 0
     for label, m, kwargs in cases:
         bound = {key: functools.partial(call, m, **kwargs) for key, call in calls.items()}
-        for call in bound.values():  # warm caches (the engine's layouts and steps)
-            call()
+        # the first calls warm caches (the engine's layouts and steps)
+        results = {key: call() for key, call in bound.items()}
+        same = (output_bytes(results["before", modes[0]])
+                == output_bytes(results["after", modes[0]]))
+        differ += not same
+        print(f"{label:>{width}} {modes[0]:>8} bits {'equal' if same else 'DIFFER'}", flush=True)
+        del results
         times = interleave(bound, modes, args.rounds)
         for mode in modes:
             report(label, mode, times["before", mode], times["after", mode], width)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
