@@ -28,6 +28,10 @@ The ``*_512`` groups were recorded while the product kernels still updated
 each output whole, however large, and the Fox product gathered its rows
 from a strided ``b`` as it came; order 512 is the first order at which
 the engine's and ``invertor_by_ad``'s stacked products run by row panels.
+
+The ``*_list_nodes`` groups and ``engine_leaves`` were recorded while the
+recursions' nodes of order 10 and below still ran their formula on Python
+lists, one backend call per block operation.
 """
 
 import hashlib
@@ -35,6 +39,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from blockinv.bench import generate
 from blockinv.core import (
     OpCounters,
     _mm_acc,
@@ -179,6 +184,55 @@ def _inplace_boundary():
             work = well_conditioned(n, 9750 + 10 * n + seed)
             c = invertor_inplace_by_a(work)
             h.update(work.tobytes() + _counts_all(c))
+    return h.hexdigest()
+
+
+def _list_node_inputs(n):
+    # orders whose pivot-A nodes of order 10 and below make up the whole
+    # run (10), hang under one array node (20) or under two levels of odd
+    # splits (37); block-diagonal inputs carry exact zeros into the sums
+    for seed in range(3):
+        yield well_conditioned(n, 9920 + 10 * n + seed)
+    yield generate(n, seed=9990 + n, kind="block-diagonal")
+
+
+def _by_a_list_nodes():
+    h = hashlib.sha256()
+    for n in (10, 20, 37):
+        for m in _list_node_inputs(n):
+            inv, c = invertor_by_a(m)
+            h.update(inv.tobytes() + _counts_all(c))
+    return h.hexdigest()
+
+
+def _inplace_list_nodes():
+    h = hashlib.sha256()
+    for n in (10, 20, 37):
+        for work in _list_node_inputs(n):
+            c = invertor_inplace_by_a(work)
+            h.update(work.tobytes() + _counts_all(c))
+    return h.hexdigest()
+
+
+# explicit partitions whose diagonal blocks of orders 5 to 10 are inverted
+# by the pivot-A recursion: one-member groups, stacked groups, and a group
+# with a singular member, whose blocks are then inverted one at a time
+_LEAF_SIZES = ((60, [5, 6, 7, 8, 9, 10, 7, 8]), (64, [8] * 8), (48, [10, 5, 10, 5, 5, 3, 5, 5]))
+
+
+def _engine_leaves():
+    h = hashlib.sha256()
+    for n, sizes in _LEAF_SIZES:
+        c = OpCounters()
+        inv = run_inversion(well_conditioned(n, 9960 + n), sizes=sizes, counters=c)
+        h.update(inv.to_dense().tobytes() + _counts(c))
+    m = well_conditioned(48, 9970)
+    m[18:27, 18:27] = 1.0  # the third of four order-9 diagonal blocks is singular
+    c = OpCounters()
+    try:
+        run_inversion(m, sizes=[9, 9, 9, 9, 3, 3, 3, 3], counters=c)
+    except SingularBlock as exc:
+        h.update(f"{exc.block}:{exc.path}:{exc.step}:{exc.quad}".encode() + _counts(c))
     return h.hexdigest()
 
 
@@ -333,9 +387,11 @@ GROUPS = {
     "invert_small_4": _invert_small_4,
     "inplace_1_to_9": _inplace_1_to_9,
     "inplace_boundary": _inplace_boundary,
+    "inplace_list_nodes": _inplace_list_nodes,
     "inplace_right": _inplace_right,
     "by_a": _invertor_group(invertor_by_a),
     "by_a_boundary": _by_a_boundary,
+    "by_a_list_nodes": _by_a_list_nodes,
     "by_ad": _invertor_group(invertor_by_ad),
     "by_ad_boundary": _by_ad_boundary,
     "by_a_512": _order_512(invertor_by_a, 9612),
@@ -344,6 +400,7 @@ GROUPS = {
     "fallback": _fallback,
     "fallback_boundary": _fallback_boundary,
     "engine": _engine,
+    "engine_leaves": _engine_leaves,
     "engine_mixed_w1": _engine_group(_MIXED, 1),
     "engine_mixed_w2": _engine_group(_MIXED, 2),
     "engine_sized_w1": _engine_group(_SIZED, 1),
@@ -355,11 +412,13 @@ EXPECTED = {
     "by_a": "cd798e0ac3ac662b61b7b8b4a92eae99e61fe0756a3df311ac703e6357908c1c",
     "by_a_512": "01a9d89820a123ccda7e7105659cf21f45791d1f828d81779fed1f8c4dceb2de",
     "by_a_boundary": "3cafa5775194fd8df61b2bb32fa0a36f901608b33e5249e8752240964fccbd53",
+    "by_a_list_nodes": "121769f9a99318d1dc8708669128ed985a35bdbdbebb41468f3c47d2a6f3a500",
     "by_ad": "7e9d6b4bb831e11addf4c3b80fdd2c32d0d77abcc63f5d7ac98f7730a9f56be1",
     "by_ad_512": "0ef3883f8a5845856dc3e60b181845d9da7aabe701f786b4a7e69c5287b108eb",
     "by_ad_boundary": "05f7ba4d2f7b5e3cc925a1a8ab537c89f372e83b5cced1168057ebaac7e526e9",
     "engine": "61ed9463f82052799f28d4032e07b13ebb7d4c41cf6eafedc1cf295dd23e0951",
     "engine_512": "1a8344c429bd8e5114954d288ffce48454091fb1cc60e610e17e3139d9c4b0f4",
+    "engine_leaves": "0b563deb82483ab6b8a731d41f801d173dc8325a60b0fcf879640989f4019411",
     "engine_mixed_w1": "47e2fc9948c199e6c78d2262ba4feba3de5ce53ef5b913cd5146c5129dbea3e8",
     "engine_mixed_w2": "47e2fc9948c199e6c78d2262ba4feba3de5ce53ef5b913cd5146c5129dbea3e8",
     "engine_sized_w1": "b4c8eb10c0407f4a778b5097cec2381a7cf5d4c6c01c7403e95faa13b9ecf4e2",
@@ -369,6 +428,7 @@ EXPECTED = {
     "fox": "d25e5201edc014cb94d6fc5d8888936de2f82ff11498ff949dbc8818abbfff8e",
     "inplace_1_to_9": "8c236f72898026a5f147c3a726b45327f1cb89dfe77bcd375990154dbf84921c",
     "inplace_boundary": "c9d014a5aaf0bcddf826ad8243bcc76b25cb9f3598a9533efde7d70c20591555",
+    "inplace_list_nodes": "f4eb1e908f688e38c988b903c4f470d1300d2218f001201b8f07320669e77894",
     "inplace_right": "bc601c186e1982134536f4d64f11963589b561e01cf238c746a9c010cf53c5dd",
     "invert_small_4": "a298b223bc03fa3f2ecb96bbb7f54b284fbfb31899cc7f6d06152c47ecf6f963",
     "via_a": "39f73da40be450bd912fa57f9103ba6f5fe1d5fd193b28749f9aa448b52fbd61",
