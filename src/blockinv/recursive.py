@@ -27,11 +27,18 @@ complements and sub-inversions, and counts its work on ``ops.counters``.
 The backend is chosen by order: ``_Arrays`` runs numpy blocks through
 core's kernels; nodes of order ``_PY_RECURSION_MAX`` (10) and below run on
 ``_Rows``, Python lists with the same operations in the same order, so the
-results are bitwise identical.  The backend owns what the callers differ
-in: the sub-inversion and the label of its failure (the recursion's path,
-or schur's relabelling of its ``invert_sub``) and the scratch counting (on
-in the recursions, off in schur, and ``invertor_by_ad``'s Schur slots
-booked in a ``_SchurPool``).
+results are bitwise identical.  For ``_single_pivot`` and ``_inplace`` such
+a node runs as straight-line code (``_Rows.node``): at import, ``_Emit``
+runs each of the two formulas at each order from 1 to 10 on names instead
+of floats and writes one Python assignment per scalar result of
+``_Rows``' run, which ``_compile`` makes into one function on unpacked
+locals.  It adds the order's counts, which ``_Count`` computes once, and on
+a singular leaf the node is rerun on ``_Rows`` for the label, the path and
+the partial counts.  The backend owns what the callers differ in: the
+sub-inversion and the label of its failure (the recursion's path, or
+schur's relabelling of its ``invert_sub``) and the scratch counting (on in
+the recursions, off in schur, and ``invertor_by_ad``'s Schur slots booked
+in a ``_SchurPool``).
 
 ``_Stacks`` runs a formula on (k, h, h) stacks of k inputs at once:
 ``_combined_pivot`` for ``invertor_by_ad`` (k = 1), whose steps come in
@@ -60,7 +67,7 @@ fails before any product).
 
 Odd orders split floor/ceil; recursion bottoms out at order <= 2, which is
 inverted by the analytic 1x1/2x2 leaf in :mod:`blockinv.core` (its stacked
-form on stacks).
+form on stacks, and its operations written out by ``_Emit``).
 Failures raise SingularBlock carrying the recursion path, e.g.
 "A.SchurA.A"; a finite input whose intermediates over- or underflow
 into a NaN or Inf inverse raises NonFiniteResult at the public exit.
@@ -97,8 +104,9 @@ from .errors import (
 LEAF_ORDER = 2
 
 
-# Nodes up to this order run on the list backend: the numpy round trips
-# per product dominate there.
+# Nodes up to this order run on the list backend, as straight-line code
+# for the pivot-A formulas: the numpy round trips per product dominate
+# there.  Each order up to it is compiled at import.
 _PY_RECURSION_MAX = 10
 
 
@@ -268,7 +276,7 @@ class _Arrays(_Pairs):
             except SingularBlock as exc:
                 raise SingularBlock(path[-1], path=exc.path) from None
         elif n <= _PY_RECURSION_MAX:
-            out[...] = self.rows.invert(x.tolist(), path, start)
+            out[...] = self.rows.node(x.tolist(), path, start)
         else:
             self.counters.nodes += 1
             p = n // 2
@@ -457,6 +465,79 @@ class _Rows(_Pairs):
         blocks = self.formula(self, *self.split(x, p, p), None, None, None, None, path, start)
         return self.join(blocks)
 
+    def node(self, x, path, start=0):
+        """``invert`` of a node an array backend hands down: the formula's
+        straight-line code for the order, when it has one, with the counts
+        of the order folded in.  A singular leaf reruns the node here, for
+        the label, the path and the partial counts."""
+        nodes = _NODES.get(self.formula)
+        if nodes is not None:
+            code, counts = nodes[len(x)]
+            rows = code(x)
+            if rows is not None:
+                _fold(self.counters, counts)
+                return rows
+        return self.invert(x, path, start)
+
+
+class _Emit(_Rows):
+    """The list backend on names: each float operation of a run becomes a
+    line of Python source, one assignment per scalar result, with the
+    operations of ``_mm_rows`` and ``_inv_rows`` in their order.  A singular
+    leaf test becomes ``return None``.  Nothing is counted."""
+
+    def __init__(self, formula):
+        super().__init__(OpCounters(), formula)
+        self.lines = []
+        self.mul = self.left = self.right = self.product
+
+    def let(self, expr: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"    {name} = {expr}")
+        return name
+
+    def product(self, a, b, negate=False, into=None, out=None):
+        """``_mm_rows``: each sum left to right from 0.0 or the element of
+        ``into``, the sign on the left factor."""
+        sign = "-" if negate else ""
+        starts = into if into is not None else [["0.0"] * len(b[0])] * len(a)
+        return [[self.let(" + ".join([o] + [f"{sign}{u} * {v}" for u, v in zip(ai, col)]))
+                 for o, col in zip(oi, zip(*b))]
+                for ai, oi in zip(a, starts)]
+
+    def invert(self, x, path, start=0, out=None):
+        """``_inv_rows`` at the leaves, the formula above them."""
+        if len(x) > LEAF_ORDER:
+            return super().invert(x, path, start)
+        if len(x) == 1:
+            (v,), = x
+            self.lines.append(f"    if {v} == 0.0: return None")
+            return [[self.let(f"1.0 / {v}")]]
+        (a, b), (c, d) = x
+        det = self.let(f"{a} * {d} - {b} * {c}")
+        amax = self.let(f"max(abs({a}), abs({b}), abs({c}), abs({d}))")
+        self.lines.append(f"    if abs({det}) <= 1e-12 * 4 * {amax} * {amax}: return None")
+        r = self.let(f"1.0 / {det}")
+        return [[self.let(f"{d} * {r}"), self.let(f"-{b} * {r}")],
+                [self.let(f"-{c} * {r}"), self.let(f"{a} * {r}")]]
+
+
+def _compile(formula, n: int):
+    """``formula``'s inversion of order n as one function of a list of rows
+    on unpacked locals: its rows, or None where ``_Rows`` would raise
+    SingularBlock."""
+    def display(rows):
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+
+    emit = _Emit(formula)
+    x = [[f"x{i}_{j}" for j in range(n)] for i in range(n)]
+    rows = emit.invert(x, [])
+    source = "\n".join(["def node(x, max=max, abs=abs):", f"    {display(x)} = x",
+                        *emit.lines, f"    return {display(rows)}"])
+    space = {}
+    exec(compile(source, f"<{formula.__name__} of order {n}>", "exec"), space)
+    return space["node"]
+
 
 class _Stacks(_Arrays):
     """The stack backend of ``_combined_pivot`` and ``_single_pivot``: a
@@ -465,9 +546,10 @@ class _Stacks(_Arrays):
     on two same-shaped stacks runs as one call over both, 2k members, and
     a sub-inversion of k > 1 members recurses on the whole stack down to
     stacked 1x1 and 2x2 leaves; a stack of one member at order
-    ``_PY_RECURSION_MAX`` or below runs on ``_Rows``.  Each member gets the
-    operations it gets alone (``_mm_acc``, ``_inv2_stack``), so the results
-    are bitwise those of the sequential backends.
+    ``_PY_RECURSION_MAX`` or below runs as a list node (``_Rows.node``).
+    Each member gets the operations it gets alone (``_mm_acc``,
+    ``_inv2_stack``), so the results are bitwise those of the sequential
+    backends.
 
     Nothing is counted, since a lockstep run cannot reproduce the sequential
     scratch stream, and a singular block anywhere raises SingularBlock with
@@ -494,7 +576,7 @@ class _Stacks(_Arrays):
         if out is None:
             out = np.empty(x.shape)
         if k == 1 and n <= _PY_RECURSION_MAX:
-            out[0] = self.rows.invert(x[0].tolist(), path, start)
+            out[0] = self.rows.node(x[0].tolist(), path, start)
         elif n == 1:
             if not x.all():
                 raise SingularBlock("A", path=path)
@@ -550,6 +632,9 @@ class _Count(_Pairs):
     @staticmethod
     def mul(a, b, negate=False, into=None, out=None):
         return a
+
+    left = right = mul
+    put = staticmethod(_put)
 
     def complement(self, base, x, y, start, label):
         self.pool.claim(start, len(base), label)
@@ -643,7 +728,7 @@ def invertor_by_ad(x: np.ndarray, counters: OpCounters | None = None):
     if inv is None:
         inv = _by_ad_sequential(x, counters)
     else:
-        _fold(counters, _by_ad_counts(x.shape[0]))
+        _fold(counters, _formula_counts(_combined_pivot, x.shape[0]))
         inv = inv[0]
     return check_result(inv), counters
 
@@ -671,11 +756,11 @@ def _by_ad_sequential(x: np.ndarray, counters: OpCounters) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _by_ad_counts(n: int) -> OpCounters:
-    """What a sequential ``invertor_by_ad`` of order n counts, from zero.
+def _formula_counts(formula, n: int) -> OpCounters:
+    """What a sequential run of ``formula`` of order n counts, from zero.
     The memoised result is shared by every caller, so it is only read."""
     counters = OpCounters()
-    _Count(counters, _combined_pivot).invert(range(n), [])
+    _Count(counters, formula).invert(range(n), [])
     return counters
 
 
@@ -690,6 +775,17 @@ def _fold(counters: OpCounters, run: OpCounters) -> None:
     counters.reductions += run.reductions
     counters.schur_scratch += run.schur_scratch
     counters.nodes += run.nodes
+
+
+# The list nodes of the pivot-A recursions as straight-line code, with
+# their counts, by formula and order (index 0 unused).  Built here, since
+# compiling one of orders 8 to 10 peaks at 1 to 1.8 MiB, which a first
+# call would otherwise carry; the 20 functions keep about 0.2 MiB.
+_NODES = {
+    formula: (None,) + tuple((_compile(formula, n), _formula_counts(formula, n))
+                             for n in range(1, _PY_RECURSION_MAX + 1))
+    for formula in (_single_pivot, _inplace)
+}
 
 
 # ---------------------------------------------------------------------------

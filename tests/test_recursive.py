@@ -448,6 +448,92 @@ def test_array_backend_matches_list_backend(method, monkeypatch):
                 assert _backend_outcome(run, m) == expected[(n, i)], (run, threshold, n, i)
 
 
+PIVOT_A_FORMULAS = [recursive._single_pivot, recursive._inplace]
+
+
+@pytest.mark.parametrize("formula", PIVOT_A_FORMULAS + [recursive._combined_pivot],
+                         ids=lambda f: f.__name__)
+def test_count_backend_matches_sequential_runs(formula, monkeypatch):
+    # _Count's placeholders against the list backend (orders up to 10) and
+    # the array backend down to the 2x2 leaves, with no compiled nodes
+    monkeypatch.setattr(recursive, "_NODES", {})
+    monkeypatch.setattr(recursive, "_PY_RECURSION_MAX", LEAF_ORDER)
+    for n in range(1, 13):
+        counted = OpCounters()
+        recursive._Count(counted, formula).invert(range(n), [])
+        m = well_conditioned(n, 4500 + n)
+        c = OpCounters()
+        recursive._Arrays(c, formula=formula, pool=_SchurPool(c), row=np.empty(n)).invert(
+            m, [], 0, m if formula is recursive._inplace else None)
+        assert dataclasses.asdict(c) == dataclasses.asdict(counted), n
+        if n <= 10:
+            c = OpCounters()
+            recursive._Rows(c, formula, _SchurPool(c)).invert(m.tolist(), [])
+            assert dataclasses.asdict(c) == dataclasses.asdict(counted), n
+
+
+def _list_node_outcome(formula, m, compiled):
+    """A list node's output bytes, or its SingularBlock label and path, plus
+    every OpCounters field: its straight-line code (``node``) or the list
+    backend node by node (``invert``)."""
+    c = OpCounters()
+    rows = recursive._Rows(c, formula)
+    try:
+        got = (rows.node if compiled else rows.invert)(m.tolist(), [])
+        result = np.array(got).tobytes()
+    except SingularBlock as exc:
+        result = (exc.block, exc.path)
+    return result, dataclasses.asdict(c)
+
+
+def _signed_zero_inputs(n):
+    g = np.random.default_rng(4600 + n)
+    m = generate(n, seed=n, kind="block-diagonal")  # exact zeros off its blocks
+    yield m
+    flipped = m.copy()
+    flipped[g.random((n, n)) < 0.5] *= -1.0  # -0.0 among them
+    yield flipped
+    diagonal = np.full((n, n), -0.0)
+    diagonal[np.diag_indices(n)] = np.arange(1.0, n + 1.0)
+    yield diagonal
+    sparse = well_conditioned(n, 4700 + n)
+    sparse[g.random((n, n)) < 0.3] = 0.0
+    sparse[g.random((n, n)) < 0.3] = -0.0
+    sparse[np.diag_indices(n)] = 2.0 * n
+    yield sparse
+
+
+@pytest.mark.parametrize("formula", PIVOT_A_FORMULAS, ids=lambda f: f.__name__)
+def test_compiled_nodes_match_list_backend(formula):
+    # bits and counters on every generated kind, signed zeros, and the
+    # label, path and partial counters of singular leaves at every order
+    for n in range(1, recursive._PY_RECURSION_MAX + 1):
+        inputs = [generate(n, seed=4800 + n + s, kind=kind) for kind in KINDS for s in range(3)]
+        # singular leaves on the A path, a zero top pivot, a zero complement
+        inputs += [*_signed_zero_inputs(n), *_backend_inputs(n), np.zeros((n, n))]
+        singular = 0
+        for i, m in enumerate(inputs):
+            expected = _list_node_outcome(formula, m, False)
+            assert _list_node_outcome(formula, m, True) == expected, (n, i)
+            singular += isinstance(expected[0], tuple)
+        assert singular >= (1 if n == 1 else 3), n
+
+
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=120)
+@given(
+    formula=st.sampled_from(PIVOT_A_FORMULAS),
+    rows=st.integers(1, 10).flatmap(
+        lambda n: st.lists(st.lists(_FLOATS, min_size=n, max_size=n), min_size=n, max_size=n)),
+)
+def test_compiled_nodes_match_list_backend_on_finite_matrices(formula, rows):
+    m = np.array(rows)
+    assert _list_node_outcome(formula, m, True) == _list_node_outcome(formula, m, False)
+
+
 def test_ad_reports_the_first_failure_in_sequential_order():
     # A's subtree fails only at its SchurA; D's fails at its first leaf,
     # which the stacked run, inverting A and D in lockstep, meets first

@@ -31,6 +31,11 @@ the checkouts, so both see the same machine conditions.  The script prints
 per case the median milliseconds of each variant with its quartiles, and
 the median of the per-round AFTER/BEFORE ratios with their quartiles.
 
+First the script prints each checkout's import wall time: the median and
+quartiles of IMPORT_ROUNDS fresh interpreters per checkout, alternating,
+each timing ``import blockinv`` from the checkout's ``src`` after importing
+numpy, so that work moved into import shows beside the calls it speeds up.
+
 Before timing a case, the script compares the two checkouts' outputs of
 the full engine, or of the method, byte for byte: the inverse and, for a
 method, its OpCounters.  It prints whether the bits are equal and exits
@@ -43,7 +48,9 @@ import argparse
 import functools
 import gc
 import importlib.util
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -62,6 +69,20 @@ def load(root: Path, name: str):
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
     return pkg
+
+
+IMPORT_ROUNDS = 5
+IMPORT_TIMER = ("import time, numpy; t0 = time.perf_counter(); import blockinv; "
+                "print(time.perf_counter() - t0)")
+
+
+def import_seconds(root: Path) -> float:
+    """Wall seconds of ``import blockinv`` from ``root/src`` in a fresh
+    interpreter that has imported numpy."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", IMPORT_TIMER], env=env, check=True,
+                          capture_output=True, text=True)
+    return float(done.stdout)
 
 
 def engine_run(root: Path, name: str, stubbed: bool):
@@ -172,6 +193,13 @@ def main(argv=None) -> int:
             label = (f"[{sizes[0]}]*{len(sizes)}" if len(set(sizes)) == 1
                      else ",".join(map(str, sizes)))
             cases.append((label, matrix(sum(sizes)), {"sizes": sizes}))
+    imports = {side: [] for side, _ in sides}
+    for r in range(IMPORT_ROUNDS):
+        for side, root in sides[:: 1 if r % 2 == 0 else -1]:
+            imports[side].append(import_seconds(root))
+    for side, xs in imports.items():
+        q1, q2, q3 = (1e3 * x for x in quartiles(xs))
+        print(f"import {side} ms [q1, q3] {q2:.1f} [{q1:.1f}, {q3:.1f}]")
     width = max([5] + [len(label) for label, _, _ in cases])
     print(f"{'case':>{width}} {'mode':>8} {'before ms [q1, q3]':>26} {'after ms [q1, q3]':>26}"
           f" {'after/before [q1, q3]':>24}")
