@@ -32,6 +32,11 @@ the engine's and ``invertor_by_ad``'s stacked products run by row panels.
 The ``*_list_nodes`` groups and ``engine_leaves`` were recorded while the
 recursions' nodes of order 10 and below still ran their formula on Python
 lists, one backend call per block operation.
+
+The ``inplace_512`` and ``fallback_256`` groups were recorded while the
+ascending kernel still summed a strided output in place, with two
+broadcast operands per stage, and the in-place products and Schur updates
+still ran over panels of 16 columns or rows.
 """
 
 import hashlib
@@ -314,6 +319,20 @@ def _order_512(invert, seed):
     return run
 
 
+def _inplace_dense(m):
+    work = m.copy()
+    return work, invertor_inplace_by_a(work)
+
+
+def _fallback_256():
+    # the reversal searches pivots B and C at every node of the top levels
+    h = hashlib.sha256()
+    for m in (_reversal(256), well_conditioned(256, 9886)):
+        inv, c = invertor_with_fallback(m)
+        h.update(inv.tobytes() + _counts_all(c))
+    return h.hexdigest()
+
+
 def _engine_dense(m):
     c = OpCounters()
     return run_inversion(m, counters=c).to_dense(), c
@@ -399,6 +418,8 @@ GROUPS = {
     "engine_512": _order_512(_engine_dense, 9812),
     "fallback": _fallback,
     "fallback_boundary": _fallback_boundary,
+    "fallback_256": _fallback_256,
+    "inplace_512": _order_512(_inplace_dense, 9912),
     "engine": _engine,
     "engine_leaves": _engine_leaves,
     "engine_mixed_w1": _engine_group(_MIXED, 1),
@@ -424,9 +445,11 @@ EXPECTED = {
     "engine_sized_w1": "b4c8eb10c0407f4a778b5097cec2381a7cf5d4c6c01c7403e95faa13b9ecf4e2",
     "engine_sized_w2": "b4c8eb10c0407f4a778b5097cec2381a7cf5d4c6c01c7403e95faa13b9ecf4e2",
     "fallback": "b5d0b9a57f585e1d788b3795bd5961feb0cb18b3e9376a3e79c81a0ad02da01a",
+    "fallback_256": "870a0d9b86cb34740cf92f3d5a1025a40becbc0ac4869c5cbbe895c5f432a0e1",
     "fallback_boundary": "352559c951fd0aeceb9f216bfa00eeeefd720414d7edcff67429af7c6a097c6b",
     "fox": "d25e5201edc014cb94d6fc5d8888936de2f82ff11498ff949dbc8818abbfff8e",
     "inplace_1_to_9": "8c236f72898026a5f147c3a726b45327f1cb89dfe77bcd375990154dbf84921c",
+    "inplace_512": "973c8d978312364e1d6919f53a0d9031eff83dc1340290a30b1c7c89c060a5fc",
     "inplace_boundary": "c9d014a5aaf0bcddf826ad8243bcc76b25cb9f3598a9533efde7d70c20591555",
     "inplace_list_nodes": "f4eb1e908f688e38c988b903c4f470d1300d2218f001201b8f07320669e77894",
     "inplace_right": "bc601c186e1982134536f4d64f11963589b561e01cf238c746a9c010cf53c5dd",
