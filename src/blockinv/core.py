@@ -21,15 +21,21 @@ product kernels run an output of more than ``_PANEL_ELEMENTS`` elements,
 counted over the whole stack, over row panels of at most that many
 elements (and at least ``_ROW_PANEL`` rows), so that each panel stays in
 cache through the inner loop; each panel takes its rows of the order with
-it, and every element keeps its operations and their order.
+it, and every element keeps its operations and their order.  ``_mm_acc``
+sums an output or panel that is not C-contiguous (a quadrant view) in a
+contiguous copy and writes it back once, and from ``_STAGE_ELEMENTS``
+output elements on its stage copies ``b``'s row across the temporary
+first, so that the multiply broadcasts one operand, as the ordered
+kernel's stage does; the factors keep their order.
 
 The in-place products take a counted buffer of one row, as the in-place
 recursion's contract says, and work through a bounded kernel-internal
-temporary of n x 16 (one panel of 16 columns, or of 16 rows for a right
-product), like the ``tmp`` every product kernel uses; neither grows with
-the width of the target.  A sign goes on the panel, not on a negated copy
-of the factor.  The in-place Schur updates (``accumulate_inplace``) run
-over the same panels, each summed in a contiguous copy.
+temporary of one panel: at least ``_PANEL`` (16) columns, or rows for a
+right product, and otherwise as many as ``_STAGE_ELEMENTS`` (4,096)
+elements allow, so that it does not grow with the width of the target.  A
+sign goes on the panel, not on a negated copy of the factor.  The in-place
+Schur updates (``accumulate_inplace``) run over the same panels, each
+summed in a contiguous copy.
 """
 
 from __future__ import annotations
@@ -158,20 +164,34 @@ def _mm_acc(a: np.ndarray, b: np.ndarray, out: np.ndarray, negate: bool = False)
     One rank-1 update per inner index over the whole output, or over each
     row panel of a large one (:func:`_row_panels`), so every element
     receives ``o + a[i, k] * b[k, j]`` for k = 0, 1, ... in turn, whatever
-    the panels.  ``a``, ``b`` and ``out`` may carry the same leading stack
-    axes, each product of the stack getting exactly the operations it
-    gets alone.
+    the panels.  An output (or panel) that is not C-contiguous, such as a
+    quadrant view, is summed in a contiguous copy and written back once.
+    From ``_STAGE_ELEMENTS`` output elements on, each stage first copies
+    row k of ``b`` across the temporary, so that the multiply broadcasts
+    one operand instead of two; the factors keep their order.  ``a``,
+    ``b`` and ``out`` may carry the same leading stack axes, each product
+    of the stack getting exactly the operations it gets alone.
     """
     panels = _row_panels(out)
     if panels is not None:
         for rows in panels:
             _mm_acc(a[..., rows, :], b, out[..., rows, :], negate)
         return
+    if not out.flags.c_contiguous:
+        acc = out.copy()
+        _mm_acc(a, b, acc, negate)
+        out[...] = acc
+        return
     if negate:
         a = -a  # negating the factor up front folds the sign into every term
     tmp = np.empty_like(out)
+    one_broadcast = out.size >= _STAGE_ELEMENTS
     for k in range(a.shape[-1]):
-        np.multiply(a[..., k, None], b[..., k, None, :], out=tmp)
+        if one_broadcast:
+            np.copyto(tmp, b[..., k, None, :])
+            np.multiply(a[..., k, None], tmp, out=tmp)
+        else:
+            np.multiply(a[..., k, None], b[..., k, None, :], out=tmp)
         np.add(out, tmp, out=out)
 
 
@@ -287,25 +307,19 @@ def multiply_inplace_left(
 
     ``row_scratch`` is the caller's counted buffer of at least one column
     (``n`` scalars); it is checked, not written.  The product runs over
-    panels of 16 columns, each summed into a kernel-internal n x 16
-    temporary in the same ascending inner order as :func:`multiply` and
-    then copied back, so the result is bitwise identical to the
-    out-of-place product and the extra memory stays bounded however wide
-    ``target`` is.  The sign goes on the panel, which the product then
-    overwrites.  ``row_scratch`` overlapping either matrix, or ``target``
-    overlapping ``a_inv``, raises AliasedOperands.
+    column panels (:func:`_by_panels`), each summed into a kernel-internal
+    temporary of its size in the same ascending inner order as
+    :func:`multiply` and then copied back, so the result is bitwise
+    identical to the out-of-place product and the extra memory stays
+    bounded however wide ``target`` is.  The sign goes on the panel, which
+    the product then overwrites.  ``row_scratch`` overlapping either
+    matrix, or ``target`` overlapping ``a_inv``, raises AliasedOperands.
     """
     n = target.shape[0]
     if a_inv.shape != (n, n):
         raise DimensionMismatch(f"inplace left {a_inv.shape} on {target.shape}")
     _check_inplace(a_inv, target, row_scratch, n)
-    for j in range(0, target.shape[1], _PANEL):
-        panel = target[:, j : j + _PANEL]
-        if negate:
-            np.negative(panel, out=panel)
-        out = np.zeros(panel.shape)
-        _mm_acc(a_inv, panel, out)  # reads all of the panel before it is written
-        panel[...] = out
+    _by_panels(target, 1, lambda s, panel: (a_inv, panel), negate=negate)
     if counters is not None:
         counters.multiplies += 1
 
@@ -317,50 +331,68 @@ def multiply_inplace_right(
     negate: bool = False,
     counters: OpCounters | None = None,
 ) -> None:
-    """target <- (+-1) * target @ a_inv in place, 16 rows at a time.
+    """target <- (+-1) * target @ a_inv in place, by row panels.
 
-    Row r of the product needs only row r of ``target``, so each panel of
-    16 rows is summed into a kernel-internal 16 x n temporary and copied
-    back, with the sign on the panel.  The same counted ``row_scratch``
-    contract and bounded panel temporary as :func:`multiply_inplace_left`
-    apply, and the bits are those of :func:`multiply`.
+    Row r of the product needs only row r of ``target``, so each row
+    panel (:func:`_by_panels`) is summed into a kernel-internal temporary
+    of its size and copied back, with the sign on the panel.  The same
+    counted ``row_scratch`` contract and bounded panel temporary as
+    :func:`multiply_inplace_left` apply, and the bits are those of
+    :func:`multiply`.
     """
     n = target.shape[1]
     if a_inv.shape != (n, n):
         raise DimensionMismatch(f"inplace right {target.shape} on {a_inv.shape}")
     _check_inplace(a_inv, target, row_scratch, n)
-    for i in range(0, target.shape[0], _PANEL):
-        panel = target[i : i + _PANEL]
-        if negate:
-            np.negative(panel, out=panel)
-        out = np.zeros(panel.shape)
-        _mm_acc(panel, a_inv, out)
-        panel[...] = out
+    _by_panels(target, 0, lambda s, panel: (panel, a_inv), negate=negate)
     if counters is not None:
         counters.multiplies += 1
 
 
 def accumulate_inplace(dest: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """dest += a @ b in place, 16 columns of ``dest`` at a time.
+    """dest += a @ b in place, by column panels of ``dest``.
 
-    Each panel is summed in a contiguous copy of itself, in the same
-    ascending inner order as :func:`multiply` with ``accumulate``, and
-    copied back: the same bits, with a kernel-internal temporary of
-    rows x 16 instead of one as large as ``dest``.  ``dest`` overlapping
-    ``a`` or ``b`` raises AliasedOperands.
+    Each panel (:func:`_by_panels`) is summed in a contiguous copy of
+    itself, in the same ascending inner order as :func:`multiply` with
+    ``accumulate``, and copied back: the same bits, with a kernel-internal
+    temporary of one panel instead of one as large as ``dest``.  ``dest``
+    overlapping ``a`` or ``b`` raises AliasedOperands.
     """
     _check_product("accumulate_inplace", a, b, dest)
     _check_disjoint(dest, a, b)
-    for j in range(0, dest.shape[1], _PANEL):
-        panel = dest[:, j : j + _PANEL]
-        out = panel.copy()
-        _mm_acc(a, b[:, j : j + _PANEL], out)
+    _by_panels(dest, 1, lambda s, panel: (a, b[:, s]), accumulate=True)
+
+
+def _by_panels(target, axis, factors, negate=False, accumulate=False) -> None:
+    """The panel loop of the in-place kernels: each panel of ``target``
+    (its columns ``s`` for ``axis`` 1, its rows for 0) becomes ``x @ y``
+    for ``x, y = factors(s, panel)``, plus the panel when ``accumulate``,
+    after ``negate`` puts the sign on the panel.  The product is summed in
+    a contiguous temporary (zeros, or a copy of the panel), copied back
+    once the product has read all of the panel.  A panel is at least
+    ``_PANEL`` wide, and otherwise as wide as ``_STAGE_ELEMENTS`` elements
+    allow, so the temporaries stay that small however wide the target is.
+    """
+    width = max(_PANEL, _STAGE_ELEMENTS // max(target.shape[1 - axis], 1))
+    for j in range(0, target.shape[axis], width):
+        s = slice(j, j + width)
+        panel = target[:, s] if axis else target[s]
+        if negate:
+            np.negative(panel, out=panel)
+        out = panel.copy() if accumulate else np.zeros(panel.shape)
+        _mm_acc(*factors(s, panel), out)
         panel[...] = out
 
 
-# Columns (rows, for right products) per panel of the in-place products:
-# their temporaries stay n x 16 however wide the target is.
+# The in-place kernels' panels are at least 16 columns (rows, for right
+# products) wide, and wider while they hold at most _STAGE_ELEMENTS.
 _PANEL = 16
+
+# Output elements from which a product stage copies b's row across its
+# temporary before the multiply: fewer broadcast operands pay off from
+# about this size, and below it the extra copy costs more than it saves.
+# It also bounds the in-place kernels' panels (32 KiB each).
+_STAGE_ELEMENTS = 4096
 
 # Output elements per row panel of the product kernels, over the whole
 # stack: a panel and the kernel's temporary of its size (512 KiB each) stay

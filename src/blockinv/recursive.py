@@ -8,8 +8,9 @@ Three procedures share the same algebra but differ in how they treat memory:
 * ``invertor_inplace_by_a`` - the same pivot recursion performed entirely
   inside the input matrix; the only counted auxiliary storage is one
   row-sized buffer shared by every level.  Its products and its two Schur
-  updates per node also use a bounded n x 16 panel temporary inside the
-  kernel (see :func:`blockinv.core.multiply_inplace_left` and
+  updates per node also use a bounded panel temporary of at most 4,096
+  elements (or 16 columns) inside the kernel (see
+  :func:`blockinv.core.multiply_inplace_left` and
   :func:`blockinv.core.accumulate_inplace`).
 * ``invertor_by_ad`` - inverts both diagonal pivots per node (four products,
   two Schur reductions).  The (A, D) and (S_D, S_A) inversions of a node

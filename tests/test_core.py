@@ -13,6 +13,7 @@ from blockinv.core import (
     load_binary,
     load_matrix,
     load_text,
+    accumulate_inplace,
     multiply,
     multiply_inplace_left,
     multiply_inplace_right,
@@ -219,6 +220,179 @@ class TestKernelLayoutAndPanels:
                 sub = None if order is None else order[:, rs]
                 core._mm_acc_ordered(a[..., rs, :], b, ref[..., rs, :], sub, negate)
             assert got.tobytes() == ref.tobytes()
+
+
+def _two_broadcast(a, b, out, negate):
+    """out += (+-1) a @ b as the kernel's stage ran before it had a
+    contiguous-sum path or a one-broadcast stage: every stage multiplies
+    a's column by b's row, both broadcast, and adds into ``out`` in place,
+    whatever its layout."""
+    if negate:
+        a = -a
+    tmp = np.empty(out.shape)
+    for k in range(a.shape[-1]):
+        np.multiply(a[..., k, None], b[..., k, None, :], out=tmp)
+        np.add(out, tmp, out=out)
+
+
+def _with_specials(rng, shape):
+    """Uniform entries with +-0.0, two subnormals and +-inf planted at
+    random places, and row 1 all -0.0, so that signed-zero products reach
+    the sums."""
+    x = rng.uniform(-1, 1, shape)
+    flat = x.reshape(-1)
+    at = rng.choice(flat.size, size=6, replace=False)
+    flat[at] = (-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf)
+    x[..., 1, :] = -0.0
+    return x
+
+
+# output layouts: (parent shape for an output of (..., rows, cols), view)
+_OUT_LAYOUTS = {
+    "contiguous": (lambda st, r, c: (*st, r, c), lambda p: p),
+    "strided": (lambda st, r, c: (*st, 2 * r, c + 3), lambda p: p[..., ::2, 1:-2]),
+    "transposed": (lambda st, r, c: (*st, c, r), lambda p: p.swapaxes(-1, -2)),
+}
+
+
+class TestStageAndContiguousSums:
+    """The one-broadcast stage and the contiguous-sum path give the bits
+    of the two-broadcast stage summed in place, on every output layout,
+    below, at and above the stage threshold."""
+
+    # (stack, rows, cols, inner) and the output's size against the threshold
+    SHAPES = [
+        ((), 63, 65, 9, -1), ((), 64, 64, 9, 0), ((), 65, 64, 9, 1),
+        ((2,), 31, 66, 5, -1), ((2,), 32, 64, 5, 0), ((3,), 40, 40, 5, 1),
+        ((), 300, 224, 4, 1),  # runs by row panels
+    ]
+
+    @pytest.mark.parametrize("stack, rows, cols, inner, side", SHAPES)
+    @pytest.mark.parametrize("layout", sorted(_OUT_LAYOUTS))
+    def test_multiply_equals_two_broadcast_stage(self, rng, stack, rows, cols, inner, side, layout):
+        assert np.sign(rows * cols * int(np.prod(stack)) - core._STAGE_ELEMENTS) == side
+        shape, view = _OUT_LAYOUTS[layout]
+        a = _with_specials(rng, (*stack, rows, inner))
+        b = _with_specials(rng, (*stack, inner, cols))
+        parent = _with_specials(rng, shape(stack, rows, cols))
+        for negate in (False, True):
+            for accumulate in (False, True):
+                got, ref = parent.copy(), parent.copy()
+                with np.errstate(all="ignore"):  # inf * 0 and inf - inf
+                    multiply(a, b, view(got), accumulate, negate)
+                    if not accumulate:
+                        view(ref)[...] = 0.0
+                    _two_broadcast(a, b, view(ref), negate)
+                assert got.tobytes() == ref.tobytes()
+                if accumulate and not negate:
+                    got = parent.copy()
+                    with np.errstate(all="ignore"):
+                        schur_accumulate(view(got), a, b)
+                    assert got.tobytes() == ref.tobytes()
+
+
+def _panel_shapes(monkeypatch, call):
+    """The output shapes of the kernel calls ``call`` makes."""
+    shapes = []
+    kernel = core._mm_acc
+
+    def recording(a, b, out, negate=False):
+        shapes.append(out.shape)
+        kernel(a, b, out, negate)
+
+    monkeypatch.setattr(core, "_mm_acc", recording)
+    call()
+    monkeypatch.undo()
+    return shapes
+
+
+def _budget_width(length):
+    # the widest panel of at most _STAGE_ELEMENTS elements, or _PANEL
+    return max(core._PANEL, core._STAGE_ELEMENTS // length)
+
+
+class TestInplacePanels:
+    """The in-place kernels' panels are sized by elements, and their bits
+    are those of :func:`multiply` whatever the panel widths."""
+
+    # panel lengths where the 16-wide floor binds (300), and where the
+    # budget gives exactly 16 (256), 32 (128) and 341 (12)
+    LENGTHS = (300, 256, 128, 12)
+
+    @staticmethod
+    def _widths(length):
+        # one narrow panel, one just short of, at and past the full width,
+        # and two full panels and a short one
+        w = _budget_width(length)
+        return (1, w - 1, w, w + 1, 2 * w + 3)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_panel_widths_follow_the_element_budget(self, rng, monkeypatch, n):
+        w = _budget_width(n)
+        assert w >= core._PANEL and (w == core._PANEL or n * w <= core._STAGE_ELEMENTS < n * (w + 1))
+        width = 2 * w + 3
+        a_inv = rng.uniform(-1, 1, (n, n))
+        target = rng.uniform(-1, 1, (n, width))
+        left = _panel_shapes(monkeypatch, lambda: multiply_inplace_left(a_inv, target, np.empty(n)))
+        assert [s[1] for s in left] == [w, w, 3]
+        right = _panel_shapes(
+            monkeypatch, lambda: multiply_inplace_right(target.T.copy(), a_inv, np.empty(n)))
+        assert [s[0] for s in right] == [w, w, 3]
+        b = rng.uniform(-1, 1, (5, width))
+        acc = _panel_shapes(monkeypatch, lambda: accumulate_inplace(target, a_inv[:, :5], b))
+        assert [s[1] for s in acc] == [w, w, 3]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_inplace_products_equal_multiply(self, rng, n, negate):
+        a_inv = _with_specials(rng, (n, n))
+        for width in self._widths(n):
+            t = rng.uniform(-1, 1, (n, width))
+            expect = np.empty_like(t)
+            with np.errstate(all="ignore"):
+                multiply(a_inv, t, expect, negate=negate)
+                got = t.copy()
+                multiply_inplace_left(a_inv, got, np.empty(n), negate)
+            assert got.tobytes() == expect.tobytes()
+            t = t.T.copy()
+            expect = np.empty_like(t)
+            with np.errstate(all="ignore"):
+                multiply(t, a_inv, expect, negate=negate)
+                got = t.copy()
+                multiply_inplace_right(got, a_inv, np.empty(n), negate)
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_accumulate_inplace_equals_multiply(self, rng, n):
+        for width in self._widths(n):
+            a = _with_specials(rng, (n, 7))
+            b = _with_specials(rng, (7, width))
+            # the recursion's destinations are quadrant views
+            parent = _with_specials(rng, (2 * n, width + 2))
+            expect = parent.copy()
+            with np.errstate(all="ignore"):
+                multiply(a, b, expect[::2, 1:-1], accumulate=True)
+                accumulate_inplace(parent[::2, 1:-1], a, b)
+            assert parent.tobytes() == expect.tobytes()
+
+    def test_overlap_raises_before_any_write(self, rng):
+        # the contiguous sums must not hide an overlap: every call refuses
+        # before it writes, on strided outputs above the stage threshold
+        x = rng.uniform(-1, 1, (260, 260))
+        before = x.copy()
+        with pytest.raises(AliasedOperands):  # strided out overlaps b
+            multiply(rng.uniform(-1, 1, (64, 65)), x[:65, 64:129], x[:64, ::2][:, :65])
+        with pytest.raises(AliasedOperands):
+            schur_accumulate(x[:64, ::2][:, :65], x[:64, 64:129], np.eye(65))
+        with pytest.raises(AliasedOperands):  # dest overlaps a
+            accumulate_inplace(x[:128, 100:228], x[:128, :128], np.eye(128))
+        with pytest.raises(AliasedOperands):  # dest overlaps b
+            accumulate_inplace(x[::2, ::2][:64, :64], np.eye(64), x[:64, :64])
+        with pytest.raises(AliasedOperands):  # target overlaps a_inv
+            multiply_inplace_left(x[:128, :128], x[:128, 64:192], np.empty(128))
+        with pytest.raises(AliasedOperands):
+            multiply_inplace_right(x[64:192, :128], x[:128, :128], np.empty(128))
+        assert x.tobytes() == before.tobytes()
 
 
 class TestInplaceMultiply:

@@ -181,8 +181,9 @@ def _by_ad_boundary():
 
 
 def _inplace_boundary():
-    # orders whose in-place nodes cross order 10, including the column-panel
-    # edges of width 16 and 17 at the top node
+    # orders whose in-place nodes cross order 10, including targets of
+    # width 16 and 17 at the top node, the edges of the 16-column panels
+    # the in-place products ran over when this group was recorded
     h = hashlib.sha256()
     for n in (9, 10, 11, 12, 13, 16, 17, 20, 21, 33, 40, 64, 100):
         for seed in range(3):
@@ -502,7 +503,8 @@ def test_stacked_kernel_matches_per_product_calls_bitwise(batch, negate):
                 assert stacked[i].tobytes() == ref.tobytes()
 
 
-# widths around the in-place kernel's column panels of 16
+# widths around the 16-wide panels the in-place kernels ran over when these
+# tests were written (test_core's TestInplacePanels covers today's widths)
 _PANEL_WIDTHS = (1, 15, 16, 17, 33, 40)
 
 # target layouts: (parent shape for (n, width), view of the parent)

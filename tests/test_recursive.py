@@ -121,7 +121,8 @@ class TestInvertorInplace:
 
     def test_peak_memory_stays_below_the_matrix(self):
         # "in place": temporaries stay bounded.  Every product and Schur
-        # update runs over 16-wide panels (measured 0.15); whole-block
+        # update runs over panels of at most 4,096 elements, 32 wide at the
+        # top node (measured 0.20); whole-block
         # temporaries in the two Schur updates read 0.52, and a
         # whole-target temporary in the in-place products about 1.0
         work = well_conditioned(256, 36)
@@ -577,6 +578,20 @@ def test_ad_stacked_matches_sequential(order, seed, kind, zero):
         row, col, size = (int(f * order) for f in zero)
         m[row : row + size + 1, col : col + size + 1] = 0.0
     assert _backend_outcome("ad", m) == _backend_outcome("ad_sequential", m)
+
+
+def test_a_peak_memory_at_order_256():
+    # measured 3.14x the matrix (1.57 MiB), result included, with each
+    # product into a strided quadrant summed in a contiguous copy
+    m = well_conditioned(256, 4401)
+    invertor_by_a(m)
+    tracemalloc.start()
+    try:
+        invertor_by_a(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * m.nbytes, peak / m.nbytes
 
 
 def test_ad_peak_memory_at_order_256():

@@ -39,7 +39,10 @@ numpy, so that work moved into import shows beside the calls it speeds up.
 Before timing a case, the script compares the two checkouts' outputs of
 the full engine, or of the method, byte for byte: the inverse and, for a
 method, its OpCounters.  It prints whether the bits are equal and exits
-with status 1 when any case's differ.
+with status 1 when any case's differ.  After the comparison it prints
+each checkout's ``tracemalloc`` peak of one more call of the full engine,
+or of the method, in units of the input matrix (for ``inplace`` the copy
+it inverts counts), so that memory changes show beside speed changes.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +131,16 @@ def output_bytes(result) -> bytes:
         inv, counters = result
         return inv.tobytes() + repr(counters).encode()
     return result.to_dense().tobytes()
+
+
+def peak_of(call, nbytes: int) -> float:
+    """The ``tracemalloc`` peak of one ``call()``, over ``nbytes``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / nbytes
+    finally:
+        tracemalloc.stop()
 
 
 def quartiles(xs):
@@ -213,6 +227,9 @@ def main(argv=None) -> int:
         differ += not same
         print(f"{label:>{width}} {modes[0]:>8} bits {'equal' if same else 'DIFFER'}", flush=True)
         del results
+        peaks = [peak_of(bound[side, modes[0]], m.nbytes) for side in ("before", "after")]
+        print(f"{label:>{width}} {modes[0]:>8} peak x matrix before {peaks[0]:.2f} "
+              f"after {peaks[1]:.2f}", flush=True)
         times = interleave(bound, modes, args.rounds)
         for mode in modes:
             report(label, mode, times["before", mode], times["after", mode], width)
