@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import OpCounters, gauss_jordan_oracle, residual_norm
-from .engine import resolve_workers, run_inversion
+from .engine import run_inversion
 from .errors import InsufficientData, InvalidOrder
 from .partition import _is_int, make_partition
 from .recursive import invertor_by_a, invertor_by_ad, invertor_inplace_by_a
@@ -70,7 +70,7 @@ def _inplace(m: np.ndarray, counters: OpCounters) -> np.ndarray:
 
 
 # Method name -> fn(m, counters, **engine_options) returning the inverse;
-# only the step engine takes options (workers, sizes, checkpointing), and
+# only the step engine takes options (sizes, checkpointing), and
 # the oracle, which has no blocks, counts nothing.
 METHODS = {
     "a": lambda m, counters, **_: invertor_by_a(m, counters)[0],
@@ -96,7 +96,7 @@ def run_method(method: str, m: np.ndarray, **engine) -> tuple[np.ndarray, OpCoun
 class TimingRecord:
     method: str
     order: int
-    workers: int
+    workers: int  # always 1: kept for the CSV's workers column
     seconds: float
     residual: float
     counters: OpCounters = field(default_factory=OpCounters)
@@ -112,7 +112,7 @@ class SlopeFit:
     n_points: int
 
 
-def time_inversion(method: str, m: np.ndarray, workers: int = 1) -> TimingRecord:
+def time_inversion(method: str, m: np.ndarray) -> TimingRecord:
     """One timed inversion with the garbage collector paused.
 
     No collection is forced beforehand: releasing allocator arenas right
@@ -122,34 +122,31 @@ def time_inversion(method: str, m: np.ndarray, workers: int = 1) -> TimingRecord
     gc.disable()
     try:
         start = time.perf_counter()
-        inv, counters = run_method(method, m, workers=workers)
+        inv, counters = run_method(method, m)
         seconds = time.perf_counter() - start
     finally:
         if gc_was_on:
             gc.enable()
     res = residual_norm(m, inv)
-    return TimingRecord(method, m.shape[0], workers, seconds, res, counters)
+    return TimingRecord(method, m.shape[0], 1, seconds, res, counters)
 
 
 def bench(
     methods,
     orders,
-    workers_list=(1,),
     repeats: int = 1,
     seed: int = 0,
 ) -> list[TimingRecord]:
-    """One record per (method, order, workers, repeat); the per-configuration
-    median (by seconds) is appended as an extra flagged record when
-    repeats > 1.  Only ``parallel`` runs once per worker count; the other
-    methods run on one thread, once per order k, seeded ``seed + k``.  A
-    worker count below 1 (InvalidWorkers) or a seed that is not an integer
-    >= 0 (InvalidOrder) raises before anything runs, and a residual above
-    1e-8 * order fails the sweep.
+    """One record per (method, order, repeat); the per-configuration median
+    (by seconds) is appended as an extra flagged record when repeats > 1.
+    Every method runs once per repeat and order k, seeded ``seed + k``, in
+    the calling thread (each record's ``workers`` is 1).  A seed that is
+    not an integer >= 0 (InvalidOrder) raises before anything runs, and a
+    residual above 1e-8 * order fails the sweep.
     """
     if repeats < 1:
         raise InvalidOrder(f"repeats must be >= 1, got {repeats}")
     _check_seed(seed)
-    workers_list = [resolve_workers(w) for w in workers_list]
     orders = list(orders)
     if orders != sorted(orders):
         raise InvalidOrder("orders must be ascending")
@@ -157,25 +154,24 @@ def bench(
     for order in orders:
         m = generate(order, seed=seed + order)
         for method in methods:
-            for workers in workers_list if method == "parallel" else [1]:
-                samples = []
-                for _ in range(repeats):
-                    rec = time_inversion(method, m, workers)
-                    if rec.residual > RESIDUAL_BUDGET * order:
-                        raise ArithmeticError(
-                            f"{method} on order {order}: residual {rec.residual:.3e} "
-                            f"exceeds {RESIDUAL_BUDGET * order:.3e}"
-                        )
-                    samples.append(rec)
-                records.extend(samples)
-                if repeats > 1:
-                    mid = sorted(samples, key=lambda r: r.seconds)[len(samples) // 2]
-                    records.append(
-                        TimingRecord(
-                            mid.method, mid.order, mid.workers, mid.seconds,
-                            mid.residual, mid.counters, kind="median",
-                        )
+            samples = []
+            for _ in range(repeats):
+                rec = time_inversion(method, m)
+                if rec.residual > RESIDUAL_BUDGET * order:
+                    raise ArithmeticError(
+                        f"{method} on order {order}: residual {rec.residual:.3e} "
+                        f"exceeds {RESIDUAL_BUDGET * order:.3e}"
                     )
+                samples.append(rec)
+            records.extend(samples)
+            if repeats > 1:
+                mid = sorted(samples, key=lambda r: r.seconds)[len(samples) // 2]
+                records.append(
+                    TimingRecord(
+                        mid.method, mid.order, mid.workers, mid.seconds,
+                        mid.residual, mid.counters, kind="median",
+                    )
+                )
     return records
 
 

@@ -30,7 +30,7 @@ from .core import (
     residual_norm,
     save_matrix,
 )
-from .engine import resolve_workers, run_inversion, total_steps
+from .engine import run_inversion, total_steps
 from .errors import (
     AllPivotsSingular,
     BlockInvError,
@@ -105,18 +105,11 @@ def cmd_partition(args):
     return EXIT_OK
 
 
-def _workers(args) -> int:
-    """The engine's worker count; every other method runs on one thread,
-    whatever INVERTOR_WORKERS says."""
-    return resolve_workers(args.workers) if args.method == "parallel" else 1
-
-
 def cmd_invert(args):
     m = load_matrix(args.infile, binary=args.binary or None)
-    workers = _workers(args)
     try:
         inv, counters = run_method(
-            args.method, m, workers=workers, sizes=args.sizes, checkpoint_dir=args.checkpoint_dir
+            args.method, m, sizes=args.sizes, checkpoint_dir=args.checkpoint_dir
         )
     except SingularBlock:
         if not args.retry:
@@ -126,7 +119,7 @@ def cmd_invert(args):
     res = residual_norm(m, inv)
     if args.out:
         save_matrix(inv, args.out, binary=args.binary)
-    print(f"method {args.method}  order {m.shape[0]}  workers {workers}")
+    print(f"method {args.method}  order {m.shape[0]}")
     print(f"residual {res:.3e}")
     print(f"multiplies {counters.multiplies}  inversions {counters.inversions}  "
           f"reductions {counters.reductions}  peak_scratch {counters.peak_scratch}")
@@ -140,7 +133,7 @@ def cmd_verify(args):
         res = residual_norm(m, inv)
         print(f"residual {res:.3e}")
         return EXIT_OK
-    inv, _ = run_method(args.method, m, workers=_workers(args), sizes=args.sizes)
+    inv, _ = run_method(args.method, m, sizes=args.sizes)
     oracle = gauss_jordan_oracle(m)
     res = residual_norm(m, inv)
     diff = float(np.max(np.abs(inv - oracle)))
@@ -157,7 +150,6 @@ def cmd_bench(args):
     records = run_bench(
         args.methods.split(","),
         args.orders,
-        workers_list=args.workers,
         repeats=args.repeats,
         seed=args.seed,
     )
@@ -180,12 +172,7 @@ def cmd_resume(args):
     m = load_matrix(args.infile, binary=args.binary or None)
     if not os.path.exists(os.path.join(args.checkpoint_dir, "meta.json")):
         raise CheckpointCorrupt(f"no checkpoint in {args.checkpoint_dir}")
-    block = run_inversion(
-        m,
-        workers=resolve_workers(args.workers),
-        sizes=args.sizes,
-        checkpoint_dir=args.checkpoint_dir,
-    )
+    block = run_inversion(m, sizes=args.sizes, checkpoint_dir=args.checkpoint_dir)
     inv = block.to_dense()
     if args.out:
         save_matrix(inv, args.out, binary=args.binary)
@@ -216,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--method", choices=tuple(METHODS), default="parallel")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--sizes", type=_parse_ints, default=None)
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--retry", action="store_true",
@@ -229,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--inverse", default=None, help="verify this inverse file instead")
     p.add_argument("--method", choices=tuple(METHODS), default="parallel")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--sizes", type=_parse_ints, default=None)
     p.add_argument("--binary", action="store_true")
     p.set_defaults(fn=cmd_verify, parser=p)
@@ -238,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="a,inplace,ad")
     p.add_argument("--orders", type=_parse_orders, required=True,
                    help="'a,b,c' or 'lo:hi:step'")
-    p.add_argument("--workers", type=_parse_ints, default=[1],
-                   help="comma-separated worker counts")
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None)
@@ -250,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--checkpoint-dir", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--sizes", type=_parse_ints, default=None)
     p.add_argument("--binary", action="store_true")
     p.set_defaults(fn=cmd_resume)
@@ -259,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Options only the step engine reads; other methods would silently drop them.
-_ENGINE_OPTIONS = (("--sizes", "sizes"), ("--checkpoint-dir", "checkpoint_dir"),
-                   ("--workers", "workers"))
+_ENGINE_OPTIONS = (("--sizes", "sizes"), ("--checkpoint-dir", "checkpoint_dir"))
 # Methods whose singular pivot --retry hands to invertor_with_fallback.
 _RETRY_METHODS = ("a", "inplace", "ad")
 

@@ -10,8 +10,7 @@ order, with any -1 sign folded into the left factor: ascending index, except
 in ``_mm_acc_ordered``, which takes each output row's order as an argument
 (the step engine's Fox product rotates it per block row) and runs a whole
 stack of same-shaped products in one call.  Fixed orders make
-in-place and out-of-place products bitwise identical and keep the step
-engine's output independent of worker count.
+in-place and out-of-place products bitwise identical.
 
 The kernels respect their operands' layout without changing a bit.
 ``_mm_acc_ordered`` copies a strided ``b`` (the engine's views into its

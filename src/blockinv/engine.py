@@ -41,20 +41,17 @@ group, whose operands are numbered views - a part (X, Y or QQ) of a group
 in the source, the inverse or a provisional set.  The compiler checks the
 step order once, so that no step reads a provisional set before an arrows
 step writes it; a run binds every numbered view to a strided view of its
-store up front and marks nothing.  With one worker a step calls its tasks
-in turn; with several it runs each group in contiguous chunks, one per
-worker.  The decoded steps are cached as well (``step_plan``).
+store up front and marks nothing.  A step calls its tasks in turn, in
+the calling thread.  The decoded steps are cached as well (``step_plan``).
 
-Within a step every task - a group, or a contiguous chunk of one when
-there are several workers - writes only inside its own items' quads, and
-``_layout`` checks once per partition that no two items of a level share
-a diagonal block, so the tasks' writes are disjoint and the result is
-bitwise identical for any worker count; ``stepid`` is the only
-synchronization key.  A run without a checkpoint directory keeps every
-store in memory.  A checkpointed run maps the inverse and the provisional
-sets onto its checkpoint's store files and works on them through the same
-views, so a save at a step boundary only records a hash and the step, and
-the run resumes from any boundary.
+Within a step every task writes only inside its own items' quads, through
+one strided stack per operand, and ``_layout`` checks once per partition
+that no two items of a level share a diagonal block, so no write of a
+stack lands on another item's blocks.  A run without a checkpoint
+directory keeps every store in memory.  A checkpointed run maps the
+inverse and the provisional sets onto its checkpoint's store files and
+works on them through the same views, so a save at a step boundary only
+records a hash and the step, and the run resumes from any boundary.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +73,7 @@ from .core import (
 )
 from .errors import (
     BlockShapeMismatch,
+    DimensionMismatch,
     InvalidWorkers,
     MalformedLoopid,
     MissingCheckpointDir,
@@ -98,7 +95,6 @@ from .storage import (
     checkpoint_save,
     fresh_state,
     input_fingerprint,
-    item_range,
     load_minv_store,
     load_tsets,
     stacks,
@@ -107,26 +103,6 @@ from .storage import (
 INVERT_DIAGONALS = "invert_diagonals"
 ARROWS_AND_SCHUR = "arrows_and_schur"
 SCHUR_DIAG_AND_ASSEMBLE = "schur_diag_and_assemble"
-
-
-def resolve_workers(explicit: int | None = None) -> int:
-    """Explicit argument beats the INVERTOR_WORKERS environment variable."""
-    if explicit is not None:
-        if not _is_int(explicit):
-            raise InvalidWorkers(f"workers must be an integer, got {explicit!r}")
-        if explicit < 1:
-            raise InvalidWorkers(f"workers must be >= 1, got {explicit}")
-        return int(explicit)
-    env = os.environ.get("INVERTOR_WORKERS", "").strip()
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        raise InvalidWorkers(f"INVERTOR_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise InvalidWorkers(f"INVERTOR_WORKERS must be >= 1, got {workers}")
-    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +293,11 @@ def _groups(scheme, level, spans) -> tuple[_Group, ...]:
 
     A step's task writes only inside its own items' quads: a diagonal
     block, the set's L, R and S blocks where its quad sits, or the quad's
-    off-diagonal halves of the inverse.  So the tasks of a step write
-    disjoint blocks when the spans ascend without sharing a diagonal block
-    and the runs cover each item once; OverlappingWriteTargets otherwise.
+    off-diagonal halves of the inverse, all of a group's items through one
+    strided stack.  A stack whose items shared blocks would let one item's
+    write overwrite another's within a single kernel call.  So the spans
+    must ascend without sharing a diagonal block and the runs cover each
+    item once; OverlappingWriteTargets otherwise.
     """
     end = 0
     for span in spans:
@@ -372,7 +350,7 @@ class _Schedule:
     stacks.  Slot 0 is the source, slot 1 the inverse and slot 1 + l
     provisional set l, laid out as ``geometry[slot]`` = (base, ld) says.
     ``leaves[slot]``, ``arrows[slot, level]`` and ``updown[level]`` hold
-    the tasks of each call: (group, its item count, operand indices).
+    the tasks of each call: (group, operand indices).
 
     ``actions`` are the decoded steps in run order.  A step that reads set
     l (the S blocks of its source, or an assembly pass's L and R) before an
@@ -396,7 +374,7 @@ class _Schedule:
                         index[slot, grp, part] = len(self.views)
                         self.views.append((slot, grp.specs(part, *self.geometry[slot])))
                     ids.append(index[slot, grp, part])
-                out.append((grp, len(grp), tuple(ids)))
+                out.append((grp, tuple(ids)))
             return tuple(out)
 
         written = {0}  # by slot: the source, and each set an arrows step has written
@@ -443,8 +421,7 @@ def _schedule(scheme) -> _Schedule:
 
 class _Engine:
     """Runs a partition's compiled steps (``_Schedule``) as stacked kernel
-    calls, one task per group of a step (or per contiguous chunk of a
-    group, one for each worker).
+    calls, one task per group of a step, in turn in the calling thread.
 
     ``stores`` are the source, the inverse and the provisional sets by
     level, in the schedule's slots, which the groups read and write as
@@ -454,20 +431,14 @@ class _Engine:
     schedule has checked the order of the steps, and nothing is marked.
     """
 
-    def __init__(self, schedule, stores, workers, counters):
+    def __init__(self, schedule, stores, counters):
         self.schedule = schedule
         self.n_blocks = schedule.scheme.n_blocks
         self.counters = counters
-        self.workers = workers
         for store, geometry in zip(stores, schedule.geometry):
             if store.strided[1:] != geometry:
                 raise BlockShapeMismatch(f"store laid out as {store.strided[1:]}, not {geometry}")
         self.views = [stacks(stores[slot].strided[0], specs) for slot, specs in schedule.views]
-        self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown(wait=True)
 
     def execute(self, plan: StepPlan) -> None:
         for method, args in self.schedule.steps[plan.stepid - 1]:
@@ -475,22 +446,11 @@ class _Engine:
 
     # -- tasks --------------------------------------------------------------
 
-    def _run(self, run, tasks, *args) -> list:
-        """``run(group, lo, hi, *operands, *args)`` over all items of each
-        task's group, or over each contiguous chunk [lo, hi) of one when
-        there are several workers; returns the results in task order.  The
-        chunks of a group are disjoint, and ``_groups`` has checked that
-        its items' writes are."""
+    def _run(self, run, tasks) -> list:
+        """``run(group, *operands)`` for each task in turn; returns the
+        results in task order."""
         views = self.views
-        if self.pool is None:
-            return [run(grp, 0, q, *[views[i] for i in ids], *args) for grp, q, ids in tasks]
-        calls = []
-        for grp, q, ids in tasks:
-            n = min(self.workers, q)
-            for c in range(n):
-                lo, hi = c * q // n, (c + 1) * q // n
-                calls.append((grp, lo, hi, *[item_range(views[i], lo, hi) for i in ids], *args))
-        return [future.result() for future in [self.pool.submit(run, *call) for call in calls]]
+        return [run(grp, *[views[i] for i in ids]) for grp, ids in tasks]
 
     @staticmethod
     def _pair_products(grp, a, b, out, fox=(None, None), negate=False) -> None:
@@ -504,26 +464,27 @@ class _Engine:
             for side in (0, 1):
                 fox_block_multiply(a[side], b[side], out[side], fox[side], negate)
 
-    def _leaves(self, grp, lo, hi, blocks, inv):
-        """Invert items [lo, hi); (p, SingularBlock) of the first failure, or None."""
-        if grp.ha == 2 and hi - lo > _PER_BLOCK_2X2:
+    def _leaves(self, grp, blocks, inv):
+        """Invert the group's blocks; (p, SingularBlock) of the first
+        failure, or None."""
+        if grp.ha == 2 and len(grp) > _PER_BLOCK_2X2:
             # the inverse's blocks are written only when none is singular
             singular = _inv2_stack(blocks, inv)
             if singular.any():
-                return grp.items[lo + int(np.argmax(singular))], SingularBlock("A")
+                return grp.items[int(np.argmax(singular))], SingularBlock("A")
             return None
         out = np.empty(blocks.shape)
         if grp.ha <= 4 or _invert_stacked(_single_pivot, blocks, out) is None:
             # one block at a time, for the label of the first failure
-            for i in range(hi - lo):
+            for p, block, block_out in zip(grp.items, blocks, out):
                 try:
-                    _leaf_invert(blocks[i], out[i])
+                    _leaf_invert(block, block_out)
                 except SingularBlock as exc:
-                    return grp.items[lo + i], exc
+                    return p, exc
         inv[...] = out
         return None
 
-    def _arrows(self, grp, lo, hi, x, off, inv, schur_out, panels_out):
+    def _arrows(self, grp, x, off, inv, schur_out, panels_out):
         """x = (A, D), off = (B, C), inv = (A^-1, D^-1); into the set's
         (S_D, S_A) and (R, L)."""
         panels = _fresh(off)
@@ -534,7 +495,7 @@ class _Engine:
         self._pair_products(grp, off, panels_out[::-1], schur, grp.fox_s)  # (A + B L, D + C R)
         assign(schur_out, schur)
 
-    def _updown(self, grp, lo, hi, panels, done, out_y):
+    def _updown(self, grp, panels, done, out_y):
         """panels = (R, L), done = the completed (A^-1, D^-1); into the
         (B, C) halves of the inverse."""
         out = _fresh(panels)
@@ -616,23 +577,29 @@ def run_inversion(
     array is then mapped on ``<checkpoint_dir>/minv/inverse.f64``, which a
     later resume in the directory writes through and a fresh start replaces.
     ``file_backed`` is accepted for older callers and changes nothing;
-    without a directory it raises MissingCheckpointDir.  ``stop_after_step``
-    ends the run early at a step boundary (for staged execution across
-    sessions); anything but an integer >= 1 raises OutOfRange before any
-    step runs.  A finished run whose inverse holds NaN or Inf entries
+    without a directory it raises MissingCheckpointDir.  ``workers`` is
+    accepted for older callers and changes nothing: every step runs its
+    tasks in the calling thread; anything but None or an integer >= 1
+    raises InvalidWorkers.  ``sizes`` that do not sum to the input's order
+    raise DimensionMismatch.  ``stop_after_step`` ends the run early at a
+    step boundary (for staged execution across sessions); anything but an
+    integer >= 1 raises OutOfRange before any step runs.  A finished run whose inverse holds NaN or Inf entries
     raises NonFiniteResult.
 
     Counter semantics are per logical block operation: one inversion per
     diagonal block, two products and two Schur reductions per quad, and two
     products per quad per assembly pass.
     """
-    workers = resolve_workers(workers)
+    if workers is not None and not (_is_int(workers) and workers >= 1):
+        raise InvalidWorkers(f"workers must be an integer >= 1, got {workers!r}")
     if stop_after_step is not None and not (_is_int(stop_after_step) and stop_after_step >= 1):
         raise OutOfRange(f"stop_after_step must be an integer >= 1, got {stop_after_step!r}")
     m = check_square(m)
     if sizes is None and m.shape[0] == 1:
         sizes = [1]  # the default partition starts at order 2
     scheme = partition_from_sizes(sizes) if sizes is not None else make_partition(m.shape[0])
+    if scheme.m_n != m.shape[0]:
+        raise DimensionMismatch(f"sizes sum to {scheme.m_n}, not the input's order {m.shape[0]}")
     schedule = _schedule(scheme)  # checks the step order before any store is made
     source = MemoryBlockStore(scheme, m)
     counters = counters if counters is not None else OpCounters()
@@ -657,16 +624,13 @@ def run_inversion(
             minv, tsets = fresh_state(checkpoint_dir, scheme)
 
     stores = [source, minv] + [tsets[level] for level in range(1, scheme.k + 1)]
-    eng = _Engine(schedule, stores, workers, counters)
-    try:
-        for stepid in range(start, n_steps + 1):
-            eng.execute(step_plan(stepid, scheme.n_blocks))
-            if checkpoint_dir is not None:
-                checkpoint_save(checkpoint_dir, scheme, stepid, input_hash)
-            if stop_after_step is not None and stepid >= stop_after_step:
-                break
-    finally:
-        eng.close()
+    eng = _Engine(schedule, stores, counters)
+    for stepid in range(start, n_steps + 1):
+        eng.execute(step_plan(stepid, scheme.n_blocks))
+        if checkpoint_dir is not None:
+            checkpoint_save(checkpoint_dir, scheme, stepid, input_hash)
+        if stop_after_step is not None and stepid >= stop_after_step:
+            break
     if stop_after_step is None or stop_after_step >= n_steps:
         check_result(minv.data)
     return minv

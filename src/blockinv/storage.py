@@ -146,13 +146,6 @@ def stacks(buf, specs):
     return [np.ndarray(shape, np.float64, buf, offset, strides) for shape, offset, strides in specs]
 
 
-def item_range(view, lo: int, hi: int):
-    """Items [lo, hi) of a view made by :func:`stacks`."""
-    if isinstance(view, list):
-        return [half[lo:hi] for half in view]
-    return view[:, lo:hi] if view.ndim == 4 else view[lo:hi]
-
-
 def assign(view, values) -> None:
     """Write a stack, or a pair of them, into a view of the same form."""
     if isinstance(view, list):

@@ -137,37 +137,29 @@ class TestInvert:
         src.write_text(text)
         assert run("invert", "--in", src) == 3
 
-    def test_workers_env(self, tmp_path, capsys, monkeypatch):
-        src = tmp_path / "m.txt"
-        save_matrix(well_conditioned(8, 61), src)
-        monkeypatch.setenv("INVERTOR_WORKERS", "2")
-        assert run("invert", "--in", src, "--method", "parallel") == 0
-        assert "workers 2" in capsys.readouterr().out
-        # explicit flag wins over the environment
-        assert run("invert", "--in", src, "--method", "parallel", "--workers", "4") == 0
-        assert "workers 4" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("method", ["a", "inplace", "ad", "oracle"])
+    @pytest.mark.parametrize("method", ["a", "inplace", "ad", "oracle", "parallel"])
     def test_workers_env_ignored_by_other_methods(self, tmp_path, capsys, monkeypatch, method):
-        # only the step engine runs workers, so only it reads INVERTOR_WORKERS
+        # no method reads INVERTOR_WORKERS: every one runs in the calling thread
         src = tmp_path / "m.txt"
         save_matrix(well_conditioned(9, 72), src)
         monkeypatch.setenv("INVERTOR_WORKERS", "4")
         assert run("invert", "--in", src, "--method", method) == 0
-        assert f"method {method}  order 9  workers 1" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[0] == f"method {method}  order 9"
         monkeypatch.setenv("INVERTOR_WORKERS", "x")
         assert run("invert", "--in", src, "--method", method) == 0
         assert run("verify", "--in", src, "--method", method) == 0
-        assert run("verify", "--in", src, "--method", "parallel") == 3
 
-    def test_bad_worker_counts_exit_code(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["invert", "verify", "resume"])
+    def test_workers_option_exit_code(self, tmp_path, capsys, command):
         src = tmp_path / "m.txt"
         save_matrix(well_conditioned(8, 68), src)
-        assert run("invert", "--in", src, "--workers", 0) == 3
-        assert run("invert", "--in", src, "--workers", -3) == 3
-        for bad in ("abc", "0", "-3"):
-            monkeypatch.setenv("INVERTOR_WORKERS", bad)
-            assert run("invert", "--in", src) == 3
+        ck = tmp_path / "ck"
+        argv = [command, "--in", src, "--workers", "2"]
+        if command == "resume":
+            run_inversion(load_matrix(src), checkpoint_dir=ck, stop_after_step=3)
+            argv += ["--checkpoint-dir", ck]
+        assert exit_code(*argv) == 3
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_missing_required_option_exit_code(self, capsys):
         assert exit_code("invert") == 3
@@ -186,8 +178,7 @@ class TestInvert:
     @pytest.mark.parametrize("option", [
         ("--sizes", "4,4"),
         ("--checkpoint-dir", "ck"),
-        ("--workers", "2"),
-    ], ids=["sizes", "checkpoint-dir", "workers"])
+    ], ids=["sizes", "checkpoint-dir"])
     @pytest.mark.parametrize("method", ["a", "inplace", "ad", "oracle"])
     def test_engine_option_with_other_method_exit_code(self, tmp_path, capsys, option, method):
         src = tmp_path / "m.txt"
@@ -268,21 +259,6 @@ class TestBenchCommand:
         assert "seed must be an integer >= 0" in captured.err
         assert captured.out == ""
 
-    def test_workers_apply_to_parallel_only(self, tmp_path):
-        csv = tmp_path / "b.csv"
-        assert run("bench", "--methods", "a,parallel", "--orders", "8", "--workers", "1,2",
-                   "--csv", csv) == 0
-        rows = [line.split(",")[:3] for line in csv.read_text().splitlines()[1:]]
-        assert rows == [["a", "8", "1"], ["parallel", "8", "1"], ["parallel", "8", "2"]]
-
-    @pytest.mark.parametrize("methods", ["a", "parallel"])
-    @pytest.mark.parametrize("workers", ["0", "1,-1"])
-    def test_workers_below_one_exit_code(self, tmp_path, methods, workers, capsys):
-        csv = tmp_path / "b.csv"
-        assert exit_code("bench", "--methods", methods, "--orders", "8", "--workers", workers,
-                         "--csv", csv) == 3
-        assert "workers must be >= 1" in capsys.readouterr().err
-        assert not csv.exists()
 
 
 class TestCheckpointCommands:

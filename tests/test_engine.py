@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,6 @@ from blockinv.engine import (
     decode_step,
     fox_block_multiply,
     loopid_for_step,
-    resolve_workers,
     run_inversion,
     step_plan,
     total_steps,
@@ -349,35 +349,57 @@ class TestRunInversion:
             run_inversion(well_conditioned(8, 49), file_backed=True)
         assert isinstance(info.value, ValueError)
 
-    def test_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("INVERTOR_WORKERS", "3")
-        assert resolve_workers() == 3
-        assert resolve_workers(2) == 2
-        monkeypatch.delenv("INVERTOR_WORKERS")
-        assert resolve_workers() == 1
-        monkeypatch.setenv("INVERTOR_WORKERS", "abc")
+    @pytest.mark.parametrize("bad", [0, -3, 1.5, 2.0, True, "2"])
+    def test_non_integer_workers_rejected(self, bad, tmp_path):
         with pytest.raises(InvalidWorkers):
-            resolve_workers()
-        with pytest.raises(InvalidWorkers):
-            resolve_workers(0)
-        for bad in ("0", "-3"):
-            monkeypatch.setenv("INVERTOR_WORKERS", bad)
-            with pytest.raises(InvalidWorkers):
-                resolve_workers()
-            assert resolve_workers(2) == 2  # an explicit count still wins
-
-    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
-    def test_non_integer_workers_rejected(self, bad):
-        with pytest.raises(InvalidWorkers):
-            resolve_workers(bad)
-        with pytest.raises(InvalidWorkers):
-            run_inversion(well_conditioned(8, 50), workers=bad)
+            run_inversion(well_conditioned(8, 50), workers=bad, checkpoint_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_numpy_integer_workers_accepted(self):
         m = well_conditioned(8, 51)
-        assert resolve_workers(np.int64(2)) == 2
         out = run_inversion(m, workers=np.int64(2)).to_dense()
         assert out.tobytes() == run_inversion(m).to_dense().tobytes()
+
+    @pytest.mark.parametrize("kind", ["plain", "checkpointed", "resumed"])
+    def test_no_thread_is_started(self, monkeypatch, tmp_path, kind):
+        # a workers argument changes no bit and starts no thread
+        m = well_conditioned(21, 52)
+
+        def run(workers, directory):
+            if kind == "plain":
+                return run_inversion(m, workers=workers)
+            if kind == "resumed":
+                run_inversion(m, workers=workers, checkpoint_dir=directory, stop_after_step=5)
+            return run_inversion(m, workers=workers, checkpoint_dir=directory)
+
+        ref = run_inversion(m, workers=1).to_dense().tobytes()
+
+        def refuse(self):
+            raise AssertionError("run_inversion started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for workers in (1, 2, 3):
+            directory = tmp_path / str(workers)
+            assert run(workers, directory).to_dense().tobytes() == ref, workers
+
+    def test_import_leaves_out_concurrent_futures(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(blockinv.__file__)))
+        code = "import sys, blockinv; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.stdout == "False\n", proc.stderr
+
+    def test_sizes_off_the_order_fail_first(self, tmp_path):
+        # checked before the schedule is compiled and cached, and before
+        # any checkpoint file is made
+        before = engine._schedule.cache_info()
+        with pytest.raises(DimensionMismatch) as info:
+            run_inversion(generate(8), sizes=[2, 2], checkpoint_dir=tmp_path)
+        assert str(info.value) == "sizes sum to 4, not the input's order 8"
+        assert engine._schedule.cache_info() == before  # not even looked up
+        assert list(tmp_path.iterdir()) == []
 
 
 # A layout whose items would write the same blocks: one with a level-1
