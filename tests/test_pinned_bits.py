@@ -37,6 +37,10 @@ The ``inplace_512`` and ``fallback_256`` groups were recorded while the
 ascending kernel still summed a strided output in place, with two
 broadcast operands per stage, and the in-place products and Schur updates
 still ran over panels of 16 columns or rows.
+
+The ``engine_coarse_256`` group, the benchmark's coarse engine case, was
+recorded while every stack of ``recursive._Stacks`` above order 2 still ran
+as one lockstep numpy recursion.
 """
 
 import hashlib
@@ -343,6 +347,8 @@ def _engine_dense(m):
 _MIXED = ((33, None), (100, None))
 # explicit sizes: non-uniform blocks, and uniform blocks of 16 at order 128
 _SIZED = ((96, [8, 16, 8, 16, 12, 12, 4, 20]), (128, [16] * 8))
+# the coarse engine case: 8 blocks of 32 at order 256
+_COARSE = ((256, [32] * 8),)
 
 # non-uniform blocked products: (a rows, inner, b cols) block sizes
 _FOX_SHAPES = (
@@ -422,6 +428,7 @@ GROUPS = {
     "fallback_256": _fallback_256,
     "inplace_512": _order_512(_inplace_dense, 9912),
     "engine": _engine,
+    "engine_coarse_256": _engine_group(_COARSE, 1),
     "engine_leaves": _engine_leaves,
     "engine_mixed_w1": _engine_group(_MIXED, 1),
     "engine_mixed_w2": _engine_group(_MIXED, 2),
@@ -439,6 +446,7 @@ EXPECTED = {
     "by_ad_512": "0ef3883f8a5845856dc3e60b181845d9da7aabe701f786b4a7e69c5287b108eb",
     "by_ad_boundary": "05f7ba4d2f7b5e3cc925a1a8ab537c89f372e83b5cced1168057ebaac7e526e9",
     "engine": "61ed9463f82052799f28d4032e07b13ebb7d4c41cf6eafedc1cf295dd23e0951",
+    "engine_coarse_256": "05aae1a6bfcd7cb82306e88b0a25749574d939c6cb23a0b6be6d04c282b3e70a",
     "engine_512": "1a8344c429bd8e5114954d288ffce48454091fb1cc60e610e17e3139d9c4b0f4",
     "engine_leaves": "0b563deb82483ab6b8a731d41f801d173dc8325a60b0fcf879640989f4019411",
     "engine_mixed_w1": "47e2fc9948c199e6c78d2262ba4feba3de5ce53ef5b913cd5146c5129dbea3e8",
