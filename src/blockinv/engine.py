@@ -28,7 +28,9 @@ when a quad's two halves have the same block sizes, the A-half and D-half
 products (R and L, S_D and S_A, the up and down halves) share one call.
 The 2x2 leaf inverses of a group of more than four blocks are one stacked
 ``core._inv2_stack`` call, and leaves larger than 4 one run of the
-pivot-A recursion on the group's stack (``recursive._Stacks``); 3x3 and
+pivot-A recursion on the group's stack (``recursive._Stacks``), which
+inverts a stack of orders up to 10 and at most 64 rows in all, such as 8
+blocks of order 8, member by member through its compiled list nodes; 3x3 and
 4x4 leaves, up to four 2x2 leaves, and a stack with a singular member are
 inverted one block at a time.  Each element still receives the same
 IEEE-754 operations in the same order as with one product per quad, so

@@ -28,14 +28,17 @@ complements and sub-inversions, and counts its work on ``ops.counters``.
 The backend is chosen by order: ``_Arrays`` runs numpy blocks through
 core's kernels; nodes of order ``_PY_RECURSION_MAX`` (10) and below run on
 ``_Rows``, Python lists with the same operations in the same order, so the
-results are bitwise identical.  For ``_single_pivot`` and ``_inplace`` such
-a node runs as straight-line code (``_Rows.node``): at import, ``_Emit``
-runs each of the two formulas at each order from 1 to 10 on names instead
-of floats and writes one Python assignment per scalar result of
-``_Rows``' run, which ``_compile`` makes into one function on unpacked
-locals.  It adds the order's counts, which ``_Count`` computes once, and on
-a singular leaf the node is rerun on ``_Rows`` for the label, the path and
-the partial counts.  The backend owns what the callers differ in: the
+results are bitwise identical.  Such a node runs as straight-line code
+(``_Rows.node``): at import, ``_Emit`` runs each of the three formulas at
+each order from 1 to 10 on names instead of floats and writes one Python
+assignment per scalar result of ``_Rows``' run, which ``_compile`` makes
+into one function on unpacked locals.  It adds the order's counts, which
+``_Count`` computes once, and on a singular leaf the node is rerun on
+``_Rows`` for the label, the path and the partial counts.  Only the
+node-by-node run of ``invertor_by_ad`` keeps its list nodes operation by
+operation: it books its Schur slots in one pool shared by every node,
+which the order's counts would book again.  The backend owns what the
+callers differ in: the
 sub-inversion and the label of its failure (the recursion's path, or
 schur's relabelling of its ``invert_sub``) and the scratch counting (on in
 the recursions, off in schur, and ``invertor_by_ad``'s Schur slots booked
@@ -47,7 +50,11 @@ pairs, so a pair of same-shaped operations is one call over 2k members
 and order 256 makes 255 stacked sub-inversions and 381 kernel calls
 where the node-by-node run visits 5,461 nodes; and ``_single_pivot`` for
 the step engine's diagonal blocks larger than 4, one stack per group.
-Its products sum into new storage and are copied into place.  It counts
+Its products sum into new storage and are copied into place.  Small
+stacks run member by member through the formula's compiled node instead:
+one member of order 10 or below, or members of orders 3 to 10 with at
+most ``_MEMBER_ROWS`` (64) rows in all, such as 8 members of order 8,
+where one call per member beats the lockstep numpy calls.  It counts
 nothing; ``_Count`` runs the formula on placeholders for the
 node-by-node counts, once per order.  A singular block anywhere sends
 the input back through ``_Arrays`` (``_invert_stacked`` returns None), so
@@ -105,9 +112,9 @@ from .errors import (
 LEAF_ORDER = 2
 
 
-# Nodes up to this order run on the list backend, as straight-line code
-# for the pivot-A formulas: the numpy round trips per product dominate
-# there.  Each order up to it is compiled at import.
+# Nodes up to this order run on the list backend, as straight-line code:
+# the numpy round trips per product dominate there.  Each order up to it
+# is compiled at import.
 _PY_RECURSION_MAX = 10
 
 
@@ -260,7 +267,10 @@ class _Arrays(_Pairs):
         if formula is not None:
             self.alloc = counters.alloc
             self.release = counters.release
-            self.rows = _Rows(counters, formula, pool)
+            rows = _Rows(counters, formula, pool)
+            # a pool's slots are shared by every node, and an order's counts
+            # would book them again: its list nodes run operation by operation
+            self.list_node = rows.node if pool is None else rows.invert
 
     def alloc(self, scalars: int) -> None:
         """Scratch hook (and ``release``): off for schur's formulas."""
@@ -277,7 +287,7 @@ class _Arrays(_Pairs):
             except SingularBlock as exc:
                 raise SingularBlock(path[-1], path=exc.path) from None
         elif n <= _PY_RECURSION_MAX:
-            out[...] = self.rows.node(x.tolist(), path, start)
+            out[...] = self.list_node(x.tolist(), path, start)
         else:
             self.counters.nodes += 1
             p = n // 2
@@ -468,24 +478,24 @@ class _Rows(_Pairs):
 
     def node(self, x, path, start=0):
         """``invert`` of a node an array backend hands down: the formula's
-        straight-line code for the order, when it has one, with the counts
-        of the order folded in.  A singular leaf reruns the node here, for
-        the label, the path and the partial counts."""
-        nodes = _NODES.get(self.formula)
-        if nodes is not None:
-            code, counts = nodes[len(x)]
-            rows = code(x)
-            if rows is not None:
-                _fold(self.counters, counts)
-                return rows
-        return self.invert(x, path, start)
+        straight-line code for the order, with the counts of the order
+        folded in.  A singular leaf reruns the node here, for the label,
+        the path and the partial counts."""
+        code, counts = _NODES[self.formula][len(x)]
+        rows = code(x)
+        if rows is None:
+            return self.invert(x, path, start)
+        _fold(self.counters, counts)
+        return rows
 
 
 class _Emit(_Rows):
     """The list backend on names: each float operation of a run becomes a
     line of Python source, one assignment per scalar result, with the
-    operations of ``_mm_rows`` and ``_inv_rows`` in their order.  A singular
-    leaf test becomes ``return None``.  Nothing is counted."""
+    operations of ``_mm_rows`` and ``_inv_rows`` in their order.  A
+    complement is its product summed into the base, as ``_Rows.complement``
+    sums it, with no Schur slot booked.  A singular leaf test becomes
+    ``return None``.  Nothing is counted."""
 
     def __init__(self, formula):
         super().__init__(OpCounters(), formula)
@@ -505,6 +515,11 @@ class _Emit(_Rows):
         return [[self.let(" + ".join([o] + [f"{sign}{u} * {v}" for u, v in zip(ai, col)]))
                  for o, col in zip(oi, zip(*b))]
                 for ai, oi in zip(a, starts)]
+
+    def complement(self, base, x, y, start, label):
+        """``_Rows.complement``'s fused sum into ``base``, with no Schur slot
+        booked: the order's counts book them."""
+        return self.product(x, y, into=base)
 
     def invert(self, x, path, start=0, out=None):
         """``_inv_rows`` at the leaves, the formula above them."""
@@ -540,17 +555,29 @@ def _compile(formula, n: int):
     return space["node"]
 
 
+# Stacks of orders 3 to ``_PY_RECURSION_MAX`` with at most this many rows
+# in all (members times order) run member by member through the compiled
+# nodes, where one call per member beats the lockstep recursion's numpy
+# calls.  Measured with ``tools/engine_overhead.py --stacks``: member by
+# member was faster up to 80 to 150 rows by order, 8 members of order 8
+# at 0.55x (single pivot) and 0.80x (combined), 32 of order 4 at 1.2x and
+# 1.46x.
+_MEMBER_ROWS = 64
+
+
 class _Stacks(_Arrays):
     """The stack backend of ``_combined_pivot`` and ``_single_pivot``: a
     block is a (k, rows, cols) stack of k members, nodes the sequential
     backends visit one after the other.  A pair step
     on two same-shaped stacks runs as one call over both, 2k members, and
-    a sub-inversion of k > 1 members recurses on the whole stack down to
-    stacked 1x1 and 2x2 leaves; a stack of one member at order
-    ``_PY_RECURSION_MAX`` or below runs as a list node (``_Rows.node``).
+    a sub-inversion recurses on the whole stack down to stacked 1x1 and
+    2x2 leaves.  A stack of one member of order ``_PY_RECURSION_MAX`` or
+    below, or of orders 3 to ``_PY_RECURSION_MAX`` with at most
+    ``_MEMBER_ROWS`` rows in all, instead runs each member through the
+    formula's compiled node and writes them all back in one assignment.
     Each member gets the operations it gets alone (``_mm_acc``,
-    ``_inv2_stack``), so the results are bitwise those of the sequential
-    backends.
+    ``_inv2_stack``, the compiled node), so the results are bitwise those
+    of the sequential backends.
 
     Nothing is counted, since a lockstep run cannot reproduce the sequential
     scratch stream, and a singular block anywhere raises SingularBlock with
@@ -560,7 +587,6 @@ class _Stacks(_Arrays):
     def __init__(self, formula):
         super().__init__(OpCounters())
         self.formula = formula
-        self.rows = _Rows(OpCounters(), formula, _SchurPool(OpCounters()))
 
     @staticmethod
     def order(x):
@@ -576,8 +602,12 @@ class _Stacks(_Arrays):
         k, n = x.shape[0], x.shape[-1]
         if out is None:
             out = np.empty(x.shape)
-        if k == 1 and n <= _PY_RECURSION_MAX:
-            out[0] = self.rows.node(x[0].tolist(), path, start)
+        if n <= _PY_RECURSION_MAX and (k == 1 or n > LEAF_ORDER and k * n <= _MEMBER_ROWS):
+            code = _NODES[self.formula][n][0]
+            rows = [code(m) for m in x.tolist()]
+            if None in rows:
+                raise SingularBlock("A", path=path)
+            out[...] = rows
         elif n == 1:
             if not x.all():
                 raise SingularBlock("A", path=path)
@@ -778,14 +808,15 @@ def _fold(counters: OpCounters, run: OpCounters) -> None:
     counters.nodes += run.nodes
 
 
-# The list nodes of the pivot-A recursions as straight-line code, with
-# their counts, by formula and order (index 0 unused).  Built here, since
-# compiling one of orders 8 to 10 peaks at 1 to 1.8 MiB, which a first
-# call would otherwise carry; the 20 functions keep about 0.2 MiB.
+# The list nodes of the three formulas as straight-line code, with their
+# counts, by formula and order (index 0 unused).  Built here, since
+# compiling one of orders 8 to 10 peaks at 1 to 1.8 MiB (1.6 to 3.2 MiB
+# for ``_combined_pivot``), which a first call would otherwise carry; the
+# 30 functions keep about 0.4 MiB.
 _NODES = {
     formula: (None,) + tuple((_compile(formula, n), _formula_counts(formula, n))
                              for n in range(1, _PY_RECURSION_MAX + 1))
-    for formula in (_single_pivot, _inplace)
+    for formula in (_single_pivot, _inplace, _combined_pivot)
 }
 
 

@@ -450,6 +450,8 @@ def test_array_backend_matches_list_backend(method, monkeypatch):
 
 
 PIVOT_A_FORMULAS = [recursive._single_pivot, recursive._inplace]
+COMPILED_FORMULAS = PIVOT_A_FORMULAS + [recursive._combined_pivot]
+STACKED_FORMULAS = [recursive._single_pivot, recursive._combined_pivot]
 
 
 @pytest.mark.parametrize("formula", PIVOT_A_FORMULAS + [recursive._combined_pivot],
@@ -476,9 +478,10 @@ def test_count_backend_matches_sequential_runs(formula, monkeypatch):
 def _list_node_outcome(formula, m, compiled):
     """A list node's output bytes, or its SingularBlock label and path, plus
     every OpCounters field: its straight-line code (``node``) or the list
-    backend node by node (``invert``)."""
+    backend node by node (``invert``), booking the Schur slots of
+    ``_combined_pivot`` in a pool of its own."""
     c = OpCounters()
-    rows = recursive._Rows(c, formula)
+    rows = recursive._Rows(c, formula, _SchurPool(c))
     try:
         got = (rows.node if compiled else rows.invert)(m.tolist(), [])
         result = np.array(got).tobytes()
@@ -504,7 +507,7 @@ def _signed_zero_inputs(n):
     yield sparse
 
 
-@pytest.mark.parametrize("formula", PIVOT_A_FORMULAS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("formula", COMPILED_FORMULAS, ids=lambda f: f.__name__)
 def test_compiled_nodes_match_list_backend(formula):
     # bits and counters on every generated kind, signed zeros, and the
     # label, path and partial counters of singular leaves at every order
@@ -526,13 +529,82 @@ _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
 
 @settings(max_examples=120)
 @given(
-    formula=st.sampled_from(PIVOT_A_FORMULAS),
+    formula=st.sampled_from(COMPILED_FORMULAS),
     rows=st.integers(1, 10).flatmap(
         lambda n: st.lists(st.lists(_FLOATS, min_size=n, max_size=n), min_size=n, max_size=n)),
 )
 def test_compiled_nodes_match_list_backend_on_finite_matrices(formula, rows):
     m = np.array(rows)
     assert _list_node_outcome(formula, m, True) == _list_node_outcome(formula, m, False)
+
+
+def _member_reference(formula, stack):
+    """Each member of ``stack`` inverted node by node on the list backend."""
+    c = OpCounters()
+    rows = recursive._Rows(c, formula, _SchurPool(c))
+    return np.array([rows.invert(m.tolist(), []) for m in stack])
+
+
+def _member_stack(k, n, seed):
+    kinds = ("well-conditioned", "block-diagonal")  # exact zeros off its blocks
+    return np.stack([generate(n, seed=seed + i, kind=kinds[i % 2]) for i in range(k)])
+
+
+@pytest.fixture
+def compiled_calls(monkeypatch):
+    """The orders of the compiled nodes called, in call order."""
+    calls = []
+
+    def spy(code, n):
+        def node(x):
+            calls.append(n)
+            return code(x)
+
+        return node
+
+    monkeypatch.setattr(recursive, "_NODES", {
+        formula: (None,) + tuple((spy(code, n), counts)
+                                 for n, (code, counts) in enumerate(nodes[1:], 1))
+        for formula, nodes in recursive._NODES.items()})
+    return calls
+
+
+@pytest.mark.parametrize("formula", STACKED_FORMULAS, ids=lambda f: f.__name__)
+def test_stacks_up_to_the_row_limit_run_member_by_member(formula, compiled_calls):
+    # at, just under and just over the limit, and one member at every order:
+    # each member's bits are its list backend run's, and one singular member
+    # makes the whole stack unusable
+    limit = recursive._MEMBER_ROWS
+    for n in range(1, recursive._PY_RECURSION_MAX + 1):
+        at = limit // n if n > LEAF_ORDER else 1
+        for k in sorted({1, max(at - 1, 1), at, at + 1}):
+            stack = _member_stack(k, n, 5000 + 100 * n + k)
+            del compiled_calls[:]
+            got = recursive._invert_stacked(formula, stack)
+            assert got.tobytes() == _member_reference(formula, stack).tobytes(), (n, k)
+            member_path = k == 1 or k * n <= limit and n > LEAF_ORDER
+            assert compiled_calls.count(n) == (k if member_path else 0), (n, k)
+            singular = stack.copy()
+            singular[k // 2] = 0.0
+            assert recursive._invert_stacked(formula, singular) is None, (n, k)
+
+
+@pytest.mark.parametrize("formula", STACKED_FORMULAS, ids=lambda f: f.__name__)
+def test_stacks_of_order_2_stay_on_the_stacked_leaf(formula, compiled_calls, monkeypatch):
+    leaves = []
+
+    def spy(m, out):
+        leaves.append(len(m))
+        return inv2(m, out)
+
+    inv2 = recursive._inv2_stack
+    monkeypatch.setattr(recursive, "_inv2_stack", spy)
+    for k in (2, 3, 16, 32, 33):
+        stack = _member_stack(k, 2, 5900 + k)
+        del leaves[:]
+        got = recursive._invert_stacked(formula, stack)
+        assert got.tobytes() == _member_reference(formula, stack).tobytes(), k
+        assert leaves == [k] and not compiled_calls, k
 
 
 def test_ad_reports_the_first_failure_in_sequential_order():
