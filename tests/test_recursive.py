@@ -454,8 +454,7 @@ COMPILED_FORMULAS = PIVOT_A_FORMULAS + [recursive._combined_pivot]
 STACKED_FORMULAS = [recursive._single_pivot, recursive._combined_pivot]
 
 
-@pytest.mark.parametrize("formula", PIVOT_A_FORMULAS + [recursive._combined_pivot],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("formula", COMPILED_FORMULAS, ids=lambda f: f.__name__)
 def test_count_backend_matches_sequential_runs(formula, monkeypatch):
     # _Count's placeholders against the list backend (orders up to 10) and
     # the array backend down to the 2x2 leaves, with no compiled nodes

@@ -12,9 +12,9 @@ BEFORE and AFTER are checkout roots (each with ``src/blockinv``).  Each is
 imported under its own package names, so every variant runs in this one
 process.
 
-Without ``--method`` or ``--stacks`` the engine runs in two variants per checkout: as it is
-("full"), and with the kernels and leaves stubbed out ("stubbed"), where
-``engine._mm_acc_ordered``, ``engine._inv2_stack``, ``engine.invert_small``,
+Without ``--method`` or ``--stacks`` the engine runs in two variants per
+checkout: as it is ("full"), and with the kernels and leaves stubbed out
+("stubbed"), where ``engine._mm_acc_ordered``, ``engine._inv2_stack``, ``engine.invert_small``,
 ``engine._invert_stacked`` (leaves larger than 4) and
 ``engine.check_result`` do nothing.  The stubbed time is the Python around
 the kernels: task lists, views, index arrays and bookkeeping.  Each of
@@ -48,11 +48,13 @@ numpy, so that work moved into import shows beside the calls it speeds up.
 
 Before timing a case, the script compares the two checkouts' outputs of
 the full engine, or of the method, or of each formula on the stack, byte
-for byte: the inverse and, for a method, its OpCounters.  It prints whether the bits are equal and exits
-with status 1 when any case's differ.  After the comparison it prints
-each checkout's ``tracemalloc`` peak of one more call of the full engine,
-or of the method, in units of the input matrix (for ``inplace`` the copy
-it inverts counts), so that memory changes show beside speed changes.
+for byte: the inverse and, for a method, its OpCounters.  It prints
+whether the bits are equal and exits with status 1 when any case's
+differ.  After the comparison it prints each checkout's ``tracemalloc``
+peak of one more call of the full engine, of the method, or of each
+formula on the stack, in units of the input matrix (for ``inplace`` the
+copy it inverts counts), so that memory changes show beside speed
+changes.
 """
 
 from __future__ import annotations
